@@ -3,7 +3,7 @@
 Submodules:
   codec     8b/10b line coding and 40-bit flit framing
   datapath  DDR serializer / deserializer / shift realigner
-  control   TX framing FSM, sequence detector, RX stage enables
+  control   TX framing FSM, sequence detector, RX pipeline
   cdr       bang-bang clock-data recovery loop
   phy       driver, channel, comparator sampling, eye diagrams
   node      two-chip protocol simulation with DMA and GPIO handshake

@@ -126,7 +126,8 @@ class CdrLoop:
     Owns the RX sampling grid.  Data sample ``k`` lands at
     ``(k + 0.5) * ui + phi`` where ``phi`` starts at the initial phase
     offset and moves by 1/16 UI per interpolator step; edge samples sit
-    half a UI earlier.  ``process_batch`` consumes 8 UI per call.
+    half a UI earlier.  ``process_batch`` consumes 8 UI per call and
+    counts slips (phase error through 0.5 UI); ``slips`` is their total.
     """
 
     def __init__(self, stream: phy.StreamingNrz, ui_s=phy.UI_S, n=4,
@@ -141,11 +142,9 @@ class CdrLoop:
         self._sample_index = 0
         self._last_bit = 0
         self._rng = np.random.default_rng([seed, 0xCD])
+        self._last_index = None  # transmitted bit index of the last data sample
         self.pi_steps_applied = 0
-
-    @property
-    def phases(self):
-        return SamplePhases((self.phi_s / self.ui_s) % 2.0)
+        self.slips = 0
 
     def _phase_errors(self, t_data):
         tx_ui = self.stream.tx_ui_s
@@ -171,6 +170,11 @@ class CdrLoop:
             self.pi_steps_applied += abs(step)
         err_ui, m = self._phase_errors(t_data)
         self._sample_index += BATCH_BITS
+        slips = 0
+        if self._last_index is not None:
+            slips = int(np.count_nonzero(np.diff(m, prepend=self._last_index) != 1))
+            self.slips += slips
+        self._last_index = m[-1]
         return BatchRecord(
             t_end_s=float(t_data[-1]),
             data_bits=data8,
@@ -179,6 +183,7 @@ class CdrLoop:
             pi_step=step,
             pi_code=self.state.pi_code,
             err_ui=float(err_ui[-1]),
+            slips=slips,
         )
 
 
@@ -191,6 +196,7 @@ class BatchRecord:
     pi_step: int
     pi_code: int
     err_ui: float
+    slips: int  # data samples that skipped or repeated a transmitted bit
 
 
 @dataclass
@@ -252,8 +258,6 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
     streak = 0
     streak_start = 0.0
     prev_t_end = 0.0
-    prev_m = None
-    slips = 0
     first_slip = None
 
     for k in range(n_batches):
@@ -272,18 +276,14 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
         else:
             streak = 0
 
-        if prev_m is not None:
-            step_seq = np.diff(np.concatenate(([prev_m], rec.bit_indices)))
-            if np.any(step_seq != 1):
-                slips += int(np.count_nonzero(step_seq != 1))
-                if first_slip is None:
-                    first_slip = rec.t_end_s
-                if raise_on_loss and lock_time is not None:
-                    raise LossOfLock(
-                        f"phase error exceeded 0.5 UI at {rec.t_end_s * 1e9:.1f} ns")
-        prev_m = rec.bit_indices[-1]
+        if rec.slips:
+            if first_slip is None:
+                first_slip = rec.t_end_s
+            if raise_on_loss and lock_time is not None:
+                raise LossOfLock(
+                    f"phase error exceeded 0.5 UI at {rec.t_end_s * 1e9:.1f} ns")
         prev_t_end = rec.t_end_s
 
     return RecoveryResult(bits=bits, bit_indices=indices, lock_time_s=lock_time,
-                          slips=slips, first_slip_s=first_slip,
+                          slips=loop.slips, first_slip_s=first_slip,
                           pi_steps=loop.pi_steps_applied, trace=trace)

@@ -153,6 +153,13 @@ def load_config(path=None):
         raise ConfigError(f"{path}: scenario must be tx_initiated or rx_initiated")
     if cfg.rx_release_pin not in ("peer", "own"):
         raise ConfigError(f"{path}: rx_release_pin must be peer or own")
+    if not cfg.clock_mhz > 0:
+        raise ConfigError(f"{path}: clock_mhz must be positive, got {cfg.clock_mhz!r}")
+    if (cfg.payload_bytes <= 0 or cfg.payload_bytes % 4
+            or cfg.payload_bytes > node.MEMORY_BYTES):
+        raise ConfigError(
+            f"{path}: payload_bytes must be a positive multiple of 4 no larger "
+            f"than the {node.MEMORY_BYTES}-byte node memory, got {cfg.payload_bytes}")
     return cfg
 
 
@@ -162,28 +169,44 @@ def _provenance(cfg):
 
 def _write_atomic(path, text):
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path}: {exc.strerror}")
 
 
-def _out_path(args, default_name):
+def _out_paths(args, *names):
+    """Resolve --out to one path per output file, before any work is done.
+
+    A directory (existing, ending in a separator or without an extension)
+    receives every file; a file path suits only single-file commands.
+    """
     out = args.out or "."
     if os.path.isdir(out) or out.endswith(os.sep) or not os.path.splitext(out)[1]:
-        os.makedirs(out, exist_ok=True)
-        return os.path.join(out, default_name)
-    return out
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out!r}: cannot create directory: {exc.strerror}")
+        return [os.path.join(out, name) for name in names]
+    if len(names) > 1:
+        raise ConfigError(f"--out {out!r} is a file, but this command writes "
+                          f"{len(names)} files ({', '.join(names)}); give a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"--out {out!r}: directory does not exist")
+    return [out]
 
 
 def cmd_run(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    report_path, events_path = _out_paths(args, "transfer_report.txt",
+                                          "transfer_events.csv")
     report = node.run_protocol(cfg.link_sim_config())
-    _write_atomic(_out_path(args, "transfer_report.txt"),
-                  _provenance(cfg) + "\n" + report.to_text())
-    _write_atomic(_out_path(args, "transfer_events.csv"),
-                  _provenance(cfg) + "\n" + report.events_csv())
+    _write_atomic(report_path, _provenance(cfg) + "\n" + report.to_text())
+    _write_atomic(events_path, _provenance(cfg) + "\n" + report.events_csv())
     print(report.to_text(), end="")
     if not report.ok:
         print(f"FAILED: {report.diagnostic}", file=sys.stderr)
@@ -195,6 +218,7 @@ def cmd_eye(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    eye_path, summary_path = _out_paths(args, "eye.csv", "eye_summary.csv")
     channel = cfg.channel_config()
     rng = np.random.default_rng([cfg.seed, 0xE1])
     bits = rng.integers(0, 2, args.ui + 64)
@@ -205,22 +229,23 @@ def cmd_eye(args):
     nz = np.argwhere(eye.counts > 0)
     for i, j in nz:
         rows.append(f"{i},{j},{int(eye.counts[i, j])}")
-    _write_atomic(_out_path(args, "eye.csv"), _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
+    _write_atomic(eye_path, _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
     summary = (f"eye_height_v,eye_width_ui\n"
                f"{eye.eye_height_v:.6f},{eye.eye_width_ui:.6f}\n")
-    _write_atomic(_out_path(args, "eye_summary.csv"), _provenance(cfg) + "\n" + summary)
+    _write_atomic(summary_path, _provenance(cfg) + "\n" + summary)
     print(f"eye_height_v={eye.eye_height_v:.4f} eye_width_ui={eye.eye_width_ui:.4f}")
     return 0
 
 
 def cmd_energy(args):
     cfg = load_config(args.config)
+    paths = _out_paths(args, "energy_curves.csv",
+                       *(["energy_ratios.csv"] if args.compare else []))
     profile = energy.DEFAULT_PROFILE
     rows = ["bandwidth_mbps,buffer_kb,energy_pj_per_bit"]
     for bw, kb, pj in energy.energy_sweep(profile):
         rows.append(f"{bw:g},{kb:g},{pj:.9f}")
-    _write_atomic(_out_path(args, "energy_curves.csv"),
-                  _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
+    _write_atomic(paths[0], _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
     peak = energy.bw_max(profile, 16 * 1024)
     print(f"continuous: {energy.continuous_energy(profile):.4f} pJ/bit at "
           f"{profile.line_rate / 1e9:.1f} Gbps; bw_max(16KB) = {peak / 1e6:.1f} Mbps")
@@ -235,8 +260,7 @@ def cmd_energy(args):
             except CurveOutOfRange:
                 continue
             ratios.append(f"{args.compare}_same_bw,{bw_mbps:g},{same:.4f}")
-        _write_atomic(_out_path(args, "energy_ratios.csv"),
-                      _provenance(cfg) + "\n" + "\n".join(ratios) + "\n")
+        _write_atomic(paths[1], _provenance(cfg) + "\n" + "\n".join(ratios) + "\n")
         print("\n".join(ratios[1:]))
     return 0
 
@@ -268,6 +292,7 @@ def cmd_lock(args):
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
+    (trace_path,) = _out_paths(args, "lock_trace.csv")
     bits = np.tile([1, 0], (args.bits + 2048) // 2)  # training pattern
     result = cdr.recover_stream(
         bits, cfg.channel_config(), n_bits=args.bits, n=cfg.cdr_n,
@@ -276,8 +301,7 @@ def cmd_lock(args):
     rows = ["time_ns,pi_code,phase_error_ui"]
     for t_ns, code, err in result.trace:
         rows.append(f"{t_ns:.3f},{code},{err:.6f}")
-    _write_atomic(_out_path(args, "lock_trace.csv"),
-                  _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
+    _write_atomic(trace_path, _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
     lock = "none" if result.lock_time_s is None else f"{result.lock_time_s * 1e6:.4f}us"
     print(f"lock_time={lock} pi_steps={result.pi_steps} slips={result.slips}")
     return 0
@@ -293,7 +317,8 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help="scenario config file (key = value sections)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--out", default=None, help="output file or directory")
+        p.add_argument("--out", default=None,
+                       help="output directory, or a file for commands that write one file")
 
     p = sub.add_parser("run", help="run a two-chip transfer scenario")
     common(p)

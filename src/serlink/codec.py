@@ -213,8 +213,9 @@ def decode_symbol(code: int, rd: Disparity):
 
 
 # Frame markers.  The start/stop headers carry these bytes raw (not 8b/10b
-# encoded) as their first 8 wire bits; encoded payload can never produce a
-# run of five equal bits, so the markers are unambiguous on the wire.
+# encoded) as their first 8 wire bits.  They are fixed: the stop marker's
+# six-bit run of ones is what encoded payload (runs of at most five) can
+# never produce, so the in-frame stop search cannot false-trigger.
 START_BYTE = K(27, 7)  # 0xfb -> wire bits 11011111
 STOP_BYTE = K(29, 7)   # 0xfd -> wire bits 10111111
 
@@ -261,13 +262,7 @@ class Flit:
         return cls(kind, lanes, word)
 
 
-def _header_code(marker_byte):
-    # Raw marker byte LSB-first, padded with two zeros to lane width.
-    return marker_byte & 0xFF
-
-
-def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE,
-                start_byte=START_BYTE, stop_byte=STOP_BYTE):
+def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
     """Build one flit, returning (Flit, updated disparity).
 
     Data flits thread the running disparity through the four lanes; header
@@ -284,27 +279,26 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE,
         return Flit(kind, tuple(lanes), word & 0xFFFFFFFF), rd
     if word is not None:
         raise ValueError(f"{kind.value} flit carries no word")
+    # header lane 0: the raw marker byte LSB-first, padded with two zeros
     if kind is FlitKind.START:
-        lanes = (_header_code(start_byte),) + (FILLER_CODE,) * 3
+        lanes = (START_BYTE,) + (FILLER_CODE,) * 3
     elif kind is FlitKind.STOP:
-        lanes = (_header_code(stop_byte),) + (FILLER_CODE,) * 3
+        lanes = (STOP_BYTE,) + (FILLER_CODE,) * 3
     else:
         lanes = (FILLER_CODE,) * LANES
     return Flit(kind, lanes), rd
 
 
-def decode_flit(flit: Flit, rd=Disparity.NEGATIVE,
-                start_byte=START_BYTE, stop_byte=STOP_BYTE):
+def decode_flit(flit: Flit, rd=Disparity.NEGATIVE):
     """Classify and decode one received flit.
 
     Returns ((FlitKind, word-or-None), updated disparity).  Start/stop
     frames are recognized by their raw 8-bit header before any 8b/10b
     decoding is attempted; lane decode errors carry the lane index.
     """
-    first8 = flit.lanes[0] & 0xFF
-    if first8 == start_byte and flit.lanes[0] >> 8 == 0:
+    if flit.lanes[0] == START_BYTE:
         return (FlitKind.START, None), rd
-    if first8 == stop_byte and flit.lanes[0] >> 8 == 0:
+    if flit.lanes[0] == STOP_BYTE:
         return (FlitKind.STOP, None), rd
     if all(code == FILLER_CODE for code in flit.lanes):
         return (FlitKind.TRAINING, None), rd

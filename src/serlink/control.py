@@ -1,11 +1,12 @@
-"""Link controllers: TX framing FSM, RX sequence detector, RX enables.
+"""Link controllers: TX framing FSM, RX sequence detector, RX pipeline.
 
 The TX controller walks Idle -> Warm-up -> Start-header -> Data-comm ->
 Stop-header and selects the flit the serializer sends next.  The RX
 sequence detector watches the raw comparator bit pairs for the start and
 stop markers at either bit alignment and reports the capture shift.  The
-RX controller turns detector events and the enable registers into stage
-enables for the deserializer and decoders.
+RX pipeline watches the wire only while communication is enabled and is
+receiving from a start marker to the following stop marker; only then do
+the deserializer and decoders run.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ class TxState(enum.Enum):
 class TxAction:
     state: TxState
     flit_select: FlitKind | None  # flit to load for the next period
-    encoder_enable: bool
     pop_word: bool  # consume one word from the TX FIFO
 
 
@@ -58,8 +58,7 @@ def tx_fsm_step(state, valid, warm_en, comm_en):
         TxState.DATA_COMM: FlitKind.DATA,
         TxState.STOP_HEADER: FlitKind.STOP,
     }[nxt]
-    encoder_enable = nxt in (TxState.START_HEADER, TxState.DATA_COMM, TxState.STOP_HEADER)
-    return TxAction(nxt, select, encoder_enable, select is FlitKind.DATA)
+    return TxAction(nxt, select, select is FlitKind.DATA)
 
 
 class TxFramer:
@@ -71,12 +70,9 @@ class TxFramer:
     ``valid_fn`` reflects the FIFO handshake (data available).
     """
 
-    def __init__(self, word_source, valid_fn,
-                 start_byte=codec.START_BYTE, stop_byte=codec.STOP_BYTE):
+    def __init__(self, word_source, valid_fn):
         self._word_source = word_source
         self._valid_fn = valid_fn
-        self._start_byte = start_byte
-        self._stop_byte = stop_byte
         self.state = TxState.IDLE
         self.warm_en = False
         self.comm_en = False
@@ -92,9 +88,7 @@ class TxFramer:
         if action.state is TxState.START_HEADER:
             self.rd = Disparity.NEGATIVE  # disparity chain restarts per frame
         word = self._word_source() if action.pop_word else None
-        flit, self.rd = codec.encode_flit(
-            action.flit_select, word, self.rd,
-            start_byte=self._start_byte, stop_byte=self._stop_byte)
+        flit, self.rd = codec.encode_flit(action.flit_select, word, self.rd)
         self._serializer.load(flit.bits())
         self._remaining = datapath.FLIT_BITS
         return True
@@ -106,23 +100,6 @@ class TxFramer:
         pair, _ = self._serializer.step()
         self._remaining -= 2
         return pair
-
-    @property
-    def counter(self):
-        return self._serializer.counter
-
-
-class DetState(enum.Enum):
-    START = "start"
-    CHECK1 = "check1"
-    CHECK2 = "check2"
-    CHECK3 = "check3"
-    CHECK4 = "check4"
-    DATA_COMM = "data_comm"
-    STOP_CHECK1 = "stop_check1"
-    STOP_CHECK2 = "stop_check2"
-    STOP_CHECK3 = "stop_check3"
-    STOP_CHECK4 = "stop_check4"
 
 
 @dataclass(frozen=True)
@@ -176,31 +153,12 @@ class SequenceDetector:
     check-4 step) and raises the shift flag.
     """
 
-    def __init__(self, start_byte=codec.START_BYTE, stop_byte=codec.STOP_BYTE):
-        self._start = _BitMatcher(_marker_bits(start_byte))
-        self._stop = _BitMatcher(_marker_bits(stop_byte))
+    def __init__(self):
+        self._start = _BitMatcher(_marker_bits(codec.START_BYTE))
+        self._stop = _BitMatcher(_marker_bits(codec.STOP_BYTE))
         self.in_data_comm = False
         self.shift = False
         self._bit_index = 0
-
-    def reset(self):
-        self._start.reset()
-        self._stop.reset()
-        self.in_data_comm = False
-        self.shift = False
-        self._bit_index = 0
-
-    @property
-    def state(self) -> DetState:
-        if self.in_data_comm:
-            names = (DetState.DATA_COMM, DetState.STOP_CHECK1, DetState.STOP_CHECK1,
-                     DetState.STOP_CHECK2, DetState.STOP_CHECK2, DetState.STOP_CHECK3,
-                     DetState.STOP_CHECK3, DetState.STOP_CHECK4)
-            return names[self._stop.progress]
-        names = (DetState.START, DetState.CHECK1, DetState.CHECK1,
-                 DetState.CHECK2, DetState.CHECK2, DetState.CHECK3,
-                 DetState.CHECK3, DetState.CHECK4)
-        return names[self._start.progress]
 
     def _push_bit(self, bit):
         matcher = self._stop if self.in_data_comm else self._start
@@ -227,53 +185,6 @@ class SequenceDetector:
         return events
 
 
-class RxStage(enum.Enum):
-    IDLE = "idle"
-    CDR_ONLY = "cdr_only"
-    ARMED = "armed"
-    RECEIVING = "receiving"
-
-
-@dataclass(frozen=True)
-class RxEnables:
-    stage: RxStage
-    cdr_en: bool
-    detector_en: bool
-    deserializer_en: bool
-    decoder_en: bool
-
-
-class RxController:
-    """Derives stage enables from the enable registers and detector events."""
-
-    def __init__(self):
-        self.receiving = False
-
-    def step(self, start_detected, stop_detected, warm_en, comm_en) -> RxEnables:
-        if not comm_en:
-            self.receiving = False
-        elif stop_detected:
-            self.receiving = False
-        elif start_detected:
-            self.receiving = True
-        if self.receiving:
-            stage = RxStage.RECEIVING
-        elif comm_en:
-            stage = RxStage.ARMED
-        elif warm_en:
-            stage = RxStage.CDR_ONLY
-        else:
-            stage = RxStage.IDLE
-        active = stage is not RxStage.IDLE
-        return RxEnables(
-            stage=stage,
-            cdr_en=active,
-            detector_en=stage in (RxStage.ARMED, RxStage.RECEIVING),
-            deserializer_en=stage is RxStage.RECEIVING,
-            decoder_en=stage is RxStage.RECEIVING,
-        )
-
-
 # Pairs between the end of the start marker and the first payload pair:
 # one pad pair plus fifteen filler pairs, identical at both alignments.
 START_SKIP_PAIRS = 16
@@ -283,48 +194,47 @@ class RxPipeline:
     """Realigner, deserializer and flit decoder behind the detector events.
 
     ``push_pair`` consumes one raw comparator pair and returns a list of
-    decoded 32-bit words (usually empty).  Framing events are exposed on
-    ``detector`` / ``last_events``; decode failures raise with lane index.
+    decoded 32-bit words (usually empty).  ``warm_en``/``comm_en`` are the
+    RX enable registers as seen past the clock-domain crossing; only
+    ``comm_en`` gates the wire, which is ignored while it is off.
+    ``receiving`` is set at a start marker and cleared at the stop marker
+    or at the first pair after ``comm_en`` drops.  Framing events are
+    exposed on ``detector`` / ``last_events``; decode failures raise with
+    lane index.
     """
 
-    def __init__(self, start_byte=codec.START_BYTE, stop_byte=codec.STOP_BYTE):
-        self.detector = SequenceDetector(start_byte, stop_byte)
-        self.controller = RxController()
-        self._start_byte = start_byte
-        self._stop_byte = stop_byte
+    def __init__(self):
+        self.detector = SequenceDetector()
         self._realigner = datapath.ShiftRealigner()
         self._deserializer = datapath.Deserializer()
         self.rd = Disparity.NEGATIVE
         self.warm_en = False
         self.comm_en = False
+        self.receiving = False
         self._skip = 0
         self.last_events = DetectorEvents()
         self.frames_received = 0
 
-    @property
-    def receiving(self):
-        return self.controller.receiving
-
     def push_pair(self, pair):
-        enables = self.controller.step(False, False, self.warm_en, self.comm_en)
-        if not enables.detector_en:
+        if not self.comm_en:
+            self.receiving = False
             return []
         events = self.detector.push_pair(pair)
         self.last_events = events
-        enables = self.controller.step(
-            events.start_detected, events.stop_detected, self.warm_en, self.comm_en)
 
         if events.start_detected:
+            self.receiving = True
             self._realigner.shift = events.shift
             self._deserializer.reset()
             self.rd = Disparity.NEGATIVE
             self._skip = START_SKIP_PAIRS
             return []
         if events.stop_detected:
+            self.receiving = False
             self._deserializer.reset()
             self.frames_received += 1
             return []
-        if not enables.deserializer_en:
+        if not self.receiving:
             self._realigner.push(pair)
             return []
         if self._skip:
@@ -335,8 +245,7 @@ class RxPipeline:
         if word40 is None:
             return []
         flit = codec.Flit.from_int(word40)
-        (kind, word), self.rd = codec.decode_flit(
-            flit, self.rd, start_byte=self._start_byte, stop_byte=self._stop_byte)
+        (kind, word), self.rd = codec.decode_flit(flit, self.rd)
         if kind is not FlitKind.DATA:
             return []
         return [word]

@@ -24,6 +24,7 @@ from .errors import (AlignmentError, CodecError, DataMismatch, LossOfLock,
                      ProtocolDeadlock, SimulationError, UnknownRegister)
 
 PS_PER_S = 1e12
+MEMORY_BYTES = 1 << 17  # 128 KiB on-chip memory per node
 
 
 def s_to_ps(t_s):
@@ -47,9 +48,6 @@ class Scheduler:
             raise SimulationError(f"event at {t_ps} ps is in the past (now {self.now_ps})")
         heapq.heappush(self._heap, (t_ps, self._seq, fn))
         self._seq += 1
-
-    def schedule_s(self, t_s, fn):
-        self.schedule(s_to_ps(t_s), fn)
 
     def advance(self):
         """Dispatch the next event; returns its time or None at end."""
@@ -165,12 +163,12 @@ def dma_step(channel: DmaChannel, memory, now_ps=0):
 class Node:
     """One chip: memory, registers, DMA channels and its program driver."""
 
-    def __init__(self, name, sim: Scheduler, log, config, mem_bytes=1 << 17):
+    def __init__(self, name, sim: Scheduler, log, config):
         self.name = name
         self.sim = sim
         self.log = log
         self.config = config
-        self.memory = bytearray(mem_bytes)
+        self.memory = bytearray(MEMORY_BYTES)
         self.regs = ConfigRegisters()
         self.program_cycles = 0
         self.on_register_write = None  # hook(name, value) after validation
@@ -353,14 +351,9 @@ class LinkEngine:
         self.pipeline = control.RxPipeline()
         self.loop = None
         self.declared_lock_ps = None
-        self.slips = 0
         self.decode_errors = 0
         self.first_data_bit_s = None
-        self.words_delivered = 0
         self._tx_quanta = 0
-        self._rx_batches = 0
-        self._rx_anchor_s = 0.0
-        self._last_m = None
         self._prev_tx_state = control.TxState.IDLE
 
         tx.on_register_write = self._tx_register_write
@@ -437,14 +430,13 @@ class LinkEngine:
     def _activate_rx(self):
         if self.loop is not None:
             return
-        self._rx_anchor_s = self.sim.now_s
+        anchor_s = self.sim.now_s
         self.loop = cdr.CdrLoop(
             self.stream, ui_s=self.cfg.ui_s, n=self.rx.regs.cdr_n,
             initial_phase_ui=self.cfg.initial_phase_ui,
             include_boundary=self.cfg.include_boundary_pd,
-            seed=self.cfg.seed, t_start_s=self._rx_anchor_s)
-        self._rx_batches = 0
-        self._schedule_rx_quantum(self._rx_anchor_s + 8 * self.cfg.ui_s)
+            seed=self.cfg.seed, t_start_s=anchor_s)
+        self._schedule_rx_quantum(anchor_s + 8 * self.cfg.ui_s)
 
     def _schedule_rx_quantum(self, batch_end_s):
         # run two quanta behind the recovered sampling instants so the
@@ -456,15 +448,9 @@ class LinkEngine:
         if not self.active or self.loop is None:
             return
         rec = self.loop.process_batch()
-        self._rx_batches += 1
-        if self._last_m is not None:
-            seq = np.diff(np.concatenate(([self._last_m], rec.bit_indices)))
-            if np.any(seq != 1):
-                self.slips += int(np.count_nonzero(seq != 1))
-                if self.declared_lock_ps is not None and self.aborted is None:
-                    self.log("rx", "loss_of_lock", 1)
-                    self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
-        self._last_m = rec.bit_indices[-1]
+        if rec.slips and self.declared_lock_ps is not None and self.aborted is None:
+            self.log("rx", "loss_of_lock", 1)
+            self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
 
         bits = rec.data_bits
         was_receiving = self.pipeline.receiving
@@ -491,7 +477,6 @@ class LinkEngine:
                     self.sim.now_ps, word,
                     extra_latency_ps=s_to_ps(
                         self.cfg.decoder_latency_slow * self.cfg.slow_cycle_s))
-                self.words_delivered += 1
         if was_receiving != self.pipeline.receiving:
             self.log("rx", "rx_receiving", int(self.pipeline.receiving))
         self._schedule_rx_quantum(rec.t_end_s + 8 * self.cfg.ui_s)
@@ -547,12 +532,8 @@ class TransferReport:
         return "\n".join(out) + "\n"
 
 
-def _tx_initiated_programs(cfg, tx, rx, wires, payload):
-    gpio0, gpio1 = wires
-
-    def prepare_payload():
-        addr = 0
-        tx.memory[addr:addr + len(payload)] = payload
+def _dma_setups(cfg, tx, rx, payload):
+    """The uDMA programming lines both protocols run on each side."""
 
     def setup_tx_dma():
         tx.write_register("tx_data_addr", 0)
@@ -568,6 +549,16 @@ def _tx_initiated_programs(cfg, tx, rx, wires, payload):
         rx.dma_write.cursor = 0
         rx.dma_write.remaining = len(payload)
         rx.start_dma(rx.dma_write)
+
+    return setup_tx_dma, setup_rx_dma
+
+
+def _tx_initiated_programs(cfg, tx, rx, wires, payload):
+    gpio0, gpio1 = wires
+    setup_tx_dma, setup_rx_dma = _dma_setups(cfg, tx, rx, payload)
+
+    def prepare_payload():
+        tx.memory[0:len(payload)] = payload
 
     tx_steps = [
         ("line", "setup_gpio0_dir", lambda: None),
@@ -594,21 +585,7 @@ def _tx_initiated_programs(cfg, tx, rx, wires, payload):
 
 def _rx_initiated_programs(cfg, tx, rx, wires, payload):
     gpio0, gpio1 = wires
-
-    def setup_tx_dma():
-        tx.write_register("tx_data_addr", 0)
-        tx.write_register("tx_data_size", len(payload))
-        tx.dma_read.cursor = 0
-        tx.dma_read.remaining = len(payload)
-        tx.start_dma(tx.dma_read)
-
-    def setup_rx_dma():
-        rx.write_register("rx_data_addr", 0)
-        rx.write_register("rx_data_size", len(payload))
-        rx.write_register("cdr_n", cfg.cdr_n)
-        rx.dma_write.cursor = 0
-        rx.dma_write.remaining = len(payload)
-        rx.start_dma(rx.dma_write)
+    setup_tx_dma, setup_rx_dma = _dma_setups(cfg, tx, rx, payload)
 
     def negate():
         # `peer`: force the transmitter-owned pin low across the wire
@@ -720,7 +697,7 @@ def run_protocol(cfg: LinkSimConfig, strict=False) -> TransferReport:
 
     sim.schedule(0, watchdog_poll)
 
-    expected_s = (cfg.payload_bytes * 8 / phy.LINE_RATE + cdr.WARMUP_S + 5e-6)
+    expected_s = cfg.payload_bytes * 8 * cfg.ui_s + cdr.WARMUP_S + 5e-6
     deadline_ps = s_to_ps(cfg.watchdog_factor * expected_s)
     sim.run(until_ps=deadline_ps,
             stop=lambda: engine.aborted is not None or transfer_complete())

@@ -2,6 +2,7 @@ import pytest
 
 from serlink.cli import ScenarioConfig, load_config, main
 from serlink.errors import ConfigError
+from serlink.node import MEMORY_BYTES
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -69,6 +70,26 @@ def test_malformed_config_exits_with_usage_code(tmp_path, capsys):
     rc = main(["run", "--config", path])
     assert rc == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-400", "nan"])
+def test_clock_mhz_must_be_positive(tmp_path, capsys, value):
+    path = write(tmp_path, f"[link]\nclock_mhz = {value}\n")
+    with pytest.raises(ConfigError, match="clock_mhz"):
+        load_config(path)
+    assert main(["ber", "--config", path, "--bits", "1000"]) == 2
+    assert "clock_mhz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [0, -4, 6, MEMORY_BYTES + 4])
+def test_payload_bytes_must_be_words_that_fit_node_memory(tmp_path, capsys, value):
+    path = write(tmp_path, f"[protocol]\npayload_bytes = {value}\n")
+    with pytest.raises(ConfigError, match="payload_bytes"):
+        load_config(path)
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "payload_bytes" in capsys.readouterr().err
+    largest = write(tmp_path, f"[protocol]\npayload_bytes = {MEMORY_BYTES}\n")
+    assert load_config(largest).payload_bytes == MEMORY_BYTES
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -146,3 +167,26 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
     assert main(["eye", "--config", path, "--out", str(out1)]) == 0
     assert main(["eye", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "eye.csv").read_bytes() == (out2 / "eye.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["eye"], ["energy", "--compare", "spi"]])
+def test_multi_file_commands_reject_a_file_out(tmp_path, capsys, argv):
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_single_file_commands_accept_a_file_out(tmp_path, capsys):
+    assert main(["lock", "--bits", "2000", "--out", str(tmp_path / "trace.csv")]) == 0
+    assert main(["energy", "--out", str(tmp_path / "curves.csv")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.csv", "trace.csv"]
+
+
+def test_unwritable_out_exits_with_usage_code(tmp_path, capsys):
+    missing = tmp_path / "missing" / "trace.csv"
+    assert main(["lock", "--bits", "2000", "--out", str(missing)]) == 2
+    assert "--out" in capsys.readouterr().err
+    (tmp_path / "blocker").write_text("")  # a file where a directory must go
+    assert main(["eye", "--out", str(tmp_path / "blocker" / "eyes")]) == 2
+    assert "--out" in capsys.readouterr().err

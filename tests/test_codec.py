@@ -153,13 +153,6 @@ def test_training_flit_alternates():
     assert flit.lanes == (code,) * 4
 
 
-def test_custom_marker_bytes():
-    flit, _ = encode_flit(FlitKind.START, start_byte=0x0F)
-    assert flit.bits()[:8] == [1, 1, 1, 1, 0, 0, 0, 0]
-    (kind, _), _ = decode_flit(flit, Disparity.NEGATIVE, start_byte=0x0F)
-    assert kind is FlitKind.START
-
-
 def test_data_kind_requires_word_and_headers_reject_one():
     with pytest.raises(ValueError):
         encode_flit(FlitKind.DATA, None, Disparity.NEGATIVE)

@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 
 from serlink.codec import FlitKind
-from serlink.control import (DetState, RxController, RxPipeline, RxStage,
-                             SequenceDetector, TxFramer, TxState, tx_fsm_step,
-                             _BitMatcher)
+from serlink.control import (RxPipeline, SequenceDetector, TxFramer, TxState,
+                             tx_fsm_step, _BitMatcher)
 from serlink.datapath import BitPair
 
 START_BITS = [1, 1, 0, 1, 1, 1, 1, 1]
@@ -40,11 +39,11 @@ def test_tx_fsm_spec_transitions():
 
 def test_tx_fsm_outputs():
     idle = tx_fsm_step(TxState.IDLE, False, False, False)
-    assert idle.flit_select is None and not idle.encoder_enable
+    assert idle.flit_select is None and not idle.pop_word
     warm = tx_fsm_step(TxState.IDLE, False, True, False)
-    assert warm.flit_select is FlitKind.TRAINING and not warm.encoder_enable
+    assert warm.flit_select is FlitKind.TRAINING and not warm.pop_word
     data = tx_fsm_step(TxState.START_HEADER, True, True, True)
-    assert data.flit_select is FlitKind.DATA and data.encoder_enable and data.pop_word
+    assert data.flit_select is FlitKind.DATA and data.pop_word
 
 
 def collect_frame_flits(words):
@@ -102,7 +101,7 @@ def test_detector_all_zeros_never_fires():
     det = SequenceDetector()
     events = feed_pairs(det, [0] * 1000)
     assert not any(ev.start_detected for ev in events)
-    assert det.state is DetState.START
+    assert not det.in_data_comm
 
 
 def test_detector_stop_only_searched_in_data_phase():
@@ -141,16 +140,6 @@ def test_matcher_completeness_against_substring_oracle():
         assert fired_at == expected
 
 
-def test_detector_state_names_walk_the_check_chain():
-    det = SequenceDetector()
-    seen = [det.state]
-    for pair in [(1, 1), (0, 1), (1, 1), (1, 1)]:
-        det.push_pair(BitPair(*pair))
-        seen.append(det.state)
-    assert seen == [DetState.START, DetState.CHECK1, DetState.CHECK2,
-                    DetState.CHECK3, DetState.DATA_COMM]
-
-
 def test_detector_transition_relation_matches_fresh_kmp():
     # exhaustive per-state x input-pair enumeration against an
     # independently coded bit automaton for the default marker
@@ -183,25 +172,7 @@ def test_detector_transition_relation_matches_fresh_kmp():
                 assert det._start.progress == q2
 
 
-# -- RX controller -----------------------------------------------------------
-
-def test_rx_controller_stage_enables():
-    ctrl = RxController()
-    e = ctrl.step(False, False, False, False)
-    assert e.stage is RxStage.IDLE and not (e.cdr_en or e.deserializer_en)
-    e = ctrl.step(False, False, True, False)
-    assert e.stage is RxStage.CDR_ONLY and e.cdr_en and not e.detector_en
-    e = ctrl.step(False, False, True, True)
-    assert e.stage is RxStage.ARMED and e.detector_en and not e.deserializer_en
-    e = ctrl.step(True, False, True, True)
-    assert e.stage is RxStage.RECEIVING and e.deserializer_en and e.decoder_en
-    # stop with warm-up still on: deserializer off, clock recovery alive
-    e = ctrl.step(False, True, True, True)
-    assert e.stage is RxStage.ARMED and not e.deserializer_en and e.cdr_en
-    # everything negated: idle
-    e = ctrl.step(False, False, False, False)
-    assert e.stage is RxStage.IDLE
-
+# -- RX pipeline -------------------------------------------------------------
 
 def wire_for_frame(words, *, warmup_pairs=20, shift=0):
     queue = list(words)
@@ -253,3 +224,34 @@ def test_framing_frames_word_count_invariant():
         for i in range(0, len(wire) - 1, 2):
             got.extend(pipe.push_pair(BitPair(wire[i], wire[i + 1])))
         assert got == words and pipe.frames_received == 1
+
+
+def test_pipeline_receiving_follows_markers_and_comm_en():
+    words = [0x01234567, 0x89ABCDEF]
+    wire = wire_for_frame(words)
+    pairs = [BitPair(wire[i], wire[i + 1]) for i in range(0, len(wire) - 1, 2)]
+
+    pipe = RxPipeline()
+    pipe.comm_en = True
+    seen = []
+    for pair in pairs:
+        pipe.push_pair(pair)
+        events = pipe.last_events
+        if events.start_detected or events.stop_detected:
+            seen.append((events.start_detected, pipe.receiving))
+    assert seen == [(True, True), (False, False)]  # set at start, cleared at stop
+    assert pipe.frames_received == 1
+
+    # comm_en dropping mid-frame clears the flag and stops all capture
+    pipe = RxPipeline()
+    pipe.comm_en = True
+    k = 0
+    while not pipe.receiving:
+        pipe.push_pair(pairs[k])
+        k += 1
+    pipe.comm_en = False
+    got = []
+    for pair in pairs[k:]:
+        got.extend(pipe.push_pair(pair))
+        assert not pipe.receiving
+    assert got == [] and pipe.frames_received == 0

@@ -149,6 +149,14 @@ def test_minimum_payload_single_word():
         assert report.ok and report.delivered_bytes == 4
 
 
+def test_watchdog_deadline_follows_the_configured_clock():
+    # a 10 MHz link clock needs ~265 us for 512 B; a deadline derived from
+    # the nominal 0.8 Gbps line rate expired at ~115 us
+    report = run_protocol(LinkSimConfig(payload_bytes=512, ui_s=1 / (2 * 10e6)))
+    assert report.ok, report.diagnostic
+    assert report.timestamps["end"] > 200e-6
+
+
 def test_gpio_ordering_matches_handshake():
     report = run_protocol(LinkSimConfig(payload_bytes=512))
     t_gpio0 = next(t for t, sig, v in report.gpio_edges if sig == "gpio0" and v)
