@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import phy
-from .errors import LossOfLock
+from .errors import OutOfRange
 
 PI_CODES = 32
 PI_STEP_UI = Fraction(1, 16)   # one interpolator step, in UI (1/32 of 2 UI)
@@ -69,7 +69,6 @@ class CdrState:
     accumulator: int = 0
     n: int = 4
     batch_count: int = 0
-    acc_limit: int | None = ACC_LIMIT
 
     def __post_init__(self):
         if self.n not in VALID_DIVIDERS:
@@ -78,10 +77,7 @@ class CdrState:
 
 def loop_filter_update(state: CdrState, batch_sum):
     """Accumulate one batch; returns the pi step (0 between evaluations)."""
-    state.accumulator += batch_sum
-    if state.acc_limit is not None:
-        state.accumulator = max(-state.acc_limit,
-                                min(state.acc_limit, state.accumulator))
+    state.accumulator = max(-ACC_LIMIT, min(ACC_LIMIT, state.accumulator + batch_sum))
     state.batch_count += 1
     if state.batch_count % state.n:
         return 0
@@ -95,15 +91,6 @@ def pi_apply(state: CdrState, pi_step):
     """Advance the interpolator code, modulo its 32 positions."""
     state.pi_code = (state.pi_code + pi_step) % PI_CODES
     return state
-
-
-@dataclass(frozen=True)
-class SamplePhases:
-    data_phase_ui: float
-
-    @property
-    def edge_phase_ui(self):
-        return self.data_phase_ui - 0.5
 
 
 def slew_capacity_ui_per_ui(n=4, detectors=7):
@@ -216,18 +203,20 @@ class RecoveryResult:
         return int(np.count_nonzero(self.bits[ok] != tx[self.bit_indices[ok]]))
 
 
+# Lock is declared after LOCK_BATCHES consecutive batches whose last
+# data sample sits within LOCK_TOL_UI (one interpolator step) of a bit center.
+LOCK_BATCHES = 64
+LOCK_TOL_UI = float(PI_STEP_UI)
+
+
 def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
                    freq_offset=0.0, initial_phase_ui=0.0, ui_s=phy.UI_S,
-                   seed=0, include_boundary=True, lock_batches=64,
-                   lock_tol_ui=float(PI_STEP_UI), keep_trace=True,
-                   raise_on_loss=False):
+                   seed=0, include_boundary=True, keep_trace=True):
     """Run the closed CDR loop over a transmitted bit sequence.
 
-    ``lock_time_s`` is the start of the first stretch of ``lock_batches``
-    consecutive batches whose data-sample phase stays within
-    ``lock_tol_ui`` of a bit center.  A slip (a data sample landing on
-    the wrong bit, i.e. phase error through 0.5 UI) after declared lock
-    raises LossOfLock when ``raise_on_loss`` is set.
+    ``lock_time_s`` is the start of the first stretch of LOCK_BATCHES
+    locked batches.  Raises OutOfRange if sampling runs past the end of
+    ``tx_bits``.
     """
     tx_bits = np.asarray(tx_bits, dtype=np.int8)
     tx_ui = ui_s / (1.0 + freq_offset)
@@ -243,7 +232,7 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
         cursor[0] = lo + count
         chunk = tx_bits[lo:lo + count]
         if len(chunk) < count:
-            raise ValueError("transmitted bit sequence exhausted")
+            raise OutOfRange("transmitted bit sequence exhausted")
         return chunk
 
     stream = phy.StreamingNrz(cfg, tx_ui_s=tx_ui, seed=seed, bit_source=pull)
@@ -267,21 +256,17 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
         if keep_trace:
             trace.append((rec.t_end_s * 1e9, rec.pi_code, rec.err_ui))
 
-        if abs(rec.err_ui) <= lock_tol_ui:
+        if abs(rec.err_ui) <= LOCK_TOL_UI:
             if streak == 0:
                 streak_start = prev_t_end
             streak += 1
-            if streak == lock_batches and lock_time is None:
+            if streak == LOCK_BATCHES and lock_time is None:
                 lock_time = streak_start
         else:
             streak = 0
 
-        if rec.slips:
-            if first_slip is None:
-                first_slip = rec.t_end_s
-            if raise_on_loss and lock_time is not None:
-                raise LossOfLock(
-                    f"phase error exceeded 0.5 UI at {rec.t_end_s * 1e9:.1f} ns")
+        if rec.slips and first_slip is None:
+            first_slip = rec.t_end_s
         prev_t_end = rec.t_end_s
 
     return RecoveryResult(bits=bits, bit_indices=indices, lock_time_s=lock_time,

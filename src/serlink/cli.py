@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import stats
@@ -24,55 +25,47 @@ from scipy import stats
 from . import __version__, cdr, energy, node, phy
 from .errors import ConfigError, CurveOutOfRange, LinkError
 
-_SCHEMA = {
-    "link": {
-        "clock_mhz": float,
-        "cdr_n": int,
-        "pd_boundary": bool,
-        "freq_offset": float,
-        "initial_phase_ui": float,
-    },
-    "channel": {
-        "swing_v": float,
-        "trace_cm": float,
-        "noise_sigma_v": float,
-        "rj_sigma_ps": float,
-        "prop_delay_ps": float,
-        "rise_time_ui": float,
-    },
-    "protocol": {
-        "scenario": str,
-        "payload_bytes": int,
-        "rx_release_pin": str,
-        "line_cost_cycles": int,
-    },
-    "run": {
-        "seed": int,
-    },
-}
+
+def _key(section, default, rule=None, valid=None):
+    """A config-file key in ``[section]``; ``valid`` tests the range ``rule`` states."""
+    return field(default=default,
+                 metadata={"section": section, "rule": rule, "valid": valid})
+
+
+_POSITIVE = ("> 0", lambda v: v > 0)
+_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 
 
 @dataclass
 class ScenarioConfig:
     """Parsed simulation parameters; defaults are the nominal operating
-    point (400 MHz clock, 0.8 Gbps, N=4, 0.44 V swing, 2 cm trace)."""
+    point (400 MHz clock, 0.8 Gbps, N=4, 0.44 V swing, 2 cm trace).
 
-    clock_mhz: float = 400.0
-    cdr_n: int = 4
-    pd_boundary: bool = True
-    freq_offset: float = 0.0
-    initial_phase_ui: float = 0.25
-    swing_v: float = 0.44
-    trace_cm: float = 2.0
-    noise_sigma_v: float = 0.0
-    rj_sigma_ps: float = 0.0
-    prop_delay_ps: float = 0.0
-    rise_time_ui: float = 0.1
-    scenario: str = "tx_initiated"
-    payload_bytes: int = 16 * 1024
-    rx_release_pin: str = "peer"
-    line_cost_cycles: int = 3
-    seed: int = 1
+    Every field but ``config_hash`` is a config-file key; its metadata
+    is the only declaration of the key's section and accepted range.
+    Float values must also be finite.
+    """
+
+    clock_mhz: float = _key("link", 400.0, *_POSITIVE)
+    cdr_n: int = _key("link", 4, f"one of {cdr.VALID_DIVIDERS}",
+                      lambda v: v in cdr.VALID_DIVIDERS)
+    pd_boundary: bool = _key("link", True, "true or false")
+    freq_offset: float = _key("link", 0.0, "in (-1, 1]", lambda v: -1 < v <= 1)
+    initial_phase_ui: float = _key("link", 0.25, "in [0, 2)", lambda v: 0 <= v < 2)
+    swing_v: float = _key("channel", 0.44, *_POSITIVE)
+    trace_cm: float = _key("channel", 2.0, *_NON_NEGATIVE)
+    noise_sigma_v: float = _key("channel", 0.0, *_NON_NEGATIVE)
+    rj_sigma_ps: float = _key("channel", 0.0, *_NON_NEGATIVE)
+    prop_delay_ps: float = _key("channel", 0.0, *_NON_NEGATIVE)
+    rise_time_ui: float = _key("channel", 0.1, "in [0, 1]", lambda v: 0 <= v <= 1)
+    scenario: str = _key("protocol", "tx_initiated", "tx_initiated or rx_initiated",
+                         lambda v: v in ("tx_initiated", "rx_initiated"))
+    payload_bytes: int = _key("protocol", 16 * 1024, node.PAYLOAD_RULE,
+                              node.payload_fits)
+    rx_release_pin: str = _key("protocol", "peer", "peer or own",
+                               lambda v: v in ("peer", "own"))
+    line_cost_cycles: int = _key("protocol", 3, *_NON_NEGATIVE)
+    seed: int = _key("run", 1, *_NON_NEGATIVE)
     config_hash: str = field(default="defaults", repr=False)
 
     @property
@@ -105,31 +98,38 @@ class ScenarioConfig:
         )
 
 
-def _parse_value(raw, typ, path, lineno):
-    try:
-        if typ is bool:
-            lowered = raw.lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return typ(raw)
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: cannot parse {raw!r} as {typ.__name__}")
+_KEYS = {f.name: f for f in fields(ScenarioConfig) if "section" in f.metadata}
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+_PARSERS = {"bool": lambda raw: _BOOLS[raw.lower()], "float": float, "int": int,
+            "str": str}
+
+
+def _check(cfg, where):
+    """Raise ConfigError naming the first key whose value is out of range."""
+    for key, f in _KEYS.items():
+        value, valid = getattr(cfg, key), f.metadata["valid"]
+        finite = f.type != "float" or math.isfinite(value)
+        if not finite or (valid is not None and not valid(value)):
+            also = "finite and " if f.type == "float" else ""
+            raise ConfigError(f"{where}: {key} must be {also}{f.metadata['rule']}, "
+                              f"got {value!r}")
 
 
 def load_config(path=None):
-    """Read a sectioned key = value file; unknown keys are rejected."""
+    """Read a sectioned key = value file; unknown and out-of-range keys are rejected."""
     cfg = ScenarioConfig()
     if path is None:
         return cfg
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:12]
+    sections = {f.metadata["section"] for f in _KEYS.values()}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -137,7 +137,7 @@ def load_config(path=None):
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(f"{path}:{lineno}: unknown section [{section}]")
             continue
         if "=" not in stripped:
@@ -145,21 +145,25 @@ def load_config(path=None):
         if section is None:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _SCHEMA[section]:
+        key, raw = key.strip(), raw.strip()
+        f = _KEYS.get(key)
+        if f is None or f.metadata["section"] != section:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
-        setattr(cfg, key, _parse_value(raw.strip(), _SCHEMA[section][key], path, lineno))
-    if cfg.scenario not in ("tx_initiated", "rx_initiated"):
-        raise ConfigError(f"{path}: scenario must be tx_initiated or rx_initiated")
-    if cfg.rx_release_pin not in ("peer", "own"):
-        raise ConfigError(f"{path}: rx_release_pin must be peer or own")
-    if not cfg.clock_mhz > 0:
-        raise ConfigError(f"{path}: clock_mhz must be positive, got {cfg.clock_mhz!r}")
-    if (cfg.payload_bytes <= 0 or cfg.payload_bytes % 4
-            or cfg.payload_bytes > node.MEMORY_BYTES):
-        raise ConfigError(
-            f"{path}: payload_bytes must be a positive multiple of 4 no larger "
-            f"than the {node.MEMORY_BYTES}-byte node memory, got {cfg.payload_bytes}")
+        parse = _PARSERS[f.type]
+        try:
+            setattr(cfg, key, parse(raw))
+        except (KeyError, ValueError):  # KeyError: not a bool spelling
+            raise ConfigError(f"{path}:{lineno}: {key}: cannot parse {raw!r} as {f.type}")
+    _check(cfg, path)
+    return cfg
+
+
+def _scenario(args):
+    """The --config scenario, with --seed applied and checked."""
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+        _check(cfg, "--seed")
     return cfg
 
 
@@ -199,9 +203,7 @@ def _out_paths(args, *names):
 
 
 def cmd_run(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _scenario(args)
     report_path, events_path = _out_paths(args, "transfer_report.txt",
                                           "transfer_events.csv")
     report = node.run_protocol(cfg.link_sim_config())
@@ -215,9 +217,7 @@ def cmd_run(args):
 
 
 def cmd_eye(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _scenario(args)
     eye_path, summary_path = _out_paths(args, "eye.csv", "eye_summary.csv")
     channel = cfg.channel_config()
     rng = np.random.default_rng([cfg.seed, 0xE1])
@@ -246,7 +246,7 @@ def cmd_energy(args):
     for bw, kb, pj in energy.energy_sweep(profile):
         rows.append(f"{bw:g},{kb:g},{pj:.9f}")
     _write_atomic(paths[0], _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
-    peak = energy.bw_max(profile, 16 * 1024)
+    peak = energy.bw_max(profile, energy.BUFFER_BYTES)
     print(f"continuous: {energy.continuous_energy(profile):.4f} pJ/bit at "
           f"{profile.line_rate / 1e9:.1f} Gbps; bw_max(16KB) = {peak / 1e6:.1f} Mbps")
     if args.compare:
@@ -266,11 +266,7 @@ def cmd_energy(args):
 
 
 def cmd_ber(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.bits <= 0:
-        raise ConfigError("ber requires a positive bit count")
+    cfg = _scenario(args)
     rng = np.random.default_rng([cfg.seed, 0xBE])
     margin = int(args.bits * (abs(cfg.freq_offset) + 0.002)) + 2048
     tx_bits = rng.integers(0, 2, args.bits + margin).astype(np.int8)
@@ -289,9 +285,7 @@ def cmd_ber(args):
 
 
 def cmd_lock(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _scenario(args)
     (trace_path,) = _out_paths(args, "lock_trace.csv")
     bits = np.tile([1, 0], (args.bits + 2048) // 2)  # training pattern
     result = cdr.recover_stream(
@@ -305,6 +299,25 @@ def cmd_lock(args):
     lock = "none" if result.lock_time_s is None else f"{result.lock_time_s * 1e6:.4f}us"
     print(f"lock_time={lock} pi_steps={result.pi_steps} slips={result.slips}")
     return 0
+
+
+def _count(minimum):
+    """argparse type: an integer of at least ``minimum``."""
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
+def _curve(name):
+    """argparse type: a reference curve name that energy.reference_curve knows."""
+    try:
+        energy.reference_curve(name)
+    except CurveOutOfRange as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return name
 
 
 def build_parser():
@@ -326,24 +339,25 @@ def build_parser():
 
     p = sub.add_parser("eye", help="capture an eye diagram")
     common(p)
-    p.add_argument("--ui", type=int, default=phy.DEFAULT_EYE_UIS,
+    # two 2-UI traces are the fewest that can show an opening
+    p.add_argument("--ui", type=_count(4), default=phy.DEFAULT_EYE_UIS,
                    help="unit intervals to superimpose")
     p.set_defaults(fn=cmd_eye)
 
     p = sub.add_parser("energy", help="emit duty-cycle energy curves")
     common(p)
-    p.add_argument("--compare", metavar="CURVE",
+    p.add_argument("--compare", metavar="CURVE", type=_curve,
                    help=f"reference curve: one of {', '.join(energy.REFERENCE_CURVES)} (or 'spi')")
     p.set_defaults(fn=cmd_energy)
 
     p = sub.add_parser("ber", help="closed-loop bit error rate")
     common(p)
-    p.add_argument("--bits", type=int, default=1_000_000)
+    p.add_argument("--bits", type=_count(1), default=1_000_000)
     p.set_defaults(fn=cmd_ber)
 
     p = sub.add_parser("lock", help="clock recovery phase trace")
     common(p)
-    p.add_argument("--bits", type=int, default=40_000)
+    p.add_argument("--bits", type=_count(1), default=40_000)
     p.set_defaults(fn=cmd_lock)
     return parser
 

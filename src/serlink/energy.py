@@ -60,6 +60,9 @@ class PowerProfile:
 
 
 DEFAULT_PROFILE = PowerProfile()
+BUFFER_BYTES = 16 * 1024   # the nominal transfer buffer
+SWEEP_BANDWIDTHS_MBPS = (50, 100, 200, 400, 600)
+SWEEP_BUFFERS_KB = (0.5, 1, 2, 4, 8, 16, 32, 64)
 
 
 @dataclass(frozen=True)
@@ -139,13 +142,12 @@ def _interp_curve(bw_bps, energies, bw):
     return float(np.interp(math.log10(bw), np.log10(bw_bps), energies))
 
 
-def compare_peripherals(profile: PowerProfile, curve_name, bw,
-                        buffer_bytes=16 * 1024, mode="same_bw"):
+def compare_peripherals(profile: PowerProfile, curve_name, bw, mode="same_bw"):
     """Reference-to-link energy ratio at a bandwidth.
 
     ``mode`` picks the reference operating point: ``same_bw`` reads the
     curve at ``bw``; ``best`` takes the curve's most efficient point.
-    The link side always runs duty-cycled with the given buffer.
+    The link side always runs duty-cycled with the BUFFER_BYTES buffer.
     """
     bw_bps, energies = reference_curve(curve_name)
     if mode == "same_bw":
@@ -154,17 +156,15 @@ def compare_peripherals(profile: PowerProfile, curve_name, bw,
         ref = float(energies.min())
     else:
         raise ValueError("mode must be 'same_bw' or 'best'")
-    ours = duty_cycle_energy(profile, DutyCycleConfig(bw, buffer_bytes))
+    ours = duty_cycle_energy(profile, DutyCycleConfig(bw, BUFFER_BYTES))
     return ref / ours.energy_per_bit_pj
 
 
-def energy_sweep(profile: PowerProfile,
-                 bandwidths_mbps=(50, 100, 200, 400, 600),
-                 buffers_kb=(0.5, 1, 2, 4, 8, 16, 32, 64)):
+def energy_sweep(profile: PowerProfile):
     """Grid of duty-cycled energies: rows of (bw_mbps, buffer_kb, pj_per_bit)."""
     rows = []
-    for bw in bandwidths_mbps:
-        for kb in buffers_kb:
+    for bw in SWEEP_BANDWIDTHS_MBPS:
+        for kb in SWEEP_BUFFERS_KB:
             rep = duty_cycle_energy(
                 profile, DutyCycleConfig(bw * 1e6, int(kb * 1024)))
             rows.append((bw, kb, rep.energy_per_bit_pj))
@@ -181,7 +181,7 @@ _DIGITAL_POWER = {
 }
 
 
-def energy_trace(events, profile: PowerProfile, t_end_s, t_start_s=0.0):
+def energy_trace(events, profile: PowerProfile, t_end_s):
     """Integrate mode-transition events into joules.
 
     ``events`` are (time_s, signal, value) rows; signals are
@@ -203,7 +203,7 @@ def energy_trace(events, profile: PowerProfile, t_end_s, t_start_s=0.0):
         return p
 
     total = 0.0
-    t_prev = t_start_s
+    t_prev = 0.0
     for t, signal_name, value in sorted(events, key=lambda e: e[0]):
         if signal_name not in state:
             continue

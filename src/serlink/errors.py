@@ -33,23 +33,11 @@ class InsufficientSpan(LinkError):
     pass
 
 
-class LossOfLock(LinkError):
-    pass
-
-
 class UnknownRegister(LinkError):
     pass
 
 
 class AlignmentError(LinkError):
-    pass
-
-
-class ProtocolDeadlock(LinkError):
-    pass
-
-
-class DataMismatch(LinkError):
     pass
 
 

@@ -20,11 +20,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cdr, control, datapath, energy, phy
-from .errors import (AlignmentError, CodecError, DataMismatch, LossOfLock,
-                     ProtocolDeadlock, SimulationError, UnknownRegister)
+from .errors import (AlignmentError, CodecError, OutOfRange, SimulationError,
+                     UnknownRegister)
 
 PS_PER_S = 1e12
 MEMORY_BYTES = 1 << 17  # 128 KiB on-chip memory per node
+PAYLOAD_RULE = (f"a positive multiple of 4 no larger than the {MEMORY_BYTES}-byte "
+                "node memory")
+MCU_PERIOD_PS = 20000      # 50 MHz
+FIFO_DEPTH = 4
+CDC_SLOW_CYCLES = 2        # clock-domain crossing latency, slow-clock cycles
+DECODER_LATENCY_SLOW = 1   # slow-clock cycles from decoded word to RX FIFO
+IRQ_ENTRY_CYCLES = 2
+CDR_WARMUP_CYCLES = 32     # 0.64 us at 50 MHz
+WATCHDOG_FACTOR = 10.0     # deadline, in multiples of the expected transfer time
+
+
+def payload_fits(payload_bytes):
+    """Whether a transfer of ``payload_bytes`` satisfies PAYLOAD_RULE."""
+    return 0 < payload_bytes <= MEMORY_BYTES and payload_bytes % 4 == 0
 
 
 def s_to_ps(t_s):
@@ -70,7 +84,7 @@ class Scheduler:
 class Fifo:
     """Bounded word queue with a crossing latency before entries turn ready."""
 
-    def __init__(self, depth=4, latency_ps=0):
+    def __init__(self, depth=FIFO_DEPTH, latency_ps=0):
         self.depth = depth
         self.latency_ps = latency_ps
         self._entries = []
@@ -176,10 +190,6 @@ class Node:
         self.dma_write = None
         self._dma_tick_scheduled = False
 
-    @property
-    def mcu_period_ps(self):
-        return self.config.mcu_period_ps
-
     def write_register(self, name, value):
         if name not in REGISTER_NAMES:
             raise UnknownRegister(name)
@@ -208,7 +218,7 @@ class Node:
         channel.enabled = True
         if not self._dma_tick_scheduled:
             self._dma_tick_scheduled = True
-            self.sim.schedule(self.sim.now_ps + self.mcu_period_ps, self._dma_tick)
+            self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
 
     def _dma_tick(self):
         progressed = False
@@ -220,7 +230,7 @@ class Node:
                     channel.enabled = False
                     self.log(self.name, f"dma_{channel.direction}_done", 1)
         if any(c is not None and c.enabled for c in (self.dma_read, self.dma_write)):
-            self.sim.schedule(self.sim.now_ps + self.mcu_period_ps, self._dma_tick)
+            self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
         else:
             self._dma_tick_scheduled = False
         return progressed
@@ -245,11 +255,11 @@ class Node:
                 def fire(fn=step[2], nxt=i + 1):
                     fn()
                     advance(nxt)
-                self.sim.schedule(self.sim.now_ps + cost * self.mcu_period_ps, fire)
+                self.sim.schedule(self.sim.now_ps + cost * MCU_PERIOD_PS, fire)
             elif kind == "irq":
-                cost = self.config.irq_entry_cycles
+                cost = IRQ_ENTRY_CYCLES
                 self.program_cycles += cost
-                self.sim.schedule(self.sim.now_ps + cost * self.mcu_period_ps,
+                self.sim.schedule(self.sim.now_ps + cost * MCU_PERIOD_PS,
                                   lambda nxt=i + 1: advance(nxt))
             elif kind == "wait":
                 predicate = step[2]
@@ -258,11 +268,11 @@ class Node:
                     if predicate():
                         advance(nxt)
                     else:
-                        self.sim.schedule(self.sim.now_ps + self.mcu_period_ps, poll)
+                        self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, poll)
                 poll()
             elif kind == "wait_cycles":
                 n = step[2]
-                self.sim.schedule(self.sim.now_ps + n * self.mcu_period_ps,
+                self.sim.schedule(self.sim.now_ps + n * MCU_PERIOD_PS,
                                   lambda nxt=i + 1: advance(nxt))
             else:
                 raise SimulationError(f"unknown program step {kind!r}")
@@ -283,15 +293,8 @@ class LinkSimConfig:
     include_boundary_pd: bool = True
     seed: int = 1
     ui_s: float = phy.UI_S
-    mcu_period_ps: int = 20000           # 50 MHz
-    fifo_depth: int = 4
-    cdc_slow_cycles: int = 2             # crossing latency, slow-clock cycles
-    decoder_latency_slow: int = 1
     line_cost_cycles: int = 3
-    irq_entry_cycles: int = 2
-    cdr_warmup_cycles: int = 32          # 0.64 us at 50 MHz
     rx_release_pin: str = "peer"        # which pin the RX negates to release the TX
-    watchdog_factor: float = 10.0
 
     @property
     def slow_cycle_s(self):
@@ -338,10 +341,10 @@ class LinkEngine:
         self.active = True
         self.aborted = None
 
-        self.tx_fifo = Fifo(cfg.fifo_depth,
-                            latency_ps=s_to_ps(cfg.cdc_slow_cycles * cfg.slow_cycle_s))
-        self.rx_fifo = Fifo(cfg.fifo_depth,
-                            latency_ps=s_to_ps(cfg.cdc_slow_cycles * cfg.slow_cycle_s))
+        self._cdc_ps = s_to_ps(CDC_SLOW_CYCLES * cfg.slow_cycle_s)
+        self._decode_ps = s_to_ps(DECODER_LATENCY_SLOW * cfg.slow_cycle_s)
+        self.tx_fifo = Fifo(latency_ps=self._cdc_ps)
+        self.rx_fifo = Fifo(latency_ps=self._cdc_ps)
         tx.dma_read = DmaChannel("read", self.tx_fifo)
         rx.dma_write = DmaChannel("write", self.rx_fifo)
 
@@ -368,9 +371,6 @@ class LinkEngine:
     def _pop_word(self):
         return self.tx_fifo.pop(self.sim.now_ps)
 
-    def _cdc_delay_ps(self):
-        return s_to_ps(self.cfg.cdc_slow_cycles * self.cfg.slow_cycle_s)
-
     def _tx_register_write(self, name, value):
         if name not in ("warm_en", "comm_en"):
             return
@@ -380,7 +380,7 @@ class LinkEngine:
             if name == "warm_en":
                 self.log("tx", "tx_analog", int(bool(value)))
                 self.log("tx", "tx_digital", "active" if value else "standby")
-        self.sim.schedule(self.sim.now_ps + self._cdc_delay_ps(), apply)
+        self.sim.schedule(self.sim.now_ps + self._cdc_ps, apply)
 
     def _rx_register_write(self, name, value):
         if name not in ("warm_en", "comm_en"):
@@ -395,7 +395,7 @@ class LinkEngine:
                     self._activate_rx()
             if name == "comm_en" and value:
                 self.declared_lock_ps = self.sim.now_ps
-        self.sim.schedule(self.sim.now_ps + self._cdc_delay_ps(), apply)
+        self.sim.schedule(self.sim.now_ps + self._cdc_ps, apply)
 
     # -- TX data plane ------------------------------------------------------
 
@@ -473,10 +473,8 @@ class LinkEngine:
                 self.log("rx", "rx_digital",
                          "warm" if self.pipeline.warm_en else "standby")
             for word in words:
-                self.rx_fifo.push(
-                    self.sim.now_ps, word,
-                    extra_latency_ps=s_to_ps(
-                        self.cfg.decoder_latency_slow * self.cfg.slow_cycle_s))
+                self.rx_fifo.push(self.sim.now_ps, word,
+                                  extra_latency_ps=self._decode_ps)
         if was_receiving != self.pipeline.receiving:
             self.log("rx", "rx_receiving", int(self.pipeline.receiving))
         self._schedule_rx_quantum(rec.t_end_s + 8 * self.cfg.ui_s)
@@ -576,7 +574,7 @@ def _tx_initiated_programs(cfg, tx, rx, wires, payload):
         ("line", "prepare_buffer", lambda: None),
         ("line", "setup_udma", setup_rx_dma),
         ("line", "warm_en", lambda: rx.write_register("warm_en", 1)),
-        ("wait_cycles", "clock_ready", cfg.cdr_warmup_cycles),
+        ("wait_cycles", "clock_ready", CDR_WARMUP_CYCLES),
         ("line", "comm_en", lambda: rx.write_register("comm_en", 1)),
         ("line", "gpio1_assert", lambda: gpio1.set(1, rx)),
     ]
@@ -603,7 +601,7 @@ def _rx_initiated_programs(cfg, tx, rx, wires, payload):
         ("line", "warm_en", lambda: rx.write_register("warm_en", 1)),
         ("line", "gpio1_assert", lambda: gpio1.set(1, rx)),
         ("wait", "gpio0_high", lambda: gpio0.level == 1),
-        ("wait_cycles", "clock_ready", cfg.cdr_warmup_cycles),
+        ("wait_cycles", "clock_ready", CDR_WARMUP_CYCLES),
         ("line", "comm_en", lambda: rx.write_register("comm_en", 1)),
         ("line", "gpio_negate", negate),
     ]
@@ -621,12 +619,15 @@ def _rx_initiated_programs(cfg, tx, rx, wires, payload):
     return tx_steps, rx_steps
 
 
-def run_protocol(cfg: LinkSimConfig, strict=False) -> TransferReport:
+def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     """Run one complete transfer between two simulated chips.
 
-    Returns a TransferReport; with ``strict`` set, failures raise
-    ProtocolDeadlock or DataMismatch instead of reporting them.
+    Raises OutOfRange, before simulating, for a payload size outside
+    PAYLOAD_RULE; every other failure is reported, not raised.
     """
+    if not payload_fits(cfg.payload_bytes):
+        raise OutOfRange(f"payload_bytes must be {PAYLOAD_RULE}, "
+                         f"got {cfg.payload_bytes}")
     sim = Scheduler()
     log = EventLog(sim)
     tx = Node("tx", sim, log, cfg)
@@ -693,12 +694,12 @@ def run_protocol(cfg: LinkSimConfig, strict=False) -> TransferReport:
         maybe_teardown()
         if engine.aborted or transfer_complete():
             return
-        sim.schedule(sim.now_ps + 10 * cfg.mcu_period_ps, watchdog_poll)
+        sim.schedule(sim.now_ps + 10 * MCU_PERIOD_PS, watchdog_poll)
 
     sim.schedule(0, watchdog_poll)
 
     expected_s = cfg.payload_bytes * 8 * cfg.ui_s + cdr.WARMUP_S + 5e-6
-    deadline_ps = s_to_ps(cfg.watchdog_factor * expected_s)
+    deadline_ps = s_to_ps(WATCHDOG_FACTOR * expected_s)
     sim.run(until_ps=deadline_ps,
             stop=lambda: engine.aborted is not None or transfer_complete())
     engine.active = False
@@ -737,7 +738,7 @@ def run_protocol(cfg: LinkSimConfig, strict=False) -> TransferReport:
     if setup_cycles is None:
         setup_cycles = tx.program_cycles + rx.program_cycles
     ok = completed and mismatches == 0 and not engine.aborted
-    report = TransferReport(
+    return TransferReport(
         scenario=cfg.scenario,
         ok=ok,
         delivered_bytes=delivered,
@@ -747,17 +748,10 @@ def run_protocol(cfg: LinkSimConfig, strict=False) -> TransferReport:
         decode_errors=engine.decode_errors,
         diagnostic=diagnostic,
         shift_used=engine.pipeline.detector.shift,
-        programming_latency_s=setup_cycles * cfg.mcu_period_ps / PS_PER_S,
+        programming_latency_s=setup_cycles * MCU_PERIOD_PS / PS_PER_S,
         timestamps=timestamps,
         gpio_edges=gpio_edges,
         events=list(log.rows),
         energy_j=energy_j,
         seed=cfg.seed,
     )
-    if strict and not report.ok:
-        if report.loss_of_lock:
-            raise LossOfLock(diagnostic)
-        if report.mismatches and completed:
-            raise DataMismatch(diagnostic)
-        raise ProtocolDeadlock(diagnostic)
-    return report

@@ -22,6 +22,8 @@ LINE_RATE = 0.8e9          # bits/s at DDR with the nominal 400 MHz clock
 UI_S = 1.0 / LINE_RATE     # 1.25 ns unit interval
 SAMPLES_PER_UI = 32
 DEFAULT_EYE_UIS = 150
+EYE_VOLT_BINS = 64
+STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
 
 # Two-point calibration anchors for the trace-length -> pole map:
 # eye height in volts measured at a 0.44 V swing.
@@ -33,13 +35,10 @@ _CAL_SWING = 0.44
 class ChannelConfig:
     swing: float = 0.44            # differential swing, volts (levels +/- swing/2)
     trace_length_cm: float = 2.0
-    lowpass_pole_hz: float | None = None  # None: derive from trace length
     prop_delay_s: float = 0.0
     noise_sigma_v: float = 0.0
     rj_sigma_s: float = 0.0        # random jitter on sampling instants
     rise_time_ui: float = 0.1
-    comparator_offset_v: float = 0.0
-    tie_bit: int = 0               # comparator decision at exactly 0 V
 
     def __post_init__(self):
         if self.swing <= 0:
@@ -48,8 +47,6 @@ class ChannelConfig:
             raise ValueError("noise_sigma_v must be non-negative")
 
     def pole_hz(self):
-        if self.lowpass_pole_hz is not None:
-            return self.lowpass_pole_hz
         return pole_for_length(self.trace_length_cm)
 
 
@@ -60,20 +57,6 @@ class Waveform:
     t0_s: float
     dt_s: float
     samples: np.ndarray
-
-    @property
-    def t_end_s(self):
-        return self.t0_s + (len(self.samples) - 1) * self.dt_s
-
-    def times(self):
-        return self.t0_s + np.arange(len(self.samples)) * self.dt_s
-
-    def value_at(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.t0_s) or np.any(t > self.t_end_s):
-            raise OutOfRange("sample time outside waveform span")
-        idx = (t - self.t0_s) / self.dt_s
-        return np.interp(idx, np.arange(len(self.samples)), self.samples)
 
 
 def _levels_from_bits(bits, swing):
@@ -107,12 +90,12 @@ def _render_trapezoid(levels, spu, rise_ui, prev_level, next_level):
     return out
 
 
-def drive(bits, cfg: ChannelConfig, ui_s=UI_S, samples_per_ui=SAMPLES_PER_UI):
+def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
     """Render the TX output for a bit sequence (one bit per UI, DDR)."""
     levels = _levels_from_bits(bits, cfg.swing)
-    samples = _render_trapezoid(levels, samples_per_ui, cfg.rise_time_ui,
+    samples = _render_trapezoid(levels, SAMPLES_PER_UI, cfg.rise_time_ui,
                                 levels[0], levels[-1])
-    return Waveform(0.0, ui_s / samples_per_ui, samples)
+    return Waveform(0.0, ui_s / SAMPLES_PER_UI, samples)
 
 
 def _lowpass_coeffs(pole_hz, dt_s):
@@ -120,32 +103,24 @@ def _lowpass_coeffs(pole_hz, dt_s):
     return [alpha], [1.0, alpha - 1.0]
 
 
+def _lowpass(samples, pole_hz, dt_s):
+    """First-order low-pass, starting settled at the first sample."""
+    b, a = _lowpass_coeffs(pole_hz, dt_s)
+    zi = np.array([(1.0 - b[0]) * samples[0]])
+    return signal.lfilter(b, a, samples, zi=zi)[0]
+
+
 def channel_apply(w: Waveform, cfg: ChannelConfig, rng=None):
     """Delay, low-pass and add noise; identity when the trace length is 0."""
     samples = w.samples
     pole = cfg.pole_hz()
     if pole is not None:
-        b, a = _lowpass_coeffs(pole, w.dt_s)
-        zi = np.array([(1.0 - b[0]) * samples[0]])
-        samples, _ = signal.lfilter(b, a, samples, zi=zi)
+        samples = _lowpass(samples, pole, w.dt_s)
     if cfg.noise_sigma_v > 0:
         if rng is None:
             rng = np.random.default_rng(0)
         samples = samples + rng.normal(0.0, cfg.noise_sigma_v, len(samples))
     return Waveform(w.t0_s + cfg.prop_delay_s, w.dt_s, np.asarray(samples))
-
-
-def sample(w: Waveform, t, cfg: ChannelConfig | None = None, rng=None):
-    """Comparator decision at time t: sign of the differential voltage."""
-    cfg = cfg or ChannelConfig()
-    if rng is not None and cfg.rj_sigma_s > 0:
-        t = t + rng.normal(0.0, cfg.rj_sigma_s)
-    v = float(w.value_at(t)) + cfg.comparator_offset_v
-    if v > 0:
-        return 1
-    if v < 0:
-        return 0
-    return cfg.tie_bit
 
 
 @dataclass
@@ -158,7 +133,7 @@ class EyeDiagram:
     best_phase_ui: float
 
 
-def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS, volt_bins=64):
+def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     """Fold a waveform modulo 2 UI and measure the eye opening.
 
     Height is the vertical opening (smallest high sample minus largest
@@ -204,7 +179,7 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS, volt_bins=64):
     vmax = max(float(w.samples.max()), vmin + 1e-12)
     counts, pe, ve = np.histogram2d(
         phases, w.samples[:n_traces * window],
-        bins=[window, volt_bins],
+        bins=[window, EYE_VOLT_BINS],
         range=[[0.0, 2.0], [vmin, vmax]])
     return EyeDiagram(counts, pe, ve, height, width_ui, best / spu)
 
@@ -212,9 +187,8 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS, volt_bins=64):
 def _calibration_eye_height(tau_s):
     rng = np.random.default_rng(20210906)
     bits = rng.integers(0, 2, 480)
-    cfg = ChannelConfig(swing=_CAL_SWING, trace_length_cm=0.0,
-                        lowpass_pole_hz=1.0 / (2.0 * math.pi * tau_s))
-    w = channel_apply(drive(bits, cfg), cfg)
+    w = drive(bits, ChannelConfig(swing=_CAL_SWING))
+    w.samples = _lowpass(w.samples, 1.0 / (2.0 * math.pi * tau_s), w.dt_s)
     return eye_capture(w, n_ui=400).eye_height_v
 
 
@@ -250,14 +224,10 @@ class StreamingNrz:
     level is always held back so boundary ramps see their next level.
     """
 
-    def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S,
-                 samples_per_ui=SAMPLES_PER_UI, seed=0, chunk_bits=256,
-                 bit_source=None):
+    def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S, seed=0, bit_source=None):
         self.cfg = cfg
         self.tx_ui_s = tx_ui_s
-        self.spu = samples_per_ui
-        self.dt_s = tx_ui_s / samples_per_ui
-        self._chunk_bits = chunk_bits
+        self.dt_s = tx_ui_s / SAMPLES_PER_UI
         self._bit_source = bit_source
         self._rng = np.random.default_rng([seed, 0xC0])
         pole = cfg.pole_hz()
@@ -268,21 +238,21 @@ class StreamingNrz:
         self._prev_level = 0.0
         self._grid_t0 = 0.0       # time of rendered sample 0 (pre-delay)
         self._tail = np.zeros(0)  # rendered samples kept for interpolation
-        self._keep = chunk_bits * samples_per_ui * 3
+        self._keep = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 3
 
     def push_bits(self, bits):
         self.push_levels(_levels_from_bits(bits, self.cfg.swing))
 
     def push_levels(self, levels):
         self._pending.extend(0.0 if v is None else float(v) for v in levels)
-        while len(self._pending) > self._chunk_bits:
-            self._render(self._pending[:self._chunk_bits],
-                         self._pending[self._chunk_bits])
-            self._pending = self._pending[self._chunk_bits:]
+        while len(self._pending) > STREAM_CHUNK_BITS:
+            self._render(self._pending[:STREAM_CHUNK_BITS],
+                         self._pending[STREAM_CHUNK_BITS])
+            self._pending = self._pending[STREAM_CHUNK_BITS:]
 
     def _render(self, levels, next_level):
         levels = np.asarray(levels, dtype=float)
-        raw = _render_trapezoid(levels, self.spu, self.cfg.rise_time_ui,
+        raw = _render_trapezoid(levels, SAMPLES_PER_UI, self.cfg.rise_time_ui,
                                 self._prev_level, next_level)
         self._prev_level = levels[-1]
         if self._ba is not None:
@@ -317,11 +287,11 @@ class StreamingNrz:
         """Render forward (draining pending levels, then the bit source)."""
         while self.frontier_s <= t_s:
             if len(self._pending) > 1:
-                take = min(self._chunk_bits, len(self._pending) - 1)
+                take = min(STREAM_CHUNK_BITS, len(self._pending) - 1)
                 self._render(self._pending[:take], self._pending[take])
                 self._pending = self._pending[take:]
             elif self._bit_source is not None:
-                self.push_bits(self._bit_source(self._chunk_bits))
+                self.push_bits(self._bit_source(STREAM_CHUNK_BITS))
             else:
                 raise OutOfRange(f"waveform not rendered up to {t_s * 1e9:.3f} ns")
 
@@ -338,8 +308,6 @@ class StreamingNrz:
         times = np.asarray(times, dtype=float)
         if rng is not None and self.cfg.rj_sigma_s > 0:
             times = times + rng.normal(0.0, self.cfg.rj_sigma_s, len(times))
-        v = self.voltage(times) + self.cfg.comparator_offset_v
-        # interpolation roundoff near an exact transition must not break ties
-        v = np.where(np.abs(v) <= 1e-9, 0.0, v)
-        bits = np.where(v > 0, 1, np.where(v < 0, 0, self.cfg.tie_bit))
-        return bits.astype(np.int8)
+        # 0 V decides 0, and interpolation roundoff near an exact
+        # transition must not turn a 0 V crossing into a 1
+        return (self.voltage(times) > 1e-9).astype(np.int8)

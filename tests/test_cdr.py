@@ -68,14 +68,14 @@ def test_loop_filter_zero_sums_never_step():
 
 
 def test_loop_filter_truncates_toward_zero_and_carries_remainder():
-    state = CdrState(n=4, acc_limit=None)
+    state = CdrState(n=4)
     for s in (3, 0, 0, 0):
         step = loop_filter_update(state, s)
     assert step == 0 and state.accumulator == 3  # 3/4 truncates to 0
     for s in (3, 0, 0, 0):
         step = loop_filter_update(state, s)
     assert step == 1 and state.accumulator == 2  # 6/4 -> 1, remainder 2
-    state = CdrState(n=4, acc_limit=None)
+    state = CdrState(n=4)
     for s in (-3, -3, 0, 0):
         step = loop_filter_update(state, s)
     assert step == -1 and state.accumulator == -2
@@ -102,12 +102,6 @@ def test_evaluation_cadence_is_sixteen_fast_cycles():
             cycles_between_updates.append(cycles - last_update)
             last_update = cycles
     assert set(cycles_between_updates) == {16}
-
-
-def test_sample_phases_are_quadrature():
-    from serlink.cdr import SamplePhases
-    phases = SamplePhases(0.75)
-    assert phases.edge_phase_ui == phases.data_phase_ui - 0.5
 
 
 def test_pi_code_wraps_modulo_32():

@@ -1,4 +1,10 @@
+import re
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from serlink.cli import ScenarioConfig, load_config, main
 from serlink.errors import ConfigError
@@ -92,6 +98,58 @@ def test_payload_bytes_must_be_words_that_fit_node_memory(tmp_path, capsys, valu
     assert load_config(largest).payload_bytes == MEMORY_BYTES
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("link", "clock_mhz", "inf"),
+    ("link", "cdr_n", "3"),
+    ("link", "freq_offset", "-1"),
+    ("link", "initial_phase_ui", "nan"),
+    ("channel", "swing_v", "-1"),
+    ("channel", "noise_sigma_v", "-1"),
+    ("channel", "trace_cm", "-1"),
+    ("channel", "rj_sigma_ps", "-1"),
+    ("channel", "prop_delay_ps", "-1"),
+    ("channel", "rise_time_ui", "3"),
+    ("protocol", "line_cost_cycles", "-1"),
+    ("run", "seed", "-1"),
+])
+def test_out_of_range_key_exits_with_usage_code(tmp_path, capsys, section, key, value):
+    path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["ber", "--config", path, "--bits", "1000"]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_seed_option_is_checked_like_the_seed_key(capsys):
+    assert main(["ber", "--seed", "-1", "--bits", "1000"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+SCHEMA = {f.name: f.metadata for f in fields(ScenarioConfig) if "section" in f.metadata}
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(SCHEMA)),
+       value=st.text(st.characters(blacklist_categories=("Cs",))))
+def test_any_value_text_loads_or_raises_config_error(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(f"[{SCHEMA[key]['section']}]\n{key} = {value}\n",
+                        encoding="utf-8")
+        try:
+            assert isinstance(load_config(str(path)), ScenarioConfig)
+        except ConfigError:
+            pass
+
+
+def test_readme_lists_every_key_with_its_section_and_range():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| `\[(\w+)\]` \| (.*?) \|", readme, re.M)
+    assert {key: (section, rule) for key, section, rule in rows} == {
+        key: (meta["section"], meta["rule"])
+        for key, meta in SCHEMA.items()}
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def test_run_small_transfer(tmp_path, capsys):
@@ -137,8 +195,22 @@ def test_energy_outputs_and_comparison(tmp_path, capsys):
 
 
 def test_ber_rejects_nonpositive_bits(tmp_path, capsys):
-    rc = main(["ber", "--bits", "0"])
-    assert rc == 2
+    # each count or curve name is checked while parsing, before any output
+    for argv in (["ber", "--bits", "0"], ["lock", "--bits", "0"],
+                 ["eye", "--ui", "0"], ["eye", "--ui", "1"], ["eye", "--ui", "-10"],
+                 ["energy", "--compare", "bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_ber_that_outruns_its_input_is_a_domain_failure(tmp_path, capsys):
+    # in-range jitter this large samples past the end of the transmitted bits
+    path = write(tmp_path, "[channel]\nrj_sigma_ps = 1e300\n")
+    assert main(["ber", "--config", path, "--bits", "1000"]) == 1
+    assert "OutOfRange" in capsys.readouterr().err
 
 
 def test_ber_small_clean_run(capsys):

@@ -1,10 +1,10 @@
 import pytest
 
 from serlink import energy, node
-from serlink.errors import (AlignmentError, LossOfLock, SimulationError,
+from serlink.errors import (AlignmentError, OutOfRange, SimulationError,
                             UnknownRegister)
-from serlink.node import (DmaChannel, Fifo, LinkSimConfig, Node, Scheduler,
-                          dma_step, run_protocol)
+from serlink.node import (MEMORY_BYTES, DmaChannel, Fifo, LinkSimConfig, Node,
+                          Scheduler, dma_step, run_protocol)
 
 
 def make_node(name="n0"):
@@ -204,10 +204,12 @@ def test_large_offset_reports_loss_of_lock():
     assert "LossOfLock" in report.diagnostic
 
 
-def test_strict_mode_raises():
-    with pytest.raises(LossOfLock):
-        run_protocol(LinkSimConfig(payload_bytes=1024, freq_offset=0.02),
-                     strict=True)
+@pytest.mark.parametrize("payload", [0, 6, MEMORY_BYTES + 4])
+def test_payload_outside_node_memory_is_rejected_before_simulating(payload):
+    # library callers bypass the config checks; a payload that does not
+    # fit would grow node memory, and an empty one would wait for the watchdog
+    with pytest.raises(OutOfRange, match="payload_bytes"):
+        run_protocol(LinkSimConfig(payload_bytes=payload))
 
 
 def test_transfer_report_is_deterministic():

@@ -6,7 +6,7 @@ import pytest
 from serlink import phy
 from serlink.errors import InsufficientSpan, OutOfRange
 from serlink.phy import (ChannelConfig, StreamingNrz, UI_S, channel_apply,
-                         drive, eye_capture, pole_for_length, sample)
+                         drive, eye_capture, pole_for_length)
 
 CLEAN = ChannelConfig(trace_length_cm=0.0)
 
@@ -107,17 +107,11 @@ def test_pole_map_monotone_and_open_circuit_at_zero():
 # -- comparator ---------------------------------------------------------------
 
 def test_sample_sign_decisions():
-    w = phy.Waveform(0.0, 1e-10, np.array([0.2, 0.2, -0.2, -0.2, 0.0, 0.0]))
-    assert sample(w, 0.5e-10) == 1
-    assert sample(w, 2.5e-10) == 0
-    assert sample(w, 4.5e-10) == 0  # tie defaults to 0
-    assert sample(w, 4.5e-10, ChannelConfig(tie_bit=1)) == 1
-
-
-def test_sample_out_of_range():
-    w = phy.Waveform(0.0, 1e-10, np.zeros(4))
-    with pytest.raises(OutOfRange):
-        sample(w, 1e-9)
+    stream = StreamingNrz(CLEAN)
+    stream.push_levels([None] * 40 + [0.22] * 40 + [-0.22] * 300)
+    times = np.array([10.5, 60.5, 100.5]) * UI_S
+    # 0 V (the idle driver) decides 0, like a negative level
+    assert stream.sample_bits(times).tolist() == [0, 1, 0]
 
 
 def test_noisy_single_bit_decisions_match_gaussian_tail():
@@ -178,7 +172,7 @@ def test_streaming_matches_batch_rendering():
     # the streamed line starts from idle (0 V); skip the startup settling
     times = np.arange(1000, 60000) * (UI_S / 100)
     got = stream.voltage(times)
-    want = whole.value_at(times)
+    want = np.interp(times / whole.dt_s, np.arange(len(whole.samples)), whole.samples)
     assert np.allclose(got, want, atol=1e-9)
 
 
