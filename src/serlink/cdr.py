@@ -45,15 +45,23 @@ def alexander_pd(d_prev, edge, d_cur) -> PdDecision:
     return PdDecision.EARLY if edge == d_prev else PdDecision.LATE
 
 
-def pd_batch(data8, edge8, last_bit_prev_batch, include_boundary=True):
-    """Early-minus-late sum over one 8-bit batch; |sum| <= 8."""
-    d = np.asarray(data8)
-    e = np.asarray(edge8)
-    prev = np.concatenate(([last_bit_prev_batch], d[:-1]))
+def pd_batch(data, edge, last_bit_prev_batch, include_boundary=True):
+    """Early-minus-late sum of each 8-bit batch; |sum| <= 8.
+
+    ``data`` and ``edge`` are one batch (an int comes back) or a
+    ``(count, 8)`` block of consecutive batches (a list of ints).
+    """
+    d = np.asarray(data)
+    e = np.asarray(edge)
+    flat = d.ravel()
+    prev = np.empty_like(flat)
+    prev[0] = last_bit_prev_batch
+    prev[1:] = flat[:-1]
+    prev = prev.reshape(d.shape)
     contrib = np.where(e == prev, 1, -1) * (prev != d)
     if not include_boundary:
-        contrib[0] = 0
-    return int(contrib.sum())
+        contrib[..., 0] = 0
+    return contrib.sum(axis=-1).tolist()
 
 
 # The accumulator register clamps like the hardware's would; a 5-bit
@@ -107,13 +115,18 @@ def offset_drift_ui_per_ui(freq_offset):
     return abs(Fraction(freq_offset).limit_denominator(10**9))
 
 
+# One call samples at most one render chunk, so a block always fits in
+# the stream's retained window (three chunks).
+MAX_BLOCK_BATCHES = phy.STREAM_CHUNK_BITS // BATCH_BITS
+
+
 class CdrLoop:
     """Closed-loop sampler: recovers bit timing from a streamed waveform.
 
     Owns the RX sampling grid.  Data sample ``k`` lands at
     ``(k + 0.5) * ui + phi`` where ``phi`` starts at the initial phase
     offset and moves by 1/16 UI per interpolator step; edge samples sit
-    half a UI earlier.  ``process_batch`` consumes 8 UI per call and
+    half a UI earlier.  ``process_batch`` consumes 8 UI per batch and
     counts slips (phase error through 0.5 UI); ``slips`` is their total.
     """
 
@@ -125,6 +138,7 @@ class CdrLoop:
         self.state = CdrState(n=n)
         self.include_boundary = include_boundary
         self.phi_s = initial_phase_ui * ui_s
+        self._edge_then_data = np.array([[0.5 * ui_s], [0.0]])
         self._t0 = t_start_s
         self._sample_index = 0
         self._last_bit = 0
@@ -139,51 +153,67 @@ class CdrLoop:
         m = np.rint(u).astype(np.int64)
         return u - m, m
 
-    def process_batch(self):
-        """Sample one 8-bit batch and run the loop; returns a batch record."""
-        idx = self._sample_index + np.arange(BATCH_BITS)
-        t_data = self._t0 + (idx + 0.5) * self.ui_s + self.phi_s
-        t_edge = t_data - 0.5 * self.ui_s
-        times = np.concatenate((t_edge, t_data))
-        bits = self.stream.sample_bits(times, self._rng)
-        edge8, data8 = bits[:BATCH_BITS], bits[BATCH_BITS:]
+    def process_batch(self, count=1):
+        """Sample ``count`` consecutive 8-bit batches and run the loop.
 
-        batch_sum = pd_batch(data8, edge8, self._last_bit, self.include_boundary)
-        self._last_bit = int(data8[-1])
-        step = loop_filter_update(self.state, batch_sum)
+        The phase only moves at a filter evaluation, so one call never
+        goes past the next one (nor past MAX_BLOCK_BATCHES batches); the
+        record says how many batches it covered.
+        """
+        state = self.state
+        count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
+        idx = self._sample_index + np.arange(count * BATCH_BITS)
+        t_data = self._t0 + (idx + 0.5) * self.ui_s + self.phi_s
+        # per batch, edges (half a UI earlier) before data: the jitter
+        # draws then come in the same order whatever the count
+        times = t_data.reshape(count, 1, BATCH_BITS) - self._edge_then_data
+        bits = self.stream.sample_bits(times.ravel(), self._rng)
+        bits = bits.reshape(count, 2, BATCH_BITS)
+        edge, data = bits[:, 0], bits[:, 1]
+
+        for batch_sum in pd_batch(data, edge, self._last_bit, self.include_boundary):
+            step = loop_filter_update(state, batch_sum)  # only the last can step
+        self._last_bit = int(data[-1, -1])
         if step:
-            pi_apply(self.state, step)
+            pi_apply(state, step)
             self.phi_s += step * float(PI_STEP_UI) * self.ui_s
             self.pi_steps_applied += abs(step)
         err_ui, m = self._phase_errors(t_data)
-        self._sample_index += BATCH_BITS
-        slips = 0
-        if self._last_index is not None:
-            slips = int(np.count_nonzero(np.diff(m, prepend=self._last_index) != 1))
-            self.slips += slips
+        self._sample_index += count * BATCH_BITS
+
+        prev = np.empty_like(m)
+        prev[0] = m[0] - 1 if self._last_index is None else self._last_index
+        prev[1:] = m[:-1]
+        slips = (m - prev != 1).reshape(count, BATCH_BITS).sum(axis=1)
+        if self._last_index is None:
+            slips[0] = 0  # the loop's first batch has no slip reference yet
+        self.slips += int(slips.sum())
         self._last_index = m[-1]
+        last = slice(BATCH_BITS - 1, None, BATCH_BITS)
         return BatchRecord(
-            t_end_s=float(t_data[-1]),
-            data_bits=data8,
+            data_bits=data.ravel(),
             bit_indices=m,
-            batch_sum=batch_sum,
+            t_end_s=t_data[last].tolist(),
+            err_ui=err_ui[last].tolist(),
+            slips=slips.tolist(),
             pi_step=step,
-            pi_code=self.state.pi_code,
-            err_ui=float(err_ui[-1]),
-            slips=slips,
+            pi_code=state.pi_code,
         )
 
 
 @dataclass
 class BatchRecord:
-    t_end_s: float
+    """One ``process_batch`` call: consecutive batches under one phase."""
+
     data_bits: np.ndarray
-    bit_indices: np.ndarray
-    batch_sum: int
-    pi_step: int
-    pi_code: int
-    err_ui: float
-    slips: int  # data samples that skipped or repeated a transmitted bit
+    bit_indices: np.ndarray  # transmitted bit index of each data sample
+    # per batch: its last data sample's time and phase error, and the data
+    # samples that skipped or repeated a transmitted bit
+    t_end_s: list
+    err_ui: list
+    slips: list
+    pi_step: int  # the step this call applied, after its last batch
+    pi_code: int  # interpolator code after that step
 
 
 @dataclass
@@ -249,25 +279,31 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
     prev_t_end = 0.0
     first_slip = None
 
-    for k in range(n_batches):
-        rec = loop.process_batch()
-        bits[k * BATCH_BITS:(k + 1) * BATCH_BITS] = rec.data_bits
-        indices[k * BATCH_BITS:(k + 1) * BATCH_BITS] = rec.bit_indices
-        if keep_trace:
-            trace.append((rec.t_end_s * 1e9, rec.pi_code, rec.err_ui))
+    k = 0
+    while k < n_batches:
+        rec = loop.process_batch(n_batches - k)
+        count = len(rec.t_end_s)
+        bits[k * BATCH_BITS:(k + count) * BATCH_BITS] = rec.data_bits
+        indices[k * BATCH_BITS:(k + count) * BATCH_BITS] = rec.bit_indices
+        k += count
+        # batches before the evaluation sampled under the previous code
+        codes = [(rec.pi_code - rec.pi_step) % PI_CODES] * (count - 1) + [rec.pi_code]
+        for t_end, err, code, slips in zip(rec.t_end_s, rec.err_ui, codes, rec.slips):
+            if keep_trace:
+                trace.append((t_end * 1e9, code, err))
 
-        if abs(rec.err_ui) <= LOCK_TOL_UI:
-            if streak == 0:
-                streak_start = prev_t_end
-            streak += 1
-            if streak == LOCK_BATCHES and lock_time is None:
-                lock_time = streak_start
-        else:
-            streak = 0
+            if abs(err) <= LOCK_TOL_UI:
+                if streak == 0:
+                    streak_start = prev_t_end
+                streak += 1
+                if streak == LOCK_BATCHES and lock_time is None:
+                    lock_time = streak_start
+            else:
+                streak = 0
 
-        if rec.slips and first_slip is None:
-            first_slip = rec.t_end_s
-        prev_t_end = rec.t_end_s
+            if slips and first_slip is None:
+                first_slip = t_end
+            prev_t_end = t_end
 
     return RecoveryResult(bits=bits, bit_indices=indices, lock_time_s=lock_time,
                           slips=loop.slips, first_slip_s=first_slip,

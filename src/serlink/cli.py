@@ -46,7 +46,9 @@ class ScenarioConfig:
     Float values must also be finite.
     """
 
-    clock_mhz: float = _key("link", 400.0, *_POSITIVE)
+    # at most a 50 ps UI, so an 8-UI quantum spans many ticks of the
+    # event scheduler's 1 ps grid
+    clock_mhz: float = _key("link", 400.0, "in (0, 10000]", lambda v: 0 < v <= 10000)
     cdr_n: int = _key("link", 4, f"one of {cdr.VALID_DIVIDERS}",
                       lambda v: v in cdr.VALID_DIVIDERS)
     pd_boundary: bool = _key("link", True, "true or false")
@@ -238,7 +240,7 @@ def cmd_eye(args):
 
 
 def cmd_energy(args):
-    cfg = load_config(args.config)
+    cfg = _scenario(args)
     paths = _out_paths(args, "energy_curves.csv",
                        *(["energy_ratios.csv"] if args.compare else []))
     profile = energy.DEFAULT_PROFILE

@@ -448,7 +448,7 @@ class LinkEngine:
         if not self.active or self.loop is None:
             return
         rec = self.loop.process_batch()
-        if rec.slips and self.declared_lock_ps is not None and self.aborted is None:
+        if any(rec.slips) and self.declared_lock_ps is not None and self.aborted is None:
             self.log("rx", "loss_of_lock", 1)
             self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
 
@@ -477,7 +477,7 @@ class LinkEngine:
                                   extra_latency_ps=self._decode_ps)
         if was_receiving != self.pipeline.receiving:
             self.log("rx", "rx_receiving", int(self.pipeline.receiving))
-        self._schedule_rx_quantum(rec.t_end_s + 8 * self.cfg.ui_s)
+        self._schedule_rx_quantum(rec.t_end_s[-1] + 8 * self.cfg.ui_s)
 
     def abort(self, reason):
         if self.aborted is None:

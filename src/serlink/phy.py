@@ -233,7 +233,7 @@ class StreamingNrz:
         pole = cfg.pole_hz()
         self._ba = _lowpass_coeffs(pole, self.dt_s) if pole is not None else None
         self._zi = None
-        self._pending = []        # levels not yet rendered
+        self._pending = np.zeros(0)  # levels not yet rendered
         self._nbits = 0           # bits fully rendered
         self._prev_level = 0.0
         self._grid_t0 = 0.0       # time of rendered sample 0 (pre-delay)
@@ -244,7 +244,10 @@ class StreamingNrz:
         self.push_levels(_levels_from_bits(bits, self.cfg.swing))
 
     def push_levels(self, levels):
-        self._pending.extend(0.0 if v is None else float(v) for v in levels)
+        levels = np.asarray(levels)
+        if levels.dtype == object:  # None marks the idle driver: 0 V
+            levels = np.where(np.equal(levels, None), 0.0, levels)
+        self._pending = np.concatenate((self._pending, np.asarray(levels, dtype=float)))
         while len(self._pending) > STREAM_CHUNK_BITS:
             self._render(self._pending[:STREAM_CHUNK_BITS],
                          self._pending[STREAM_CHUNK_BITS])
@@ -296,12 +299,25 @@ class StreamingNrz:
                 raise OutOfRange(f"waveform not rendered up to {t_s * 1e9:.3f} ns")
 
     def voltage(self, times):
+        """Linear interpolation of the rendered samples; bitwise np.interp.
+
+        A time before the first sample ever rendered reads that (settled)
+        sample; one before samples already dropped raises OutOfRange.
+        """
         times = np.asarray(times, dtype=float)
-        self.ensure(float(times.max()))
+        # sample 0 sits at the propagation delay: render at least it
+        self.ensure(max(float(times.max()), self.cfg.prop_delay_s))
         rel = (times - self.cfg.prop_delay_s - self._grid_t0) / self.dt_s
-        if np.any(rel < 0):
-            raise OutOfRange("sample time before retained waveform window")
-        return np.interp(rel, np.arange(len(self._tail)), self._tail)
+        if rel.min() < 0:
+            if self._grid_t0 > 0:  # samples have been dropped
+                raise OutOfRange("sample time before retained waveform window")
+            rel = np.maximum(rel, 0.0)
+        tail = self._tail
+        last = len(tail) - 1
+        j = np.minimum(rel.astype(np.intp), last - 1)
+        lo = tail[j]
+        v = (tail[j + 1] - lo) * (rel - j) + lo
+        return np.where(rel < last, v, tail[last])
 
     def sample_bits(self, times, rng=None):
         """Comparator decisions at the given times (with jitter if set)."""

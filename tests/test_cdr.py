@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from serlink import phy
-from serlink.cdr import (BATCH_BITS, PI_CODES, PI_STEP_UI, CdrState,
+from serlink.cdr import (BATCH_BITS, LOCK_BATCHES, LOCK_TOL_UI, PI_CODES,
+                         PI_STEP_UI, VALID_DIVIDERS, CdrLoop, CdrState,
                          PdDecision, alexander_pd, loop_filter_update,
                          offset_drift_ui_per_ui, pd_batch, pi_apply,
                          recover_stream, slew_capacity_ui_per_ui)
@@ -23,16 +25,21 @@ def test_alexander_truth_table():
 
 def test_pd_batch_matches_per_bit_decisions():
     rng = np.random.default_rng(41)
-    for _ in range(200):
-        data = rng.integers(0, 2, 8)
-        edge = rng.integers(0, 2, 8)
-        last = int(rng.integers(0, 2))
+    block = rng.integers(0, 2, (2, 200, 8))
+    sums, inner = [], []
+    prev = first = 1
+    for data, edge in zip(*block):
+        last = prev
         want = 0
-        prev = last
         for d, e in zip(data, edge):
             want += alexander_pd(prev, e, d).value
             prev = d
         assert pd_batch(data, edge, last) == want
+        sums.append(want)
+        inner.append(pd_batch(data, edge, last, include_boundary=False))
+    # a block of consecutive batches gives each batch's sum
+    assert pd_batch(block[0], block[1], first) == sums
+    assert pd_batch(block[0], block[1], first, include_boundary=False) == inner
 
 
 def test_pd_batch_alternating_all_early():
@@ -197,3 +204,58 @@ def test_trace_is_deterministic():
 def test_recover_stream_rejects_empty_run():
     with pytest.raises(ValueError):
         recover_stream(np.array([1, 0]), CLEAN, n_bits=0)
+
+
+def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
+                           initial_phase_ui, seed, include_boundary):
+    """Reference for recover_stream: one process_batch() call per batch."""
+    chunks = iter(tx_bits.reshape(-1, phy.STREAM_CHUNK_BITS))
+    stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + freq_offset), seed=seed,
+                              bit_source=lambda count: next(chunks))
+    loop = CdrLoop(stream, n=n, initial_phase_ui=initial_phase_ui,
+                   include_boundary=include_boundary, seed=seed)
+    bits, indices, trace = [], [], []
+    lock_time = first_slip = None
+    streak, streak_start, prev_t_end = 0, 0.0, 0.0
+    for _ in range(n_bits // BATCH_BITS):
+        rec = loop.process_batch()
+        (t_end,), (err,), (slips,) = rec.t_end_s, rec.err_ui, rec.slips
+        bits += rec.data_bits.tolist()
+        indices += rec.bit_indices.tolist()
+        trace.append((t_end * 1e9, rec.pi_code, err))
+        if abs(err) <= LOCK_TOL_UI:
+            if streak == 0:
+                streak_start = prev_t_end
+            streak += 1
+            if streak == LOCK_BATCHES and lock_time is None:
+                lock_time = streak_start
+        else:
+            streak = 0
+        if slips and first_slip is None:
+            first_slip = t_end
+        prev_t_end = t_end
+    return (bits, indices, loop.slips, lock_time, first_slip,
+            loop.pi_steps_applied, trace)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.sampled_from(VALID_DIVIDERS),
+       include_boundary=st.booleans(),
+       phase=st.floats(0.0, 2.0, exclude_max=True),
+       offset=st.floats(-0.005, 0.005), noisy=st.booleans())
+def test_block_sampling_equals_one_batch_per_call(seed, n, include_boundary,
+                                                 phase, offset, noisy):
+    n_bits = 2000
+    tx = np.random.default_rng(seed).integers(0, 2, 64 * phy.STREAM_CHUNK_BITS,
+                                              dtype=np.int8)
+    cfg = (phy.ChannelConfig(trace_length_cm=5.0, noise_sigma_v=0.01,
+                             rj_sigma_s=3e-12, prop_delay_s=0.4e-9)
+           if noisy else phy.ChannelConfig(trace_length_cm=2.0))
+    res = recover_stream(tx, cfg, n_bits=n_bits, n=n, freq_offset=offset,
+                         initial_phase_ui=phase, seed=seed,
+                         include_boundary=include_boundary)
+    want = recover_batch_by_batch(tx, cfg, n_bits, n, offset, phase, seed,
+                                  include_boundary)
+    got = (res.bits.tolist(), res.bit_indices.tolist(), res.slips, res.lock_time_s,
+           res.first_slip_s, res.pi_steps, res.trace)
+    assert got == want

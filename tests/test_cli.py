@@ -100,6 +100,7 @@ def test_payload_bytes_must_be_words_that_fit_node_memory(tmp_path, capsys, valu
 
 @pytest.mark.parametrize("section,key,value", [
     ("link", "clock_mhz", "inf"),
+    ("link", "clock_mhz", "1e12"),
     ("link", "cdr_n", "3"),
     ("link", "freq_offset", "-1"),
     ("link", "initial_phase_ui", "nan"),
@@ -122,6 +123,14 @@ def test_out_of_range_key_exits_with_usage_code(tmp_path, capsys, section, key, 
 
 def test_seed_option_is_checked_like_the_seed_key(capsys):
     assert main(["ber", "--seed", "-1", "--bits", "1000"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_energy_applies_the_seed_option(tmp_path, capsys):
+    assert main(["energy", "--seed", "5", "--out", str(tmp_path)]) == 0
+    provenance = (tmp_path / "energy_curves.csv").read_text().splitlines()[0]
+    assert provenance.endswith(" seed=5")
+    assert main(["energy", "--seed", "-1", "--out", str(tmp_path)]) == 2
     assert "--seed" in capsys.readouterr().err
 
 
@@ -211,6 +220,13 @@ def test_ber_that_outruns_its_input_is_a_domain_failure(tmp_path, capsys):
     path = write(tmp_path, "[channel]\nrj_sigma_ps = 1e300\n")
     assert main(["ber", "--config", path, "--bits", "1000"]) == 1
     assert "OutOfRange" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["2", "4"])
+def test_ber_jitter_before_the_first_sample(tmp_path, seed):
+    # the first edge sample sits at t = 0; jitter moves it before the waveform
+    path = write(tmp_path, "[link]\ninitial_phase_ui = 0\n[channel]\nrj_sigma_ps = 3\n")
+    assert main(["ber", "--config", path, "--bits", "2000", "--seed", seed]) == 0
 
 
 def test_ber_small_clean_run(capsys):

@@ -188,3 +188,34 @@ def test_streaming_guards_unrendered_span():
     stream.push_bits([1, 0] * 8)
     with pytest.raises(OutOfRange):
         stream.voltage(np.array([1.0]))
+
+
+def test_streaming_voltage_is_np_interp_bitwise():
+    cfg = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.01, prop_delay_s=0.3e-9)
+    stream = StreamingNrz(cfg, seed=3)
+    stream.push_bits(np.random.default_rng(59).integers(0, 2, 3000))
+    tail, last = stream._tail, len(stream._tail) - 1
+    picks = np.concatenate((np.arange(last + 1),
+                            np.random.default_rng(60).uniform(0, last, 100_000)))
+    times = cfg.prop_delay_s + stream._grid_t0 + picks * stream.dt_s
+    rel = (times - cfg.prop_delay_s - stream._grid_t0) / stream.dt_s
+    times, rel = times[rel >= 0], rel[rel >= 0]  # roundoff below sample 0
+    got = stream.voltage(times)
+    assert stream._tail is tail  # sampling rendered nothing more
+    assert rel.min() < 1e-9 and rel.max() > last - 1e-9  # first and last sample
+    want = np.interp(rel, np.arange(last + 1), tail)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_streaming_time_before_first_sample_reads_it_settled():
+    # jitter can put a sample before the line's first rendered sample
+    cfg = ChannelConfig(trace_length_cm=2.0, prop_delay_s=0.5e-9)
+    stream = StreamingNrz(cfg)
+    stream.push_levels([0.22] * 600)
+    v = stream.voltage(np.array([-3e-12, 0.0, cfg.prop_delay_s]))
+    assert v.tolist() == [stream._tail[0]] * 3
+    # once samples are dropped, an earlier time is out of the window
+    stream.push_levels([0.22] * 2000)
+    stream.ensure(1500 * UI_S)
+    with pytest.raises(OutOfRange):
+        stream.voltage(np.array([0.0]))
