@@ -46,9 +46,10 @@ class ScenarioConfig:
     Float values must also be finite.
     """
 
-    # at most a 50 ps UI, so an 8-UI quantum spans many ticks of the
-    # event scheduler's 1 ps grid
-    clock_mhz: float = _key("link", 400.0, "in (0, 10000]", lambda v: 0 < v <= 10000)
+    # a UI of at least 50 ps, so an 8-UI quantum spans many ticks of the
+    # event scheduler's 1 ps grid, and at most 0.5 us, so the 50 MHz MCU
+    # polls at most 25 times per UI and a slow run stays short
+    clock_mhz: float = _key("link", 400.0, "in [1, 10000]", lambda v: 1 <= v <= 10000)
     cdr_n: int = _key("link", 4, f"one of {cdr.VALID_DIVIDERS}",
                       lambda v: v in cdr.VALID_DIVIDERS)
     pd_boundary: bool = _key("link", True, "true or false")

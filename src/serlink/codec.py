@@ -7,8 +7,10 @@ serial stream stays DC-balanced.
 
 A flit is four byte lanes encoded into 40 wire bits.  One running
 disparity is threaded through the four lanes (lane 0 first), so the
-serialized stream behaves exactly like a single 8b/10b stream and its
-running digital sum never strays more than 3 bits from its start.
+serialized stream behaves exactly like a single 8b/10b stream.  Its
+running digital sum (ones minus zeros, counted from the stream's start)
+stays in [-2, 4] from a NEGATIVE start and in [-4, 2] from a POSITIVE
+one: 8b/10b's |RDS| <= 3, seen from a start RDS of -1 or +1.
 
 Bit order: codes are stored as integers whose bit ``k`` is the ``k``-th
 bit on the wire (sub-block ``abcdei`` first, then ``fghj``, LSB-first).
@@ -242,7 +244,6 @@ class Flit:
 
     kind: FlitKind
     lanes: tuple
-    word: int | None = None
 
     def bits(self):
         out = []
@@ -257,9 +258,10 @@ class Flit:
         return value
 
     @classmethod
-    def from_int(cls, value, kind=FlitKind.DATA, word=None):
+    def from_int(cls, value):
+        """The received flit whose wire bit ``k`` is bit ``k`` of ``value``."""
         lanes = tuple((value >> (CODE_BITS * i)) & 0x3FF for i in range(LANES))
-        return cls(kind, lanes, word)
+        return cls(FlitKind.DATA, lanes)
 
 
 def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
@@ -276,7 +278,7 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
             byte = (word >> (8 * i)) & 0xFF
             code, rd = encode_symbol(Symbol(byte), rd)
             lanes.append(code)
-        return Flit(kind, tuple(lanes), word & 0xFFFFFFFF), rd
+        return Flit(kind, tuple(lanes)), rd
     if word is not None:
         raise ValueError(f"{kind.value} flit carries no word")
     # header lane 0: the raw marker byte LSB-first, padded with two zeros
@@ -295,13 +297,13 @@ def decode_flit(flit: Flit, rd=Disparity.NEGATIVE):
     Returns ((FlitKind, word-or-None), updated disparity).  Start/stop
     frames are recognized by their raw 8-bit header before any 8b/10b
     decoding is attempted; lane decode errors carry the lane index.
+    Every other flit is data: a training flit is the data word
+    0xB5B5B5B5 on the wire, and only framing tells the two apart.
     """
     if flit.lanes[0] == START_BYTE:
         return (FlitKind.START, None), rd
     if flit.lanes[0] == STOP_BYTE:
         return (FlitKind.STOP, None), rd
-    if all(code == FILLER_CODE for code in flit.lanes):
-        return (FlitKind.TRAINING, None), rd
     word = 0
     for i, code in enumerate(flit.lanes):
         try:
@@ -312,15 +314,3 @@ def decode_flit(flit: Flit, rd=Disparity.NEGATIVE):
             raise InvalidCode(f"lane {i}: unexpected control symbol 0x{sym.payload:02x}")
         word |= sym.payload << (8 * i)
     return (FlitKind.DATA, word), rd
-
-
-def export_code_table(path):
-    """Dump the full code table as CSV: byte,is_control,rd_in,code10,rd_out."""
-    rows = []
-    for (byte, is_control, rd), (code, rd_out) in sorted(
-        _ENCODE.items(), key=lambda kv: (kv[0][1], kv[0][0], kv[0][2].value)
-    ):
-        rows.append(f"{byte},{int(is_control)},{rd.value},{code},{rd_out.value}")
-    with open(path, "w") as fh:
-        fh.write("byte,is_control,rd_in,code10,rd_out\n")
-        fh.write("\n".join(rows) + "\n")

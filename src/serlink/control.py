@@ -1,12 +1,14 @@
 """Link controllers: TX framing FSM, RX sequence detector, RX pipeline.
 
 The TX controller walks Idle -> Warm-up -> Start-header -> Data-comm ->
-Stop-header and selects the flit the serializer sends next.  The RX
-sequence detector watches the raw comparator bit pairs for the start and
-stop markers at either bit alignment and reports the capture shift.  The
-RX pipeline watches the wire only while communication is enabled and is
-receiving from a start marker to the following stop marker; only then do
-the deserializer and decoders run.
+Stop-header and selects the flit the serializer sends next, once the
+serializer reports the current flit done.  The RX sequence detector
+keeps the last eight raw comparator bits as one byte and compares it
+with the fixed start marker, then with the stop marker, at either bit
+alignment, and reports the capture shift.  The RX pipeline watches the
+wire only while communication is enabled and is receiving from a start
+marker to the following stop marker; only then do the deserializer and
+decoders run.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ class TxFramer:
         self.comm_en = False
         self.rd = Disparity.NEGATIVE
         self._serializer = datapath.Serializer()
-        self._remaining = 0  # bits left in the current flit
 
     def _load_next_flit(self):
         action = tx_fsm_step(self.state, self._valid_fn(), self.warm_en, self.comm_en)
@@ -90,15 +91,13 @@ class TxFramer:
         word = self._word_source() if action.pop_word else None
         flit, self.rd = codec.encode_flit(action.flit_select, word, self.rd)
         self._serializer.load(flit.bits())
-        self._remaining = datapath.FLIT_BITS
         return True
 
     def step_cycle(self):
         """Advance one fast-clock cycle; returns a BitPair or None (idle)."""
-        if self._remaining == 0 and not self._load_next_flit():
+        if self._serializer.flit_done and not self._load_next_flit():
             return None
         pair, _ = self._serializer.step()
-        self._remaining -= 2
         return pair
 
 
@@ -109,78 +108,39 @@ class DetectorEvents:
     shift: bool = False
 
 
-class _BitMatcher:
-    """KMP bit matcher; complete and sound for any 8-bit pattern."""
-
-    def __init__(self, bits):
-        self.pattern = bits
-        n = len(bits)
-        fail = [0] * n
-        k = 0
-        for i in range(1, n):
-            while k and bits[i] != bits[k]:
-                k = fail[k - 1]
-            if bits[i] == bits[k]:
-                k += 1
-            fail[i] = k
-        self._fail = fail
-        self.progress = 0
-
-    def reset(self):
-        self.progress = 0
-
-    def push(self, bit):
-        """Returns True when the pattern just completed."""
-        while self.progress and bit != self.pattern[self.progress]:
-            self.progress = self._fail[self.progress - 1]
-        if bit == self.pattern[self.progress]:
-            self.progress += 1
-        if self.progress == len(self.pattern):
-            self.progress = self._fail[-1]
-            return True
-        return False
-
-
-def _marker_bits(byte):
-    return tuple((byte >> k) & 1 for k in range(8))
-
-
 class SequenceDetector:
     """Watches raw bit pairs for the start marker, then the stop marker.
 
-    A marker ending on the second bit of a pair was even-aligned; odd
-    alignment completes one bit into the following pair (the extra
-    check-4 step) and raises the shift flag.
+    The last eight wire bits are kept as one byte, the oldest bit lowest
+    (the markers' wire order).  A marker is found when that byte equals
+    START_BYTE, or STOP_BYTE while ``in_data_comm``, and all eight bits
+    arrived after the search last switched marker.  A marker ending on
+    the second bit of a pair was even-aligned; odd alignment completes
+    one bit into the following pair (the extra check-4 step) and raises
+    the shift flag.  Bits are Python ints.
     """
 
     def __init__(self):
-        self._start = _BitMatcher(_marker_bits(codec.START_BYTE))
-        self._stop = _BitMatcher(_marker_bits(codec.STOP_BYTE))
         self.in_data_comm = False
         self.shift = False
-        self._bit_index = 0
-
-    def _push_bit(self, bit):
-        matcher = self._stop if self.in_data_comm else self._start
-        matched = matcher.push(bit)
-        start_parity = (self._bit_index - 7) & 1
-        self._bit_index += 1
-        return matched, bool(start_parity)
+        self._window = 0  # last eight wire bits, oldest in bit 0
+        self._fresh = 0   # bits seen since the search last switched marker
 
     def push_pair(self, pair) -> DetectorEvents:
         events = DetectorEvents()
-        for bit in pair:
-            matched, odd_aligned = self._push_bit(bit)
-            if not matched:
+        for k, bit in enumerate(pair):
+            self._window = (self._window >> 1) | (bit << 7)
+            self._fresh += 1
+            marker = codec.STOP_BYTE if self.in_data_comm else codec.START_BYTE
+            if self._fresh < 8 or self._window != marker:
                 continue
+            self._fresh = 0
             if self.in_data_comm:
                 self.in_data_comm = False
-                self._start.reset()
                 events = DetectorEvents(stop_detected=True, shift=self.shift)
             else:
                 self.in_data_comm = True
-                self.shift = odd_aligned
-                self._stop.reset()
+                self.shift = k == 0  # ended on a pair's first bit: started odd
                 events = DetectorEvents(start_detected=True, shift=self.shift)
         return events
 

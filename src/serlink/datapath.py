@@ -22,12 +22,11 @@ class BitPair(NamedTuple):
 
 
 class Serializer:
-    """Serializes loaded 40-bit flits, two bits per step, bit 0 first."""
+    """Serializes one loaded 40-bit flit, two bits per step, bit 0 first."""
 
     def __init__(self):
         self._bits = None
         self._pos = 0
-        self._next = None
 
     @property
     def counter(self):
@@ -36,27 +35,22 @@ class Serializer:
 
     @property
     def flit_done(self):
+        """Whether a new flit may be loaded: none yet, or all 40 bits sent."""
         return self._bits is None or self._pos == FLIT_BITS
 
     def load(self, bits):
-        """Queue the next flit (a 40-entry bit list)."""
+        """Load the next flit (a 40-entry bit list) once the current one is done."""
         if len(bits) != FLIT_BITS:
             raise ValueError(f"flit must be {FLIT_BITS} bits")
-        if self._bits is None or self._pos == FLIT_BITS:
-            self._bits = list(bits)
-            self._pos = 0
-        elif self._next is None:
-            self._next = list(bits)
-        else:
-            raise ValueError("a flit is already pending")
+        if not self.flit_done:
+            raise ValueError("a flit is still being sent")
+        self._bits = list(bits)
+        self._pos = 0
 
     def step(self):
         """Emit one DDR pair; returns (BitPair, counter_before_emit)."""
-        if self._bits is None or self._pos == FLIT_BITS:
-            if self._next is None:
-                raise Underflow("serializer stepped with no flit loaded")
-            self._bits, self._next = self._next, None
-            self._pos = 0
+        if self.flit_done:
+            raise Underflow("serializer stepped with no flit loaded")
         counter = self.counter
         pair = BitPair(self._bits[self._pos], self._bits[self._pos + 1])
         self._pos += 2
@@ -68,10 +62,6 @@ class Deserializer:
 
     def __init__(self):
         self._bits = []
-
-    @property
-    def counter(self):
-        return (len(self._bits) // GROUP_BITS) % GROUPS
 
     def reset(self):
         self._bits = []
@@ -105,9 +95,3 @@ class ShiftRealigner:
             out = BitPair(pair.even, pair.odd)
         self._last_odd = pair.odd
         return out
-
-
-def apply_shift(pairs, shift):
-    """Realign a whole pair stream; identity when shift is False."""
-    realigner = ShiftRealigner(shift)
-    return [realigner.push(p) for p in pairs]

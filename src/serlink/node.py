@@ -14,6 +14,7 @@ reported as the programming latency.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 
@@ -88,9 +89,6 @@ class Fifo:
         self.depth = depth
         self.latency_ps = latency_ps
         self._entries = []
-
-    def __len__(self):
-        return len(self._entries)
 
     def can_push(self):
         return len(self._entries) < self.depth
@@ -207,11 +205,6 @@ class Node:
         if self.on_register_write is not None:
             self.on_register_write(name, int(value))
 
-    def read_register(self, name):
-        if name not in REGISTER_NAMES:
-            raise UnknownRegister(name)
-        return getattr(self.regs, name)
-
     # -- DMA ------------------------------------------------------------
 
     def start_dma(self, channel):
@@ -221,11 +214,9 @@ class Node:
             self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
 
     def _dma_tick(self):
-        progressed = False
         for channel in (self.dma_read, self.dma_write):
             if channel is not None and channel.enabled:
-                if dma_step(channel, self.memory, self.sim.now_ps):
-                    progressed = True
+                dma_step(channel, self.memory, self.sim.now_ps)
                 if channel.done and channel.enabled:
                     channel.enabled = False
                     self.log(self.name, f"dma_{channel.direction}_done", 1)
@@ -233,7 +224,6 @@ class Node:
             self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
         else:
             self._dma_tick_scheduled = False
-        return progressed
 
     # -- scripted program driver ------------------------------------------
 
@@ -322,6 +312,10 @@ class EventLog:
         return [(t, sig, val) for (t, node, sig, val) in self.rows if sig in keep]
 
 
+# rx_digital/tx_digital state while a side's warm_en is set
+_DIGITAL_ON = {"tx": "active", "rx": "warm"}
+
+
 class LinkEngine:
     """The serial data plane between the two nodes.
 
@@ -359,8 +353,8 @@ class LinkEngine:
         self._tx_quanta = 0
         self._prev_tx_state = control.TxState.IDLE
 
-        tx.on_register_write = self._tx_register_write
-        rx.on_register_write = self._rx_register_write
+        tx.on_register_write = functools.partial(self._enable_write, "tx", self.framer)
+        rx.on_register_write = functools.partial(self._enable_write, "rx", self.pipeline)
         sim.schedule(0, self._tx_quantum)
 
     # -- handshake plumbing ----------------------------------------------
@@ -371,30 +365,23 @@ class LinkEngine:
     def _pop_word(self):
         return self.tx_fifo.pop(self.sim.now_ps)
 
-    def _tx_register_write(self, name, value):
+    def _enable_write(self, side, target, name, value):
+        """Hand a warm_en/comm_en write to ``target`` (the TX framer or the
+        RX pipeline) past the clock-domain crossing."""
         if name not in ("warm_en", "comm_en"):
             return
 
         def apply():
-            setattr(self.framer, name, bool(value))
+            setattr(target, name, bool(value))
             if name == "warm_en":
-                self.log("tx", "tx_analog", int(bool(value)))
-                self.log("tx", "tx_digital", "active" if value else "standby")
-        self.sim.schedule(self.sim.now_ps + self._cdc_ps, apply)
-
-    def _rx_register_write(self, name, value):
-        if name not in ("warm_en", "comm_en"):
-            return
-
-        def apply():
-            setattr(self.pipeline, name, bool(value))
-            if name == "warm_en":
-                self.log("rx", "rx_analog", int(bool(value)))
-                self.log("rx", "rx_digital", "warm" if value else "standby")
-                if value:
+                self.log(side, f"{side}_analog", int(bool(value)))
+                self.log(side, f"{side}_digital",
+                         _DIGITAL_ON[side] if value else "standby")
+            if side == "rx" and value:
+                if name == "warm_en":
                     self._activate_rx()
-            if name == "comm_en" and value:
-                self.declared_lock_ps = self.sim.now_ps
+                else:
+                    self.declared_lock_ps = self.sim.now_ps
         self.sim.schedule(self.sim.now_ps + self._cdc_ps, apply)
 
     # -- TX data plane ------------------------------------------------------
@@ -663,7 +650,7 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     rx.run_program(rx_steps, on_done=rx_done)
 
     def programmed():
-        return rx.dma_write is not None and rx.regs.rx_data_size > 0
+        return rx.regs.rx_data_size > 0
 
     def transfer_complete():
         return (state["tx_done"] and state["rx_done"] and programmed()
@@ -704,7 +691,7 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
             stop=lambda: engine.aborted is not None or transfer_complete())
     engine.active = False
 
-    delivered = rx.dma_write.cursor if rx.dma_write else 0
+    delivered = rx.dma_write.cursor
     received = bytes(rx.memory[0:cfg.payload_bytes])
     mismatches = sum(a != b for a, b in zip(payload, received))
     completed = transfer_complete()

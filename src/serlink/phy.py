@@ -1,10 +1,14 @@
 """Behavioral analog layer: driver, channel, comparator sampling, eyes.
 
 The differential driver is an ideal NRZ trapezoid at +/- swing/2 with a
-configurable rise time.  The channel is a pure delay plus a first-order
-low-pass whose pole is derived from the trace length by a two-point
-calibration map, plus additive Gaussian noise.  Comparators return the
-sign of the (optionally jittered) sampled differential voltage.
+configurable rise time.  The channel is a pure delay plus one stage,
+``_Channel``: a first-order low-pass whose pole is derived from the
+trace length by a two-point calibration map, plus additive Gaussian
+noise, carrying its state from one block of samples to the next.
+``channel_apply`` runs a whole waveform (eye folding needs it whole)
+through a fresh stage; ``StreamingNrz`` runs each chunk through the one
+stage it keeps.  Comparators return the sign of the (optionally
+jittered) sampled differential voltage.
 """
 
 from __future__ import annotations
@@ -98,29 +102,39 @@ def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
     return Waveform(0.0, ui_s / SAMPLES_PER_UI, samples)
 
 
-def _lowpass_coeffs(pole_hz, dt_s):
-    alpha = 1.0 - math.exp(-2.0 * math.pi * pole_hz * dt_s)
-    return [alpha], [1.0, alpha - 1.0]
+class _Channel:
+    """First-order low-pass plus additive Gaussian noise, block by block.
 
+    The filter starts settled at its first input sample; its state and
+    the noise generator carry over from one ``apply`` to the next.  No
+    pole (a 0 cm trace) means no filtering, and a zero sigma no noise.
+    """
 
-def _lowpass(samples, pole_hz, dt_s):
-    """First-order low-pass, starting settled at the first sample."""
-    b, a = _lowpass_coeffs(pole_hz, dt_s)
-    zi = np.array([(1.0 - b[0]) * samples[0]])
-    return signal.lfilter(b, a, samples, zi=zi)[0]
+    def __init__(self, pole_hz, dt_s, noise_sigma_v=0.0, rng=None):
+        self._alpha = (None if pole_hz is None
+                       else 1.0 - math.exp(-2.0 * math.pi * pole_hz * dt_s))
+        self._zi = None
+        self._sigma = noise_sigma_v
+        self._rng = rng
+
+    def apply(self, samples):
+        alpha = self._alpha
+        if alpha is not None:
+            if self._zi is None:
+                self._zi = np.array([(1.0 - alpha) * samples[0]])
+            samples, self._zi = signal.lfilter([alpha], [1.0, alpha - 1.0], samples,
+                                               zi=self._zi)
+        if self._sigma > 0:
+            samples = samples + self._rng.normal(0.0, self._sigma, len(samples))
+        return samples
 
 
 def channel_apply(w: Waveform, cfg: ChannelConfig, rng=None):
     """Delay, low-pass and add noise; identity when the trace length is 0."""
-    samples = w.samples
-    pole = cfg.pole_hz()
-    if pole is not None:
-        samples = _lowpass(samples, pole, w.dt_s)
-    if cfg.noise_sigma_v > 0:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        samples = samples + rng.normal(0.0, cfg.noise_sigma_v, len(samples))
-    return Waveform(w.t0_s + cfg.prop_delay_s, w.dt_s, np.asarray(samples))
+    if rng is None:
+        rng = np.random.default_rng(0)
+    stage = _Channel(cfg.pole_hz(), w.dt_s, cfg.noise_sigma_v, rng)
+    return Waveform(w.t0_s + cfg.prop_delay_s, w.dt_s, np.asarray(stage.apply(w.samples)))
 
 
 @dataclass
@@ -188,7 +202,7 @@ def _calibration_eye_height(tau_s):
     rng = np.random.default_rng(20210906)
     bits = rng.integers(0, 2, 480)
     w = drive(bits, ChannelConfig(swing=_CAL_SWING))
-    w.samples = _lowpass(w.samples, 1.0 / (2.0 * math.pi * tau_s), w.dt_s)
+    w.samples = _Channel(1.0 / (2.0 * math.pi * tau_s), w.dt_s).apply(w.samples)
     return eye_capture(w, n_ui=400).eye_height_v
 
 
@@ -229,10 +243,8 @@ class StreamingNrz:
         self.tx_ui_s = tx_ui_s
         self.dt_s = tx_ui_s / SAMPLES_PER_UI
         self._bit_source = bit_source
-        self._rng = np.random.default_rng([seed, 0xC0])
-        pole = cfg.pole_hz()
-        self._ba = _lowpass_coeffs(pole, self.dt_s) if pole is not None else None
-        self._zi = None
+        self._channel = _Channel(cfg.pole_hz(), self.dt_s, cfg.noise_sigma_v,
+                                 np.random.default_rng([seed, 0xC0]))
         self._pending = np.zeros(0)  # levels not yet rendered
         self._nbits = 0           # bits fully rendered
         self._prev_level = 0.0
@@ -258,13 +270,7 @@ class StreamingNrz:
         raw = _render_trapezoid(levels, SAMPLES_PER_UI, self.cfg.rise_time_ui,
                                 self._prev_level, next_level)
         self._prev_level = levels[-1]
-        if self._ba is not None:
-            b, a = self._ba
-            if self._zi is None:
-                self._zi = np.array([(1.0 - b[0]) * raw[0]])
-            raw, self._zi = signal.lfilter(b, a, raw, zi=self._zi)
-        if self.cfg.noise_sigma_v > 0:
-            raw = raw + self._rng.normal(0.0, self.cfg.noise_sigma_v, len(raw))
+        raw = self._channel.apply(raw)
         self._nbits += len(levels)
         self._tail = np.concatenate((self._tail, raw))
         if len(self._tail) > self._keep:

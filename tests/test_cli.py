@@ -85,6 +85,8 @@ def test_clock_mhz_must_be_positive(tmp_path, capsys, value):
         load_config(path)
     assert main(["ber", "--config", path, "--bits", "1000"]) == 2
     assert "clock_mhz" in capsys.readouterr().err
+    slowest = write(tmp_path, "[link]\nclock_mhz = 1\n")
+    assert load_config(slowest).clock_mhz == 1.0
 
 
 @pytest.mark.parametrize("value", [0, -4, 6, MEMORY_BYTES + 4])
@@ -101,6 +103,8 @@ def test_payload_bytes_must_be_words_that_fit_node_memory(tmp_path, capsys, valu
 @pytest.mark.parametrize("section,key,value", [
     ("link", "clock_mhz", "inf"),
     ("link", "clock_mhz", "1e12"),
+    ("link", "clock_mhz", "1e-300"),
+    ("link", "clock_mhz", "0.5"),
     ("link", "cdr_n", "3"),
     ("link", "freq_offset", "-1"),
     ("link", "initial_phase_ui", "nan"),

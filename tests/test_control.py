@@ -1,13 +1,15 @@
 import itertools
 
 import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from serlink.codec import FlitKind
 from serlink.control import (RxPipeline, SequenceDetector, TxFramer, TxState,
-                             tx_fsm_step, _BitMatcher)
+                             tx_fsm_step)
 from serlink.datapath import BitPair
 
 START_BITS = [1, 1, 0, 1, 1, 1, 1, 1]
+STOP_BITS = [1, 0, 1, 1, 1, 1, 1, 1]
 
 
 # -- TX controller -----------------------------------------------------------
@@ -116,60 +118,41 @@ def test_detector_stop_only_searched_in_data_phase():
     assert not det.in_data_comm
 
 
-def test_matcher_completeness_against_substring_oracle():
-    # KMP matcher fires exactly once per (overlapping) occurrence
-    rng = np.random.default_rng(31)
-    pattern = START_BITS
-    for trial in range(20):
-        bits = list(rng.integers(0, 2, 5000))
-        # splice in some guaranteed occurrences, including overlaps
-        for pos in (100, 777, 778 + 8, 3000):
-            bits[pos:pos + 8] = pattern
-        matcher = _BitMatcher(tuple(pattern))
-        fired_at = [i for i, b in enumerate(bits) if matcher.push(int(b))]
-        text = "".join(map(str, bits))
-        want = "".join(map(str, pattern))
-        expected = []
-        start = 0
-        while True:
-            idx = text.find(want, start)
-            if idx < 0:
-                break
-            expected.append(idx + 7)
-            start = idx + 1
-        assert fired_at == expected
+def _find_oracle(bits):
+    """Expected (pair, start?, shift) events: the first START occurrence,
+    then the first STOP lying wholly after it, then START again, ..."""
+    text = "".join(map(str, bits))
+    markers = ("".join(map(str, START_BITS)), "".join(map(str, STOP_BITS)))
+    events, pos, in_data, shift = [], 0, False, False
+    while True:
+        i = text.find(markers[in_data], pos)
+        if i < 0:
+            return events
+        if not in_data:
+            shift = i % 2 == 1  # started on a pair's second bit
+        events.append(((i + 7) // 2, not in_data, shift))
+        pos, in_data = i + 8, not in_data
 
 
-def test_detector_transition_relation_matches_fresh_kmp():
-    # exhaustive per-state x input-pair enumeration against an
-    # independently coded bit automaton for the default marker
-    pattern = START_BITS
-
-    def fresh_delta(p, bit):
-        # longest prefix of `pattern` that is a suffix of (match so far + bit)
-        prev = pattern[:p] + [bit]
-        for length in range(min(len(prev), 8), -1, -1):
-            if prev[len(prev) - length:] == pattern[:length]:
-                return length
-        return 0
-
-    for p in range(8):
-        for b1, b2 in itertools.product((0, 1), repeat=2):
-            det = SequenceDetector()
-            det._start.progress = p
-            det._bit_index = p  # keep alignment bookkeeping consistent
-            det.push_pair(BitPair(b1, b2))
-            q = fresh_delta(p, b1)
-            matched = q == 8
-            if matched:
-                q = 2  # longest proper border of the marker
-            q2 = fresh_delta(q, b2)
-            if q2 == 8:
-                matched = True
-            if matched:
-                assert det.in_data_comm
-            else:
-                assert det._start.progress == q2
+@settings(max_examples=300, deadline=None)
+@given(noise=st.lists(st.integers(0, 1), max_size=120),
+       splices=st.lists(st.tuples(st.sampled_from((START_BITS, STOP_BITS)),
+                                  st.integers(0, 10**6)), max_size=6))
+def test_detector_matches_find_oracle(noise, splices):
+    bits = list(noise)
+    for marker, at in splices:  # splice markers in at either parity
+        p = at % (len(bits) + 1)
+        bits[p:p] = marker
+    bits += [0] * (len(bits) % 2)
+    det = SequenceDetector()
+    got = []
+    for k, ev in enumerate(feed_pairs(det, bits)):
+        assert not (ev.start_detected and ev.stop_detected)
+        if ev.start_detected or ev.stop_detected:
+            got.append((k, ev.start_detected, ev.shift))
+    want = _find_oracle(bits)
+    assert got == want
+    assert det.in_data_comm == (len(want) % 2 == 1)
 
 
 # -- RX pipeline -------------------------------------------------------------
@@ -255,3 +238,18 @@ def test_pipeline_receiving_follows_markers_and_comm_en():
         got.extend(pipe.push_pair(pair))
         assert not pipe.receiving
     assert got == [] and pipe.frames_received == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
+       shift=st.sampled_from((0, 1)))
+@example(words=[1, 0xB5B5B5B5, 2], shift=1)  # the training flit's wire bits
+def test_any_framed_word_list_comes_back_in_one_frame(words, shift):
+    # the stop marker never fires inside coded payload, at either alignment
+    pipe = RxPipeline()
+    pipe.warm_en = pipe.comm_en = True
+    wire = wire_for_frame(words, shift=shift)
+    got = []
+    for i in range(0, len(wire) - 1, 2):
+        got.extend(pipe.push_pair(BitPair(wire[i], wire[i + 1])))
+    assert got == words and pipe.frames_received == 1

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from serlink.codec import Disparity, FlitKind, encode_flit
 from serlink.datapath import (BitPair, Deserializer, Serializer,
-                              ShiftRealigner, apply_shift)
+                              ShiftRealigner)
 from serlink.errors import Underflow
 
 
@@ -38,9 +39,9 @@ def test_serializer_counter_tracks_groups():
 def test_serializer_counter_wraps_to_zero_on_next_flit():
     ser = Serializer()
     ser.load([0] * 40)
-    ser.load([1] * 40)
     for _ in range(20):
         ser.step()
+    ser.load([1] * 40)
     pair, counter = ser.step()
     assert counter == 0 and pair == BitPair(1, 1)
 
@@ -61,16 +62,19 @@ def test_serializer_rejects_bad_width_and_overfill():
     with pytest.raises(ValueError):
         ser.load([0] * 39)
     ser.load([0] * 40)
-    ser.load([0] * 40)
+    assert not ser.flit_done
     with pytest.raises(ValueError):
-        ser.load([0] * 40)
+        ser.load([0] * 40)  # the loaded flit is still being sent
+    for _ in range(20):
+        ser.step()
+    ser.load([0] * 40)
 
 
 def test_deserializer_partial_input_gives_nothing():
     des = Deserializer()
-    for i in range(10):
+    for i in range(19):
         assert des.push(BitPair(1, 0)) is None
-    assert des.counter == 2
+    assert des.push(BitPair(1, 1)) == sum(1 << k for k in range(0, 40, 2)) | 1 << 39
 
 
 def test_serializer_deserializer_inverse():
@@ -89,7 +93,8 @@ def test_serializer_deserializer_inverse():
 
 def test_apply_shift_identity_when_disabled():
     pairs = [BitPair(1, 0), BitPair(0, 0), BitPair(1, 1)]
-    assert apply_shift(pairs, shift=False) == pairs
+    realigner = ShiftRealigner(shift=False)
+    assert [realigner.push(p) for p in pairs] == pairs
 
 
 def test_apply_shift_matches_brute_force_realignment():
@@ -97,7 +102,8 @@ def test_apply_shift_matches_brute_force_realignment():
     # with a zero pre-fill in place of bit[-1]
     for bits in itertools.product((0, 1), repeat=8):
         pairs = [BitPair(bits[i], bits[i + 1]) for i in range(0, 8, 2)]
-        out = apply_shift(pairs, shift=True)
+        realigner = ShiftRealigner(shift=True)
+        out = [realigner.push(p) for p in pairs]
         flat = (0,) + bits
         expect = [BitPair(flat[2 * k], flat[2 * k + 1]) for k in range(4)]
         assert out == expect
@@ -110,18 +116,19 @@ def test_shift_realigner_prefill_is_last_seen_odd_bit():
     assert realigner.push(BitPair(0, 0)) == BitPair(1, 0)
 
 
-def _recover_shifted(wire, n_words):
-    """Deserialize a one-bit-late pair stream through the realigner.
+def _recover(wire, n_words, shift=True):
+    """Deserialize a pair stream through the realigner.
 
-    The realigner output lags its input by one pair, so the first
-    realigned pair (pre-fill plus channel pad) is discarded.
+    With ``shift`` (a one-bit-late stream) the realigner output lags its
+    input by one pair, so the first realigned pair (pre-fill plus
+    channel pad) is discarded.
     """
-    realigner = ShiftRealigner(shift=True)
+    realigner = ShiftRealigner(shift=shift)
     des = Deserializer()
     words = []
     for k, i in enumerate(range(0, len(wire) - 1, 2)):
         out = realigner.push(BitPair(wire[i], wire[i + 1]))
-        if k == 0:
+        if shift and k == 0:
             continue
         word = des.push(out)
         if word is not None:
@@ -144,6 +151,22 @@ def test_shifted_stream_full_inverse():
             pair, _ = ser.step()
             wire.extend(pair)
     wire.extend([0, 0])
-    words = _recover_shifted(wire, len(flits))
+    words = _recover(wire, len(flits))
     want = [sum(b << k for k, b in enumerate(bits)) for bits in flits]
     assert words == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(flits=st.lists(st.integers(0, 2**40 - 1), min_size=1, max_size=20),
+       late=st.booleans())
+def test_serdes_with_realigner_returns_every_flit_at_either_alignment(flits, late):
+    # serializer -> optional one-bit-late wire -> realigner -> deserializer
+    ser = Serializer()
+    wire = [0] if late else []
+    for value in flits:
+        ser.load([(value >> k) & 1 for k in range(40)])
+        for _ in range(20):
+            pair, _ = ser.step()
+            wire.extend(pair)
+    wire.extend([0, 0])
+    assert _recover(wire, len(flits), shift=late) == flits
