@@ -120,6 +120,13 @@ def offset_drift_ui_per_ui(freq_offset):
 MAX_BLOCK_BATCHES = phy.STREAM_CHUNK_BITS // BATCH_BITS
 
 
+# Lock is declared after LOCK_BATCHES consecutive batches whose last
+# data sample sits within LOCK_TOL_UI (one interpolator step) of a bit
+# center; it dates from the end of the batch before them (or the start).
+LOCK_BATCHES = 64
+LOCK_TOL_UI = float(PI_STEP_UI)
+
+
 class CdrLoop:
     """Closed-loop sampler: recovers bit timing from a streamed waveform.
 
@@ -127,7 +134,10 @@ class CdrLoop:
     ``(k + 0.5) * ui + phi`` where ``phi`` starts at the initial phase
     offset and moves by 1/16 UI per interpolator step; edge samples sit
     half a UI earlier.  ``process_batch`` consumes 8 UI per batch and
-    counts slips (phase error through 0.5 UI); ``slips`` is their total.
+    observes the loop for whichever driver calls it: ``slips`` totals the
+    data samples that skipped or repeated a bit (phase error through
+    0.5 UI), ``first_slip_s`` is the end of the first batch with one, and
+    ``lock_time_s`` is the start of the first LOCK_BATCHES locked batches.
     """
 
     def __init__(self, stream: phy.StreamingNrz, ui_s=phy.UI_S, n=4,
@@ -146,6 +156,10 @@ class CdrLoop:
         self._last_index = None  # transmitted bit index of the last data sample
         self.pi_steps_applied = 0
         self.slips = 0
+        self.first_slip_s = None
+        self.lock_time_s = None
+        self._streak = 0
+        self._streak_start_s = t_start_s
 
     def _phase_errors(self, t_data):
         tx_ui = self.stream.tx_ui_s
@@ -190,7 +204,7 @@ class CdrLoop:
         self.slips += int(slips.sum())
         self._last_index = m[-1]
         last = slice(BATCH_BITS - 1, None, BATCH_BITS)
-        return BatchRecord(
+        rec = BatchRecord(
             data_bits=data.ravel(),
             bit_indices=m,
             t_end_s=t_data[last].tolist(),
@@ -199,6 +213,17 @@ class CdrLoop:
             pi_step=step,
             pi_code=state.pi_code,
         )
+        for t_end, err, batch_slips in zip(rec.t_end_s, rec.err_ui, rec.slips):
+            if batch_slips and self.first_slip_s is None:
+                self.first_slip_s = t_end
+            if abs(err) <= LOCK_TOL_UI:
+                self._streak += 1
+                if self._streak == LOCK_BATCHES and self.lock_time_s is None:
+                    self.lock_time_s = self._streak_start_s
+            else:
+                self._streak = 0
+                self._streak_start_s = t_end
+        return rec
 
 
 @dataclass
@@ -233,26 +258,16 @@ class RecoveryResult:
         return int(np.count_nonzero(self.bits[ok] != tx[self.bit_indices[ok]]))
 
 
-# Lock is declared after LOCK_BATCHES consecutive batches whose last
-# data sample sits within LOCK_TOL_UI (one interpolator step) of a bit center.
-LOCK_BATCHES = 64
-LOCK_TOL_UI = float(PI_STEP_UI)
-
-
-def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
+def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
                    freq_offset=0.0, initial_phase_ui=0.0, ui_s=phy.UI_S,
                    seed=0, include_boundary=True, keep_trace=True):
-    """Run the closed CDR loop over a transmitted bit sequence.
+    """Run the closed CDR loop over ``n_bits`` of a transmitted bit sequence.
 
-    ``lock_time_s`` is the start of the first stretch of LOCK_BATCHES
-    locked batches.  Raises OutOfRange if sampling runs past the end of
-    ``tx_bits``.
+    Lock, slips and steps are the loop's own observations (CdrLoop).
+    Raises OutOfRange if sampling runs past the end of ``tx_bits``.
     """
     tx_bits = np.asarray(tx_bits, dtype=np.int8)
     tx_ui = ui_s / (1.0 + freq_offset)
-    if n_bits is None:
-        # leave headroom for the render chunk granularity and offset drift
-        n_bits = int((len(tx_bits) - 600) / (1.0 + abs(freq_offset) + 0.002))
     if n_bits <= 0:
         raise ValueError("n_bits must be positive")
     cursor = [0]
@@ -273,11 +288,6 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
     bits = np.empty(n_batches * BATCH_BITS, dtype=np.int8)
     indices = np.empty(n_batches * BATCH_BITS, dtype=np.int64)
     trace = []
-    lock_time = None
-    streak = 0
-    streak_start = 0.0
-    prev_t_end = 0.0
-    first_slip = None
 
     k = 0
     while k < n_batches:
@@ -286,25 +296,12 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits=None, n=4,
         bits[k * BATCH_BITS:(k + count) * BATCH_BITS] = rec.data_bits
         indices[k * BATCH_BITS:(k + count) * BATCH_BITS] = rec.bit_indices
         k += count
-        # batches before the evaluation sampled under the previous code
-        codes = [(rec.pi_code - rec.pi_step) % PI_CODES] * (count - 1) + [rec.pi_code]
-        for t_end, err, code, slips in zip(rec.t_end_s, rec.err_ui, codes, rec.slips):
-            if keep_trace:
-                trace.append((t_end * 1e9, code, err))
+        if keep_trace:
+            # batches before the evaluation sampled under the previous code
+            codes = [(rec.pi_code - rec.pi_step) % PI_CODES] * (count - 1) + [rec.pi_code]
+            trace += ((t_end * 1e9, code, err)
+                      for t_end, code, err in zip(rec.t_end_s, codes, rec.err_ui))
 
-            if abs(err) <= LOCK_TOL_UI:
-                if streak == 0:
-                    streak_start = prev_t_end
-                streak += 1
-                if streak == LOCK_BATCHES and lock_time is None:
-                    lock_time = streak_start
-            else:
-                streak = 0
-
-            if slips and first_slip is None:
-                first_slip = t_end
-            prev_t_end = t_end
-
-    return RecoveryResult(bits=bits, bit_indices=indices, lock_time_s=lock_time,
-                          slips=loop.slips, first_slip_s=first_slip,
+    return RecoveryResult(bits=bits, bit_indices=indices, lock_time_s=loop.lock_time_s,
+                          slips=loop.slips, first_slip_s=loop.first_slip_s,
                           pi_steps=loop.pi_steps_applied, trace=trace)

@@ -347,7 +347,7 @@ class LinkEngine:
                                        seed=cfg.seed)
         self.pipeline = control.RxPipeline()
         self.loop = None
-        self.declared_lock_ps = None
+        self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
         self.decode_errors = 0
         self.first_data_bit_s = None
         self._tx_quanta = 0
@@ -381,7 +381,7 @@ class LinkEngine:
                 if name == "warm_en":
                     self._activate_rx()
                 else:
-                    self.declared_lock_ps = self.sim.now_ps
+                    self._watch_lock = True
         self.sim.schedule(self.sim.now_ps + self._cdc_ps, apply)
 
     # -- TX data plane ------------------------------------------------------
@@ -435,7 +435,7 @@ class LinkEngine:
         if not self.active or self.loop is None:
             return
         rec = self.loop.process_batch()
-        if any(rec.slips) and self.declared_lock_ps is not None and self.aborted is None:
+        if any(rec.slips) and self._watch_lock and self.aborted is None:
             self.log("rx", "loss_of_lock", 1)
             self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
 

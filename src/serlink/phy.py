@@ -232,7 +232,7 @@ def pole_for_length(length_cm):
 class StreamingNrz:
     """Chunk-rendered TX waveform for long closed-loop runs.
 
-    Levels are pushed in bursts (one per bit period, None while the
+    Levels are pushed in bursts (one per bit period, 0 V while the
     driver is idle); ``voltage`` evaluates the delayed, filtered, noisy
     waveform at arbitrary times within the rendered window.  One pending
     level is always held back so boundary ramps see their next level.
@@ -256,9 +256,6 @@ class StreamingNrz:
         self.push_levels(_levels_from_bits(bits, self.cfg.swing))
 
     def push_levels(self, levels):
-        levels = np.asarray(levels)
-        if levels.dtype == object:  # None marks the idle driver: 0 V
-            levels = np.where(np.equal(levels, None), 0.0, levels)
         self._pending = np.concatenate((self._pending, np.asarray(levels, dtype=float)))
         while len(self._pending) > STREAM_CHUNK_BITS:
             self._render(self._pending[:STREAM_CHUNK_BITS],

@@ -208,7 +208,11 @@ def test_recover_stream_rejects_empty_run():
 
 def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
                            initial_phase_ui, seed, include_boundary):
-    """Reference for recover_stream: one process_batch() call per batch."""
+    """Reference for recover_stream: one process_batch() call per batch.
+
+    Lock and first slip come from the reference's own streak logic; the
+    loop's tracker must agree with it under this driving too.
+    """
     chunks = iter(tx_bits.reshape(-1, phy.STREAM_CHUNK_BITS))
     stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + freq_offset), seed=seed,
                               bit_source=lambda count: next(chunks))
@@ -234,6 +238,7 @@ def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
         if slips and first_slip is None:
             first_slip = t_end
         prev_t_end = t_end
+    assert (loop.lock_time_s, loop.first_slip_s) == (lock_time, first_slip)
     return (bits, indices, loop.slips, lock_time, first_slip,
             loop.pi_steps_applied, trace)
 

@@ -108,7 +108,7 @@ def test_pole_map_monotone_and_open_circuit_at_zero():
 
 def test_sample_sign_decisions():
     stream = StreamingNrz(CLEAN)
-    stream.push_levels([None] * 40 + [0.22] * 40 + [-0.22] * 300)
+    stream.push_levels([0.0] * 40 + [0.22] * 40 + [-0.22] * 300)
     times = np.array([10.5, 60.5, 100.5]) * UI_S
     # 0 V (the idle driver) decides 0, like a negative level
     assert stream.sample_bits(times).tolist() == [0, 1, 0]
@@ -178,7 +178,7 @@ def test_streaming_matches_batch_rendering():
 
 def test_streaming_idle_levels_render_as_zero():
     stream = StreamingNrz(CLEAN)
-    stream.push_levels([None] * 40 + [0.22] * 300)
+    stream.push_levels([0.0] * 40 + [0.22] * 300)
     v = stream.voltage(np.array([10 * UI_S]))
     assert v[0] == 0.0
 
