@@ -304,12 +304,13 @@ def cmd_lock(args):
     return 0
 
 
-def _count(minimum):
-    """argparse type: an integer of at least ``minimum``."""
+def _count(minimum, maximum):
+    """argparse type: an integer in [minimum, maximum]."""
     def count(text):
         value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be in [{minimum}, {maximum}], got {value}")
         return value
     return count
 
@@ -342,9 +343,11 @@ def build_parser():
 
     p = sub.add_parser("eye", help="capture an eye diagram")
     common(p)
-    # two 2-UI traces are the fewest that can show an opening
-    p.add_argument("--ui", type=_count(4), default=phy.DEFAULT_EYE_UIS,
-                   help="unit intervals to superimpose")
+    # two 2-UI traces are the fewest that can show an opening; the upper
+    # bounds here and below keep each command's peak memory under about
+    # 1 GB (about 0.5 KB per eye UI, 20 B per ber bit, 50 B per lock bit)
+    p.add_argument("--ui", type=_count(4, 10**6), default=phy.DEFAULT_EYE_UIS,
+                   help="unit intervals to superimpose, 4 to 1000000")
     p.set_defaults(fn=cmd_eye)
 
     p = sub.add_parser("energy", help="emit duty-cycle energy curves")
@@ -355,12 +358,14 @@ def build_parser():
 
     p = sub.add_parser("ber", help="closed-loop bit error rate")
     common(p)
-    p.add_argument("--bits", type=_count(1), default=1_000_000)
+    p.add_argument("--bits", type=_count(1, 4 * 10**7), default=1_000_000,
+                   help="bits to recover, 1 to 40000000")
     p.set_defaults(fn=cmd_ber)
 
     p = sub.add_parser("lock", help="clock recovery phase trace")
     common(p)
-    p.add_argument("--bits", type=_count(1), default=40_000)
+    p.add_argument("--bits", type=_count(1, 10**7), default=40_000,
+                   help="training bits to recover, 1 to 10000000")
     p.set_defaults(fn=cmd_lock)
     return parser
 

@@ -28,6 +28,7 @@ SAMPLES_PER_UI = 32
 DEFAULT_EYE_UIS = 150
 EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
+_EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
 
 # Two-point calibration anchors for the trace-length -> pole map:
 # eye height in volts measured at a 0.44 V swing.
@@ -153,6 +154,15 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     Height is the vertical opening (smallest high sample minus largest
     low sample) at the best phase; width is the contiguous phase span
     around it where the opening stays within 0.1% of the best.
+
+    The folded ``(traces, 2*spu)`` matrix is walked in blocks of
+    ``_EYE_BLOCK_TRACES`` traces, so temporaries stay small.  Column c
+    holds every sample of phase c/spu: the openings come from masked
+    min and max down the columns, and the counts from one ``bincount``
+    per block over (phase bin, volt bin) pairs.  Both bins follow
+    numpy's histogram rules (right edges exclusive except the last), so
+    the counts and edges equal ``np.histogram2d`` of the folded samples
+    over [0, 2] UI and the whole waveform's voltage range.
     """
     spu = int(round(ui_s / w.dt_s))
     span_ui = (len(w.samples) - 1) / spu
@@ -162,13 +172,28 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     n_traces = int(n_ui) // 2
     folded = w.samples[:n_traces * window].reshape(n_traces, window)
 
-    openings = np.full(window, -np.inf)
-    for col in range(window):
-        v = folded[:, col]
-        hi = v[v > 0]
-        lo = v[v <= 0]  # a trace sitting at 0 V pierces the opening
-        if len(hi) and len(lo):
-            openings[col] = hi.min() - lo.max()
+    pe = np.linspace(0.0, 2.0, window + 1)
+    vmin = float(w.samples.min())
+    vmax = max(float(w.samples.max()), vmin + 1e-12)
+    ve = np.histogram_bin_edges([], EYE_VOLT_BINS, (vmin, vmax))
+    pbin = np.searchsorted(pe, np.arange(window) / spu, side="right") - 1
+    norm = EYE_VOLT_BINS / (ve[-1] - ve[0])
+    hi = np.full(window, np.inf)
+    lo = np.full(window, -np.inf)
+    counts = np.zeros(window * EYE_VOLT_BINS, dtype=np.intp)
+    for start in range(0, n_traces, _EYE_BLOCK_TRACES):
+        v = folded[start:start + _EYE_BLOCK_TRACES]
+        high = v > 0  # a trace sitting at 0 V pierces the opening
+        np.minimum(hi, np.where(high, v, np.inf).min(axis=0), out=hi)
+        np.maximum(lo, np.where(high, -np.inf, v).max(axis=0), out=lo)
+        # estimate the volt bin, then correct it by one step against the edges
+        vbin = ((v - ve[0]) * norm).astype(np.intp)
+        np.minimum(vbin, EYE_VOLT_BINS - 1, out=vbin)
+        vbin -= v < ve[vbin]
+        vbin += (v >= ve[vbin + 1]) & (vbin < EYE_VOLT_BINS - 1)
+        vbin += pbin * EYE_VOLT_BINS
+        counts += np.bincount(vbin.ravel(), minlength=len(counts))
+    openings = np.where((hi < np.inf) & (lo > -np.inf), hi - lo, -np.inf)
     best = int(np.argmax(openings))
     height = float(max(openings[best], 0.0))
 
@@ -187,14 +212,7 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
         width_ui = width / spu
     else:
         width_ui = 0.0
-
-    phases = (np.arange(n_traces * window) % window) / spu
-    vmin = float(w.samples.min())
-    vmax = max(float(w.samples.max()), vmin + 1e-12)
-    counts, pe, ve = np.histogram2d(
-        phases, w.samples[:n_traces * window],
-        bins=[window, EYE_VOLT_BINS],
-        range=[[0.0, 2.0], [vmin, vmax]])
+    counts = counts.reshape(window, EYE_VOLT_BINS).astype(float)
     return EyeDiagram(counts, pe, ve, height, width_ui, best / spu)
 
 

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -209,14 +210,23 @@ def test_energy_outputs_and_comparison(tmp_path, capsys):
 
 def test_ber_rejects_nonpositive_bits(tmp_path, capsys):
     # each count or curve name is checked while parsing, before any output
+    # or allocation: one past an upper bound would need gigabytes
     for argv in (["ber", "--bits", "0"], ["lock", "--bits", "0"],
                  ["eye", "--ui", "0"], ["eye", "--ui", "1"], ["eye", "--ui", "-10"],
+                 ["eye", "--ui", "1000001"], ["ber", "--bits", "40000001"],
+                 ["lock", "--bits", "10000001"], ["eye", "--ui", "1000000000000"],
                  ["energy", "--compare", "bogus"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--out", str(tmp_path)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert exc.value.code == 2
         assert argv[1] in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+        assert peak < 1_000_000
 
 
 def test_ber_that_outruns_its_input_is_a_domain_failure(tmp_path, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from serlink import phy
 from serlink.errors import InsufficientSpan, OutOfRange
@@ -104,6 +105,14 @@ def test_pole_map_monotone_and_open_circuit_at_zero():
     assert p2 > p3 > p5 > 0
 
 
+def test_pole_map_values_are_pinned():
+    # the calibration runs eye_capture inside brentq: any drift in the
+    # eye's openings or binning would move these poles
+    got = [repr(pole_for_length(cm)) for cm in (1.0, 2.0, 5.0, 8.0)]
+    assert got == ["609984735.8170421", "493761687.0394415",
+                   "373389672.3739702", "323529755.7718112"]
+
+
 # -- comparator ---------------------------------------------------------------
 
 def test_sample_sign_decisions():
@@ -158,6 +167,92 @@ def test_eye_counts_matrix_shape():
     eye = eye_capture(drive(rng.integers(0, 2, 220), CLEAN), n_ui=150)
     assert eye.counts.shape == (2 * phy.SAMPLES_PER_UI, 64)
     assert eye.counts.sum() == 75 * 2 * phy.SAMPLES_PER_UI
+
+
+def _reference_eye(w, ui_s, n_ui):
+    """eye_capture as a per-column loop and np.histogram2d."""
+    spu = int(round(ui_s / w.dt_s))
+    window = 2 * spu
+    n_traces = int(n_ui) // 2
+    folded = w.samples[:n_traces * window].reshape(n_traces, window)
+    openings = np.full(window, -np.inf)
+    for col in range(window):
+        v = folded[:, col]
+        hi = v[v > 0]
+        lo = v[v <= 0]
+        if len(hi) and len(lo):
+            openings[col] = hi.min() - lo.max()
+    best = int(np.argmax(openings))
+    height = float(max(openings[best], 0.0))
+    if height > 0:
+        ok = openings >= 0.999 * height
+        width = 1
+        i = best
+        while width < window and ok[(i - 1) % window]:
+            i -= 1
+            width += 1
+        j = best
+        while width < window and ok[(j + 1) % window]:
+            j += 1
+            width += 1
+        width_ui = width / spu
+    else:
+        width_ui = 0.0
+    phases = (np.arange(n_traces * window) % window) / spu
+    vmin = float(w.samples.min())
+    vmax = max(float(w.samples.max()), vmin + 1e-12)
+    counts, pe, ve = np.histogram2d(phases, w.samples[:n_traces * window],
+                                    bins=[window, phy.EYE_VOLT_BINS],
+                                    range=[[0.0, 2.0], [vmin, vmax]])
+    return phy.EyeDiagram(counts, pe, ve, height, width_ui, best / spu)
+
+
+_BLOCK_UI = 2 * phy._EYE_BLOCK_TRACES
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spu=st.sampled_from([2, 3, 7, 32, 33]),
+       n_ui=st.one_of(st.integers(1, 41), st.integers(_BLOCK_UI + 1, _BLOCK_UI + 9)),
+       extra=st.integers(1, 70), flat=st.booleans(), tail_extremes=st.booleans())
+@example(seed=1, spu=32, n_ui=_BLOCK_UI + 3, extra=5, flat=False, tail_extremes=True)
+@example(seed=2, spu=7, n_ui=151, extra=1, flat=True, tail_extremes=False)
+@example(seed=4, spu=3, n_ui=6, extra=2, flat=True, tail_extremes=False)  # 3e4 V
+@example(seed=3, spu=33, n_ui=9, extra=40, flat=False, tail_extremes=True)
+def test_eye_capture_equals_column_loop_and_histogram2d(seed, spu, n_ui, extra, flat,
+                                                        tail_extremes):
+    rng = np.random.default_rng(seed)
+    n = n_ui * spu + extra  # eye_capture needs at least n_ui * spu + 1 samples
+    if flat:
+        # 3e4 V is too large for vmin + 1e-12 to widen the range
+        samples = np.full(n, rng.choice([0.0, 0.22, -0.22, rng.uniform(-1, 1), 3e4]))
+    else:
+        vmin = rng.uniform(-1.0, 0.5)
+        vmax = vmin + rng.choice([rng.uniform(0.01, 1.0), 1e-12])
+        # exact 0 V, the volt edges (vmax among them) and their neighbours
+        # one ulp away, among random values
+        edges = np.linspace(vmin, vmax, phy.EYE_VOLT_BINS + 1)
+        pool = np.concatenate((edges, np.nextafter(edges[1:], -np.inf),
+                               np.nextafter(edges[:-1], np.inf)))
+        if vmin <= 0.0 <= vmax:
+            pool = np.append(pool, 0.0)
+        samples = rng.uniform(vmin, vmax, n)
+        pick = rng.random(n) < 0.3
+        samples[pick] = rng.choice(pool, np.count_nonzero(pick))
+        # the extremes may sit past the folded span and still set the range
+        folded_end = (n_ui // 2) * 2 * spu
+        spots = rng.integers(folded_end if tail_extremes else 0, n, 2)
+        samples[spots] = vmin, vmax
+    dt_s = 1e-11
+    wave = phy.Waveform(0.0, dt_s, samples)
+    ui_s = spu * dt_s
+    got = eye_capture(wave, ui_s=ui_s, n_ui=n_ui)
+    want = _reference_eye(wave, ui_s, n_ui)
+    assert got.counts.dtype == want.counts.dtype
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.phase_edges.tobytes() == want.phase_edges.tobytes()
+    assert got.volt_edges.tobytes() == want.volt_edges.tobytes()
+    assert (repr(got.eye_height_v), repr(got.eye_width_ui), repr(got.best_phase_ui)) == \
+        (repr(want.eye_height_v), repr(want.eye_width_ui), repr(want.best_phase_ui))
 
 
 # -- streaming renderer ---------------------------------------------------------
