@@ -32,7 +32,6 @@ def _key(section, default, rule=None, valid=None):
                  metadata={"section": section, "rule": rule, "valid": valid})
 
 
-_POSITIVE = ("> 0", lambda v: v > 0)
 _NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 
 
@@ -55,9 +54,13 @@ class ScenarioConfig:
     pd_boundary: bool = _key("link", True, "true or false")
     freq_offset: float = _key("link", 0.0, "in (-1, 1]", lambda v: -1 < v <= 1)
     initial_phase_ui: float = _key("link", 0.25, "in [0, 2)", lambda v: 0 <= v < 2)
-    swing_v: float = _key("channel", 0.44, *_POSITIVE)
+    # swing and noise in volts, each at most 1000: far past any CMOS link,
+    # and small enough that every rendered sample (a level of swing/2 plus
+    # a noise draw of many sigma) and an eye's voltage span stay finite;
+    # a 1e308 noise sigma overflows the draw to inf, and no eye bins exist
+    swing_v: float = _key("channel", 0.44, "in (0, 1000]", lambda v: 0 < v <= 1000)
     trace_cm: float = _key("channel", 2.0, *_NON_NEGATIVE)
-    noise_sigma_v: float = _key("channel", 0.0, *_NON_NEGATIVE)
+    noise_sigma_v: float = _key("channel", 0.0, "in [0, 1000]", lambda v: 0 <= v <= 1000)
     rj_sigma_ps: float = _key("channel", 0.0, *_NON_NEGATIVE)
     prop_delay_ps: float = _key("channel", 0.0, *_NON_NEGATIVE)
     rise_time_ui: float = _key("channel", 0.1, "in [0, 1]", lambda v: 0 <= v <= 1)
@@ -278,11 +281,13 @@ def cmd_ber(args):
         freq_offset=cfg.freq_offset, initial_phase_ui=cfg.initial_phase_ui,
         ui_s=cfg.ui_s, seed=cfg.seed, include_boundary=cfg.pd_boundary,
         keep_trace=False)
+    # the loop recovers whole batches: a count not a multiple of 8 rounds down
+    n_bits = len(result.bits)
     errors = result.errors_against(tx_bits) + result.slips
-    ber = errors / args.bits
-    upper = float(stats.beta.ppf(0.95, errors + 1, args.bits - errors)) \
-        if errors < args.bits else 1.0
-    print(f"bits={args.bits} errors={errors} ber={ber:.3e} "
+    ber = errors / n_bits
+    upper = float(stats.beta.ppf(0.95, errors + 1, n_bits - errors)) \
+        if errors < n_bits else 1.0
+    print(f"bits={n_bits} errors={errors} ber={ber:.3e} "
           f"ber_upper95={upper:.3e} slips={result.slips}")
     return 0 if result.slips == 0 else 1
 
@@ -358,14 +363,14 @@ def build_parser():
 
     p = sub.add_parser("ber", help="closed-loop bit error rate")
     common(p)
-    p.add_argument("--bits", type=_count(1, 4 * 10**7), default=1_000_000,
-                   help="bits to recover, 1 to 40000000")
+    p.add_argument("--bits", type=_count(cdr.BATCH_BITS, 4 * 10**7), default=1_000_000,
+                   help="bits to recover, 8 to 40000000")
     p.set_defaults(fn=cmd_ber)
 
     p = sub.add_parser("lock", help="clock recovery phase trace")
     common(p)
-    p.add_argument("--bits", type=_count(1, 10**7), default=40_000,
-                   help="training bits to recover, 1 to 10000000")
+    p.add_argument("--bits", type=_count(cdr.BATCH_BITS, 10**7), default=40_000,
+                   help="training bits to recover, 8 to 10000000")
     p.set_defaults(fn=cmd_lock)
     return parser
 

@@ -242,7 +242,6 @@ class FlitKind(enum.Enum):
 class Flit:
     """One 40-bit frame: four 10-bit lane codes, lane 0 transmitted first."""
 
-    kind: FlitKind
     lanes: tuple
 
     def bits(self):
@@ -261,7 +260,7 @@ class Flit:
     def from_int(cls, value):
         """The received flit whose wire bit ``k`` is bit ``k`` of ``value``."""
         lanes = tuple((value >> (CODE_BITS * i)) & 0x3FF for i in range(LANES))
-        return cls(FlitKind.DATA, lanes)
+        return cls(lanes)
 
 
 def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
@@ -278,7 +277,7 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
             byte = (word >> (8 * i)) & 0xFF
             code, rd = encode_symbol(Symbol(byte), rd)
             lanes.append(code)
-        return Flit(kind, tuple(lanes)), rd
+        return Flit(tuple(lanes)), rd
     if word is not None:
         raise ValueError(f"{kind.value} flit carries no word")
     # header lane 0: the raw marker byte LSB-first, padded with two zeros
@@ -288,7 +287,7 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
         lanes = (STOP_BYTE,) + (FILLER_CODE,) * 3
     else:
         lanes = (FILLER_CODE,) * LANES
-    return Flit(kind, lanes), rd
+    return Flit(lanes), rd
 
 
 def decode_flit(flit: Flit, rd=Disparity.NEGATIVE):

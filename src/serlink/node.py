@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -125,10 +125,6 @@ class GpioWire:
             self._log(node.name, self.name, level, forced=node is not self.owner)
 
 
-REGISTER_NAMES = ("tx_data_addr", "rx_data_addr", "tx_data_size",
-                  "rx_data_size", "warm_en", "comm_en", "cdr_n")
-
-
 @dataclass
 class ConfigRegisters:
     tx_data_addr: int = 0
@@ -138,6 +134,9 @@ class ConfigRegisters:
     warm_en: int = 0
     comm_en: int = 0
     cdr_n: int = 4
+
+
+REGISTER_NAMES = frozenset(f.name for f in fields(ConfigRegisters))
 
 
 @dataclass
@@ -307,10 +306,6 @@ class EventLog:
         if forced:
             self.rows.append((self.sim.now_s, node, f"{signal_name}_forced", 1))
 
-    def energy_events(self):
-        keep = {"tx_analog", "rx_analog", "tx_digital", "rx_digital"}
-        return [(t, sig, val) for (t, node, sig, val) in self.rows if sig in keep]
-
 
 # rx_digital/tx_digital state while a side's warm_en is set
 _DIGITAL_ON = {"tx": "active", "rx": "warm"}
@@ -332,7 +327,6 @@ class LinkEngine:
         self.tx = tx
         self.rx = rx
         self.log = log
-        self.active = True
         self.aborted = None
 
         self._cdc_ps = s_to_ps(CDC_SLOW_CYCLES * cfg.slow_cycle_s)
@@ -387,8 +381,6 @@ class LinkEngine:
     # -- TX data plane ------------------------------------------------------
 
     def _tx_quantum(self):
-        if not self.active:
-            return
         levels = []
         half_swing = self.cfg.channel.swing / 2.0
         for _ in range(4):
@@ -404,9 +396,6 @@ class LinkEngine:
             self.log("tx", "tx_state", state.value)
             if state is control.TxState.DATA_COMM and self.first_data_bit_s is None:
                 self.first_data_bit_s = self._tx_quanta * 8 * self.cfg.tx_ui_s
-            if (self._prev_tx_state is control.TxState.STOP_HEADER
-                    and state is control.TxState.IDLE):
-                self.log("tx", "tx_frame_done", 1)
             self._prev_tx_state = state
         self._tx_quanta += 1
         self.sim.schedule(s_to_ps(self._tx_quanta * 8 * self.cfg.tx_ui_s),
@@ -415,8 +404,6 @@ class LinkEngine:
     # -- RX data plane ------------------------------------------------------
 
     def _activate_rx(self):
-        if self.loop is not None:
-            return
         anchor_s = self.sim.now_s
         self.loop = cdr.CdrLoop(
             self.stream, ui_s=self.cfg.ui_s, n=self.rx.regs.cdr_n,
@@ -432,10 +419,12 @@ class LinkEngine:
         self.sim.schedule(max(s_to_ps(t), self.sim.now_ps), self._rx_quantum)
 
     def _rx_quantum(self):
-        if not self.active or self.loop is None:
+        try:
+            rec = self.loop.process_batch()
+        except OutOfRange as exc:
+            self.abort(f"OutOfRange: {exc}")
             return
-        rec = self.loop.process_batch()
-        if any(rec.slips) and self._watch_lock and self.aborted is None:
+        if any(rec.slips) and self._watch_lock:
             self.log("rx", "loss_of_lock", 1)
             self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
 
@@ -469,7 +458,6 @@ class LinkEngine:
     def abort(self, reason):
         if self.aborted is None:
             self.aborted = reason
-        self.active = False
 
 
 @dataclass
@@ -637,59 +625,37 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     else:
         raise ValueError(f"unknown scenario {cfg.scenario!r}")
 
-    state = {"tx_done": False, "rx_done": False}
+    finished = set()  # nodes whose setup program has run to its end
+    tx.run_program(tx_steps, on_done=lambda: finished.add(tx))
+    rx.run_program(rx_steps, on_done=lambda: finished.add(rx))
     timestamps = {}
-
-    def tx_done():
-        state["tx_done"] = True
-
-    def rx_done():
-        state["rx_done"] = True
-
-    tx.run_program(tx_steps, on_done=tx_done)
-    rx.run_program(rx_steps, on_done=rx_done)
-
-    def programmed():
-        return rx.regs.rx_data_size > 0
+    setup_cycles = None  # both nodes' program cycles when teardown starts
 
     def transfer_complete():
-        return (state["tx_done"] and state["rx_done"] and programmed()
-                and rx.dma_write.done
+        return (len(finished) == 2 and rx.dma_write.done
                 and engine.framer.state is control.TxState.IDLE
-                and engine.framer.warm_en is False)
+                and not engine.framer.warm_en)
 
-    teardown = {"started": False, "setup_cycles": None}
-
-    def maybe_teardown():
-        if teardown["started"] or engine.aborted:
-            return
-        if (state["rx_done"] and programmed() and rx.dma_write.done
+    def teardown_poll():
+        # once the RX program has run, its DMA has written the payload and
+        # a frame has ended, both nodes switch the link off.  The poll has
+        # no exit: ``stop`` ends the run at completion or an abort.
+        nonlocal setup_cycles
+        if (setup_cycles is None and rx in finished and rx.dma_write.done
                 and engine.pipeline.frames_received >= 1):
-            teardown["started"] = True
-            teardown["setup_cycles"] = tx.program_cycles + rx.program_cycles
+            setup_cycles = tx.program_cycles + rx.program_cycles
             timestamps["data_done"] = sim.now_s
-            tx.run_program([
-                ("line", "comm_en_off", lambda: tx.write_register("comm_en", 0)),
-                ("line", "warm_en_off", lambda: tx.write_register("warm_en", 0)),
-            ])
-            rx.run_program([
-                ("line", "comm_en_off", lambda: rx.write_register("comm_en", 0)),
-                ("line", "warm_en_off", lambda: rx.write_register("warm_en", 0)),
-            ])
+            for side in (tx, rx):
+                side.run_program([
+                    ("line", f"{reg}_off", functools.partial(side.write_register, reg, 0))
+                    for reg in ("comm_en", "warm_en")])
+        sim.schedule(sim.now_ps + 10 * MCU_PERIOD_PS, teardown_poll)
 
-    def watchdog_poll():
-        maybe_teardown()
-        if engine.aborted or transfer_complete():
-            return
-        sim.schedule(sim.now_ps + 10 * MCU_PERIOD_PS, watchdog_poll)
-
-    sim.schedule(0, watchdog_poll)
+    sim.schedule(0, teardown_poll)
 
     expected_s = cfg.payload_bytes * 8 * cfg.ui_s + cdr.WARMUP_S + 5e-6
-    deadline_ps = s_to_ps(WATCHDOG_FACTOR * expected_s)
-    sim.run(until_ps=deadline_ps,
+    sim.run(until_ps=s_to_ps(WATCHDOG_FACTOR * expected_s),
             stop=lambda: engine.aborted is not None or transfer_complete())
-    engine.active = False
 
     delivered = rx.dma_write.cursor
     received = bytes(rx.memory[0:cfg.payload_bytes])
@@ -705,23 +671,18 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
         diagnostic = f"DataMismatch: {mismatches} bytes differ"
 
     for t, node_name, sig, val in log.rows:
-        key = {"start_detected": "start_detected", "tx_frame_done": "tx_frame_done"}.get(sig)
-        if key and key not in timestamps:
-            timestamps[key] = t
-        if sig == "warm_en" and val == 1 and f"{node_name}_warm_en" not in timestamps:
-            timestamps[f"{node_name}_warm_en"] = t
-        if sig == "comm_en" and val == 1 and f"{node_name}_comm_en" not in timestamps:
-            timestamps[f"{node_name}_comm_en"] = t
+        if sig == "start_detected":
+            timestamps.setdefault(sig, t)
+        elif sig in ("warm_en", "comm_en") and val == 1:
+            timestamps.setdefault(f"{node_name}_{sig}", t)
     if engine.first_data_bit_s is not None:
         timestamps["first_data_bit"] = engine.first_data_bit_s
     timestamps["end"] = sim.now_s
 
     gpio_edges = [(t, sig, val) for (t, node_name, sig, val) in log.rows
                   if sig in ("gpio0", "gpio1")]
-    energy_j = energy.energy_trace(log.energy_events(), energy.DEFAULT_PROFILE,
-                                   sim.now_s)
-
-    setup_cycles = teardown["setup_cycles"]
+    energy_j = energy.energy_trace([(t, sig, val) for t, _, sig, val in log.rows],
+                                   energy.DEFAULT_PROFILE, sim.now_s)
     if setup_cycles is None:
         setup_cycles = tx.program_cycles + rx.program_cycles
     ok = completed and mismatches == 0 and not engine.aborted

@@ -110,7 +110,9 @@ def test_payload_bytes_must_be_words_that_fit_node_memory(tmp_path, capsys, valu
     ("link", "freq_offset", "-1"),
     ("link", "initial_phase_ui", "nan"),
     ("channel", "swing_v", "-1"),
+    ("channel", "swing_v", "1e308"),
     ("channel", "noise_sigma_v", "-1"),
+    ("channel", "noise_sigma_v", "1e308"),
     ("channel", "trace_cm", "-1"),
     ("channel", "rj_sigma_ps", "-1"),
     ("channel", "prop_delay_ps", "-1"),
@@ -212,6 +214,7 @@ def test_ber_rejects_nonpositive_bits(tmp_path, capsys):
     # each count or curve name is checked while parsing, before any output
     # or allocation: one past an upper bound would need gigabytes
     for argv in (["ber", "--bits", "0"], ["lock", "--bits", "0"],
+                 ["ber", "--bits", "7"], ["lock", "--bits", "7"],
                  ["eye", "--ui", "0"], ["eye", "--ui", "1"], ["eye", "--ui", "-10"],
                  ["eye", "--ui", "1000001"], ["ber", "--bits", "40000001"],
                  ["lock", "--bits", "10000001"], ["eye", "--ui", "1000000000000"],
@@ -236,11 +239,26 @@ def test_ber_that_outruns_its_input_is_a_domain_failure(tmp_path, capsys):
     assert "OutOfRange" in capsys.readouterr().err
 
 
+def test_run_that_samples_outside_the_waveform_is_a_domain_failure(tmp_path, capsys):
+    path = write(tmp_path, "[channel]\nrj_sigma_ps = 10000\n"
+                           "[protocol]\npayload_bytes = 256\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 1
+    assert "FAILED: OutOfRange: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", ["2", "4"])
 def test_ber_jitter_before_the_first_sample(tmp_path, seed):
     # the first edge sample sits at t = 0; jitter moves it before the waveform
     path = write(tmp_path, "[link]\ninitial_phase_ui = 0\n[channel]\nrj_sigma_ps = 3\n")
     assert main(["ber", "--config", path, "--bits", "2000", "--seed", seed]) == 0
+
+
+def test_ber_counts_only_the_bits_it_recovered(capsys):
+    # the loop recovers whole 8-bit batches, so 15 requested bits are 8
+    assert main(["ber", "--bits", "15"]) == 0
+    assert capsys.readouterr().out.startswith("bits=8 errors=0 ber=0.000e+00 ")
+    assert main(["ber", "--bits", "16"]) == 0
+    assert capsys.readouterr().out.startswith("bits=16 ")
 
 
 def test_ber_small_clean_run(capsys):

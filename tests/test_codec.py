@@ -179,7 +179,7 @@ def test_corrupted_lane_reported_with_index():
             break
     assert corrupted is not None
     lanes[2] = corrupted
-    bad = Flit(FlitKind.DATA, tuple(lanes))
+    bad = Flit(tuple(lanes))
     with pytest.raises(InvalidCode, match="lane 2"):
         decode_flit(bad, Disparity.NEGATIVE)
 

@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serlink import energy, node
+from serlink import energy, node, phy
 from serlink.errors import (AlignmentError, OutOfRange, SimulationError,
                             UnknownRegister)
 from serlink.node import (MEMORY_BYTES, DmaChannel, Fifo, LinkSimConfig, Node,
@@ -216,6 +218,16 @@ def test_large_offset_reports_loss_of_lock():
     assert "LossOfLock" in report.diagnostic
 
 
+@pytest.mark.parametrize("channel", [phy.ChannelConfig(rj_sigma_s=10e-9),
+                                     phy.ChannelConfig(prop_delay_s=2e-6)])
+def test_sampling_outside_the_waveform_is_reported_not_raised(channel):
+    # 10 ns of jitter samples past the rendered waveform; a 2 us delay
+    # samples before the retained window
+    report = run_protocol(LinkSimConfig(payload_bytes=256, channel=channel))
+    assert not report.ok and not report.loss_of_lock
+    assert report.diagnostic.startswith("OutOfRange: ")
+
+
 @pytest.mark.parametrize("payload", [0, 6, MEMORY_BYTES + 4])
 def test_payload_outside_node_memory_is_rejected_before_simulating(payload):
     # library callers bypass the config checks; a payload that does not
@@ -231,6 +243,37 @@ def test_transfer_report_is_deterministic():
     assert a.events_csv() == b.events_csv()
     c = run_protocol(LinkSimConfig(payload_bytes=512, seed=6))
     assert c.events_csv() != a.events_csv() or c.to_text() != a.to_text()
+
+
+# sha256 of to_text() + events_csv(); any change to event order or time,
+# report text or energy moves a digest, so a refactor of the transfer
+# lifecycle must leave all four as they are
+_PINNED_TRANSFERS = {
+    "tx_256": (
+        LinkSimConfig(payload_bytes=256),
+        "78f9100075e1d9bd766fba2b2503d0f2a685e0d095ff2a744cca455945b2a1ed"),
+    "rx_256_own_pin_offset": (
+        LinkSimConfig(payload_bytes=256, scenario="rx_initiated",
+                      rx_release_pin="own", freq_offset=0.002),
+        "0c7b506e94e1c7497f949248e419fcf696bc3f7ee247acd3557042580b18059b"),
+    "noisy_jittered_5cm": (
+        LinkSimConfig(payload_bytes=256, channel=phy.ChannelConfig(
+            trace_length_cm=5.0, noise_sigma_v=0.05, rj_sigma_s=10e-12)),
+        "2302744d7d0ff79923a6a5214abab95e1c507d83eff396ca1b0cb16d1a7e2a87"),
+    "loss_of_lock": (
+        LinkSimConfig(payload_bytes=1024, freq_offset=0.02),
+        "24bc37ab5c77edf7797338130f3841da28b200c3b4753bfeea6e377cfc35f881"),
+}
+
+
+def test_transfer_outputs_are_pinned():
+    moved = []
+    for name, (cfg, digest) in _PINNED_TRANSFERS.items():
+        report = run_protocol(cfg)
+        text = report.to_text() + report.events_csv()
+        if hashlib.sha256(text.encode()).hexdigest() != digest:
+            moved.append(name)
+    assert moved == []
 
 
 def test_shift_path_exercised_by_some_offset():
