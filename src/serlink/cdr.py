@@ -46,22 +46,14 @@ def alexander_pd(d_prev, edge, d_cur) -> PdDecision:
 
 
 def pd_batch(data, edge, last_bit_prev_batch, include_boundary=True):
-    """Early-minus-late sum of each 8-bit batch; |sum| <= 8.
-
-    ``data`` and ``edge`` are one batch (an int comes back) or a
-    ``(count, 8)`` block of consecutive batches (a list of ints).
-    """
-    d = np.asarray(data)
-    e = np.asarray(edge)
-    flat = d.ravel()
-    prev = np.empty_like(flat)
-    prev[0] = last_bit_prev_batch
-    prev[1:] = flat[:-1]
-    prev = prev.reshape(d.shape)
-    contrib = np.where(e == prev, 1, -1) * (prev != d)
-    if not include_boundary:
-        contrib[..., 0] = 0
-    return contrib.sum(axis=-1).tolist()
+    """Early-minus-late sum of one 8-bit batch; |sum| <= 8."""
+    total = 0
+    prev = last_bit_prev_batch
+    for i, (d, e) in enumerate(zip(data, edge)):
+        if d != prev and (i or include_boundary):
+            total += 1 if e == prev else -1
+        prev = d
+    return total
 
 
 # The accumulator register clamps like the hardware's would; a 5-bit
@@ -148,7 +140,7 @@ class CdrLoop:
         self.state = CdrState(n=n)
         self.include_boundary = include_boundary
         self.phi_s = initial_phase_ui * ui_s
-        self._edge_then_data = np.array([[0.5 * ui_s], [0.0]])
+        self._half_ui_s = 0.5 * ui_s
         self._t0 = t_start_s
         self._sample_index = 0
         self._last_bit = 0
@@ -161,60 +153,53 @@ class CdrLoop:
         self._streak = 0
         self._streak_start_s = t_start_s
 
-    def _phase_errors(self, t_data):
-        tx_ui = self.stream.tx_ui_s
-        u = (t_data - self.stream.reference_delay_s) / tx_ui - 0.5
-        m = np.rint(u).astype(np.int64)
-        return u - m, m
-
     def process_batch(self, count=1):
         """Sample ``count`` consecutive 8-bit batches and run the loop.
 
         The phase only moves at a filter evaluation, so one call never
         goes past the next one (nor past MAX_BLOCK_BATCHES batches); the
-        record says how many batches it covered.
+        record says how many batches it covered.  One sampling call per
+        call, then one pass of Python scalars per batch.
         """
         state = self.state
         count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
-        idx = self._sample_index + np.arange(count * BATCH_BITS)
-        t_data = self._t0 + (idx + 0.5) * self.ui_s + self.phi_s
+        t0, ui_s, phi_s, half = self._t0, self.ui_s, self.phi_s, self._half_ui_s
+        first = self._sample_index
+        t_data = [t0 + (k + 0.5) * ui_s + phi_s
+                  for k in range(first, first + count * BATCH_BITS)]
+        t_edge = [t - half for t in t_data]
         # per batch, edges (half a UI earlier) before data: the jitter
         # draws then come in the same order whatever the count
-        times = t_data.reshape(count, 1, BATCH_BITS) - self._edge_then_data
-        bits = self.stream.sample_bits(times.ravel(), self._rng)
-        bits = bits.reshape(count, 2, BATCH_BITS)
-        edge, data = bits[:, 0], bits[:, 1]
+        times = []
+        for lo in range(0, len(t_data), BATCH_BITS):
+            times += t_edge[lo:lo + BATCH_BITS]
+            times += t_data[lo:lo + BATCH_BITS]
+        bits = self.stream.sample_bits(times, self._rng).tolist()
 
-        for batch_sum in pd_batch(data, edge, self._last_bit, self.include_boundary):
-            step = loop_filter_update(state, batch_sum)  # only the last can step
-        self._last_bit = int(data[-1, -1])
-        if step:
-            pi_apply(state, step)
-            self.phi_s += step * float(PI_STEP_UI) * self.ui_s
-            self.pi_steps_applied += abs(step)
-        err_ui, m = self._phase_errors(t_data)
-        self._sample_index += count * BATCH_BITS
-
-        prev = np.empty_like(m)
-        prev[0] = m[0] - 1 if self._last_index is None else self._last_index
-        prev[1:] = m[:-1]
-        slips = (m - prev != 1).reshape(count, BATCH_BITS).sum(axis=1)
-        if self._last_index is None:
-            slips[0] = 0  # the loop's first batch has no slip reference yet
-        self.slips += int(slips.sum())
-        self._last_index = m[-1]
-        last = slice(BATCH_BITS - 1, None, BATCH_BITS)
-        rec = BatchRecord(
-            data_bits=data.ravel(),
-            bit_indices=m,
-            t_end_s=t_data[last].tolist(),
-            err_ui=err_ui[last].tolist(),
-            slips=slips.tolist(),
-            pi_step=step,
-            pi_code=state.pi_code,
-        )
-        for t_end, err, batch_slips in zip(rec.t_end_s, rec.err_ui, rec.slips):
-            if batch_slips and self.first_slip_s is None:
+        tx_ui, delay = self.stream.tx_ui_s, self.stream.reference_delay_s
+        us = [(t - delay) / tx_ui - 0.5 for t in t_data]
+        ms = list(map(round, us))  # half to even, like np.rint
+        prev = ms[0] - 1 if self._last_index is None else self._last_index
+        jumps = [m - p for p, m in zip([prev] + ms, ms)]
+        data_bits, t_ends, errs, batch_slips = [], [], [], []
+        for lo in range(0, len(t_data), BATCH_BITS):
+            edge = bits[2 * lo:2 * lo + BATCH_BITS]
+            data = bits[2 * lo + BATCH_BITS:2 * lo + 2 * BATCH_BITS]
+            step = loop_filter_update(  # only the last batch can step
+                state, pd_batch(data, edge, self._last_bit, self.include_boundary))
+            self._last_bit = data[-1]
+            end = lo + BATCH_BITS - 1
+            t_end, err = t_data[end], us[end] - ms[end]
+            slips = BATCH_BITS - jumps[lo:end + 1].count(1)
+            if self._last_index is None:
+                slips = 0  # the loop's first batch has no slip reference yet
+            self._last_index = ms[end]
+            data_bits += data
+            t_ends.append(t_end)
+            errs.append(err)
+            batch_slips.append(slips)
+            self.slips += slips
+            if slips and self.first_slip_s is None:
                 self.first_slip_s = t_end
             if abs(err) <= LOCK_TOL_UI:
                 self._streak += 1
@@ -223,15 +208,22 @@ class CdrLoop:
             else:
                 self._streak = 0
                 self._streak_start_s = t_end
-        return rec
+        self._sample_index += count * BATCH_BITS
+        if step:
+            pi_apply(state, step)
+            self.phi_s += step * float(PI_STEP_UI) * self.ui_s
+            self.pi_steps_applied += abs(step)
+        return BatchRecord(data_bits=data_bits, bit_indices=ms, t_end_s=t_ends,
+                           err_ui=errs, slips=batch_slips, pi_step=step,
+                           pi_code=state.pi_code)
 
 
 @dataclass
 class BatchRecord:
     """One ``process_batch`` call: consecutive batches under one phase."""
 
-    data_bits: np.ndarray
-    bit_indices: np.ndarray  # transmitted bit index of each data sample
+    data_bits: list
+    bit_indices: list  # transmitted bit index of each data sample
     # per batch: its last data sample's time and phase error, and the data
     # samples that skipped or repeated a transmitted bit
     t_end_s: list
@@ -261,15 +253,17 @@ class RecoveryResult:
 def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
                    freq_offset=0.0, initial_phase_ui=0.0, ui_s=phy.UI_S,
                    seed=0, include_boundary=True, keep_trace=True):
-    """Run the closed CDR loop over ``n_bits`` of a transmitted bit sequence.
+    """Run the closed CDR loop over a transmitted bit sequence.
 
-    Lock, slips and steps are the loop's own observations (CdrLoop).
-    Raises OutOfRange if sampling runs past the end of ``tx_bits``.
+    Recovers ``n_bits // 8`` whole batches, so ``n_bits`` must be at
+    least BATCH_BITS.  Lock, slips and steps are the loop's own
+    observations (CdrLoop).  Raises OutOfRange if sampling runs past the
+    end of ``tx_bits``.
     """
     tx_bits = np.asarray(tx_bits, dtype=np.int8)
     tx_ui = ui_s / (1.0 + freq_offset)
-    if n_bits <= 0:
-        raise ValueError("n_bits must be positive")
+    if n_bits < BATCH_BITS:
+        raise ValueError(f"n_bits must be at least {BATCH_BITS}")
     cursor = [0]
 
     def pull(count):

@@ -29,11 +29,6 @@ class Serializer:
         self._pos = 0
 
     @property
-    def counter(self):
-        """Group counter visible to the TX controller: bits_sent//8 mod 5."""
-        return (self._pos // GROUP_BITS) % GROUPS
-
-    @property
     def flit_done(self):
         """Whether a new flit may be loaded: none yet, or all 40 bits sent."""
         return self._bits is None or self._pos == FLIT_BITS
@@ -48,13 +43,16 @@ class Serializer:
         self._pos = 0
 
     def step(self):
-        """Emit one DDR pair; returns (BitPair, counter_before_emit)."""
-        if self.flit_done:
+        """Emit one DDR pair; returns (BitPair, counter_before_emit).
+
+        The group counter, visible to the TX controller, is bits_sent//8
+        mod 5.
+        """
+        bits, pos = self._bits, self._pos
+        if bits is None or pos == FLIT_BITS:  # as flit_done
             raise Underflow("serializer stepped with no flit loaded")
-        counter = self.counter
-        pair = BitPair(self._bits[self._pos], self._bits[self._pos + 1])
-        self._pos += 2
-        return pair, counter
+        self._pos = pos + 2
+        return BitPair(bits[pos], bits[pos + 1]), (pos // GROUP_BITS) % GROUPS
 
 
 class Deserializer:

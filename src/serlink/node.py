@@ -431,7 +431,7 @@ class LinkEngine:
         bits = rec.data_bits
         was_receiving = self.pipeline.receiving
         for i in range(4):
-            pair = datapath.BitPair(int(bits[2 * i]), int(bits[2 * i + 1]))
+            pair = datapath.BitPair(bits[2 * i], bits[2 * i + 1])
             try:
                 words = self.pipeline.push_pair(pair)
             except CodecError as exc:

@@ -70,28 +70,32 @@ def _levels_from_bits(bits, swing):
     return levels
 
 
+@functools.lru_cache(maxsize=None)
+def _ramps(spu, rise_ui):
+    """Ramp geometry of one bit: leading and trailing sample counts and
+    the fraction of the step each of those samples has reached."""
+    half = rise_ui / 2.0
+    offs = np.arange(spu) / float(spu)  # sample offset within each bit, in UI
+    lead = offs[offs < half]            # still ramping from the previous level
+    tail = offs[offs > 1.0 - half]      # ramping toward the next level
+    return len(lead), lead / rise_ui + 0.5, len(tail), (tail - 1.0) / rise_ui + 0.5
+
+
 def _render_trapezoid(levels, spu, rise_ui, prev_level, next_level):
     """NRZ trapezoid on the sample grid; ramps centered on bit boundaries."""
     levels = np.asarray(levels, dtype=float)
     n = len(levels)
     out = np.repeat(levels, spu)
-    half = rise_ui / 2.0
-    if half <= 0 or n == 0:
+    if rise_ui <= 0 or n == 0:
         return out
-    offs = np.arange(spu) / float(spu)  # sample offset within each bit, in UI
-    lead = np.nonzero(offs < half)[0]   # still ramping from the previous level
-    tail = np.nonzero(offs > 1.0 - half)[0]  # ramping toward the next level
-    prevs = np.concatenate(([prev_level], levels[:-1]))
-    nexts = np.concatenate((levels[1:], [next_level]))
-    base = np.arange(n)[:, None] * spu
-    if len(lead):
-        frac = offs[lead] / rise_ui + 0.5
-        pos = (base + lead[None, :]).ravel()
-        out[pos] = (prevs[:, None] + (levels - prevs)[:, None] * frac[None, :]).ravel()
-    if len(tail):
-        frac = (offs[tail] - 1.0) / rise_ui + 0.5
-        pos = (base + tail[None, :]).ravel()
-        out[pos] = (levels[:, None] + (nexts - levels)[:, None] * frac[None, :]).ravel()
+    n_lead, lead_frac, n_tail, tail_frac = _ramps(spu, rise_ui)
+    bits = out.reshape(n, spu)
+    if n_lead:
+        prevs = np.concatenate(([prev_level], levels[:-1]))
+        bits[:, :n_lead] = prevs[:, None] + (levels - prevs)[:, None] * lead_frac
+    if n_tail:
+        nexts = np.concatenate((levels[1:], [next_level]))
+        bits[:, spu - n_tail:] = levels[:, None] + (nexts - levels)[:, None] * tail_frac
     return out
 
 

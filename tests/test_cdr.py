@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from serlink import phy
-from serlink.cdr import (BATCH_BITS, LOCK_BATCHES, LOCK_TOL_UI, PI_CODES,
-                         PI_STEP_UI, VALID_DIVIDERS, CdrLoop, CdrState,
+from serlink.cdr import (BATCH_BITS, LOCK_BATCHES, LOCK_TOL_UI,
+                         MAX_BLOCK_BATCHES, PI_CODES, PI_STEP_UI,
+                         VALID_DIVIDERS, BatchRecord, CdrLoop, CdrState,
                          PdDecision, alexander_pd, loop_filter_update,
                          offset_drift_ui_per_ui, pd_batch, pi_apply,
                          recover_stream, slew_capacity_ui_per_ui)
+from serlink.errors import OutOfRange
 
 
 # -- phase detector -----------------------------------------------------------
@@ -26,20 +28,16 @@ def test_alexander_truth_table():
 def test_pd_batch_matches_per_bit_decisions():
     rng = np.random.default_rng(41)
     block = rng.integers(0, 2, (2, 200, 8))
-    sums, inner = [], []
-    prev = first = 1
+    prev = 1
     for data, edge in zip(*block):
         last = prev
-        want = 0
-        for d, e in zip(data, edge):
+        want = inner = 0
+        for i, (d, e) in enumerate(zip(data, edge)):
             want += alexander_pd(prev, e, d).value
+            inner += alexander_pd(prev, e, d).value if i else 0
             prev = d
         assert pd_batch(data, edge, last) == want
-        sums.append(want)
-        inner.append(pd_batch(data, edge, last, include_boundary=False))
-    # a block of consecutive batches gives each batch's sum
-    assert pd_batch(block[0], block[1], first) == sums
-    assert pd_batch(block[0], block[1], first, include_boundary=False) == inner
+        assert pd_batch(data, edge, last, include_boundary=False) == inner
 
 
 def test_pd_batch_alternating_all_early():
@@ -202,8 +200,10 @@ def test_trace_is_deterministic():
 
 
 def test_recover_stream_rejects_empty_run():
-    with pytest.raises(ValueError):
-        recover_stream(np.array([1, 0]), CLEAN, n_bits=0)
+    # the loop recovers whole 8-bit batches: fewer bits would recover none
+    for n_bits in (0, 1, 7):
+        with pytest.raises(ValueError):
+            recover_stream(np.tile([1, 0], 2000), CLEAN, n_bits=n_bits)
 
 
 def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
@@ -224,8 +224,8 @@ def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
     for _ in range(n_bits // BATCH_BITS):
         rec = loop.process_batch()
         (t_end,), (err,), (slips,) = rec.t_end_s, rec.err_ui, rec.slips
-        bits += rec.data_bits.tolist()
-        indices += rec.bit_indices.tolist()
+        bits += rec.data_bits
+        indices += rec.bit_indices
         trace.append((t_end * 1e9, rec.pi_code, err))
         if abs(err) <= LOCK_TOL_UI:
             if streak == 0:
@@ -264,3 +264,153 @@ def test_block_sampling_equals_one_batch_per_call(seed, n, include_boundary,
     got = (res.bits.tolist(), res.bit_indices.tolist(), res.slips, res.lock_time_s,
            res.first_slip_s, res.pi_steps, res.trace)
     assert got == want
+
+
+# -- oracle: the numpy block loop that the scalar loop replaced ----------------
+
+def numpy_pd_batch(data, edge, last_bit_prev_batch, include_boundary=True):
+    """Early-minus-late sums of a ``(count, 8)`` block of batches."""
+    d = np.asarray(data)
+    e = np.asarray(edge)
+    flat = d.ravel()
+    prev = np.empty_like(flat)
+    prev[0] = last_bit_prev_batch
+    prev[1:] = flat[:-1]
+    prev = prev.reshape(d.shape)
+    contrib = np.where(e == prev, 1, -1) * (prev != d)
+    if not include_boundary:
+        contrib[..., 0] = 0
+    return contrib.sum(axis=-1).tolist()
+
+
+class NumpyBlockLoop(CdrLoop):
+    """CdrLoop with the numpy block body its process_batch used to have."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._edge_then_data = np.array([[0.5 * self.ui_s], [0.0]])
+
+    def _phase_errors(self, t_data):
+        tx_ui = self.stream.tx_ui_s
+        u = (t_data - self.stream.reference_delay_s) / tx_ui - 0.5
+        m = np.rint(u).astype(np.int64)
+        return u - m, m
+
+    def process_batch(self, count=1):
+        state = self.state
+        count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
+        idx = self._sample_index + np.arange(count * BATCH_BITS)
+        t_data = self._t0 + (idx + 0.5) * self.ui_s + self.phi_s
+        times = t_data.reshape(count, 1, BATCH_BITS) - self._edge_then_data
+        bits = self.stream.sample_bits(times.ravel(), self._rng)
+        bits = bits.reshape(count, 2, BATCH_BITS)
+        edge, data = bits[:, 0], bits[:, 1]
+
+        for batch_sum in numpy_pd_batch(data, edge, self._last_bit, self.include_boundary):
+            step = loop_filter_update(state, batch_sum)
+        self._last_bit = int(data[-1, -1])
+        if step:
+            pi_apply(state, step)
+            self.phi_s += step * float(PI_STEP_UI) * self.ui_s
+            self.pi_steps_applied += abs(step)
+        err_ui, m = self._phase_errors(t_data)
+        self._sample_index += count * BATCH_BITS
+
+        prev = np.empty_like(m)
+        prev[0] = m[0] - 1 if self._last_index is None else self._last_index
+        prev[1:] = m[:-1]
+        slips = (m - prev != 1).reshape(count, BATCH_BITS).sum(axis=1)
+        if self._last_index is None:
+            slips[0] = 0
+        self.slips += int(slips.sum())
+        self._last_index = m[-1]
+        last = slice(BATCH_BITS - 1, None, BATCH_BITS)
+        rec = BatchRecord(data_bits=data.ravel().tolist(), bit_indices=m.tolist(),
+                          t_end_s=t_data[last].tolist(), err_ui=err_ui[last].tolist(),
+                          slips=slips.tolist(), pi_step=step, pi_code=state.pi_code)
+        for t_end, err, batch_slips in zip(rec.t_end_s, rec.err_ui, rec.slips):
+            if batch_slips and self.first_slip_s is None:
+                self.first_slip_s = t_end
+            if abs(err) <= LOCK_TOL_UI:
+                self._streak += 1
+                if self._streak == LOCK_BATCHES and self.lock_time_s is None:
+                    self.lock_time_s = self._streak_start_s
+            else:
+                self._streak = 0
+                self._streak_start_s = t_end
+        return rec
+
+
+def _exact(x):
+    return None if x is None else float(x).hex()
+
+
+def _observed(loop, rec):
+    """Everything one call returned or changed, floats compared by bits."""
+    return (rec.data_bits, rec.bit_indices, [_exact(t) for t in rec.t_end_s],
+            [_exact(e) for e in rec.err_ui], rec.slips, rec.pi_step, rec.pi_code,
+            loop.slips, loop.pi_steps_applied, _exact(loop.lock_time_s),
+            _exact(loop.first_slip_s))
+
+
+ORACLE_CHANNELS = {
+    "clean": phy.ChannelConfig(trace_length_cm=0.0),
+    "2cm": phy.ChannelConfig(trace_length_cm=2.0),
+    "noisy": phy.ChannelConfig(trace_length_cm=5.0, noise_sigma_v=0.01,
+                               rj_sigma_s=3e-12, prop_delay_s=0.4e-9),
+}
+
+
+def _driven(loop_type, tx, cfg, offset, seed, counts, n_batches, **loop_args):
+    """Observations of each call over ``n_batches``, cycling through ``counts``;
+    the last entry is the exception type that ended the run, if any."""
+    cursor = [0]
+
+    def pull(count):
+        chunk = tx[cursor[0]:cursor[0] + count]
+        cursor[0] += count
+        if len(chunk) < count:
+            raise OutOfRange("transmitted bit sequence exhausted")
+        return chunk
+
+    stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + offset), seed=seed,
+                              bit_source=pull)
+    loop = loop_type(stream, seed=seed, **loop_args)
+    seen, done, k = [], 0, 0
+    while done < n_batches:
+        try:
+            rec = loop.process_batch(counts[k % len(counts)])
+        except OutOfRange:
+            return seen + [OutOfRange]
+        seen.append(_observed(loop, rec))
+        done += len(rec.t_end_s)
+        k += 1
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.sampled_from(VALID_DIVIDERS),
+       include_boundary=st.booleans(),
+       phase=st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+                       st.floats(0.0, 2.0, exclude_max=True)),
+       offset=st.floats(-0.005, 0.005), channel=st.sampled_from(sorted(ORACLE_CHANNELS)),
+       t_start_s=st.sampled_from([0.0, 97.3e-9]),
+       counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       tx_chunks=st.sampled_from([2, 16]))
+@example(seed=3, n=4, include_boundary=True, phase=0.5, offset=0.0, channel="clean",
+         t_start_s=0.0, counts=[1, 3, 40], tx_chunks=16)  # every sample on an edge
+@example(seed=0, n=1, include_boundary=True, phase=0.0, offset=0.0, channel="2cm",
+         t_start_s=0.0, counts=[1], tx_chunks=16)  # a step after every batch
+@example(seed=5, n=128, include_boundary=False, phase=1.25, offset=0.004,
+         channel="noisy", t_start_s=97.3e-9, counts=[40, 1], tx_chunks=2)  # runs out
+def test_scalar_loop_matches_numpy_block_loop(seed, n, include_boundary, phase, offset,
+                                              channel, t_start_s, counts, tx_chunks):
+    tx = np.random.default_rng(seed).integers(
+        0, 2, tx_chunks * phy.STREAM_CHUNK_BITS, dtype=np.int8)
+    args = dict(tx=tx, cfg=ORACLE_CHANNELS[channel], offset=offset, seed=seed,
+                counts=counts, n_batches=400, n=n, initial_phase_ui=phase,
+                include_boundary=include_boundary, t_start_s=t_start_s)
+    want = _driven(NumpyBlockLoop, **args)
+    assert _driven(CdrLoop, **args) == want
+    if tx_chunks == 2:  # 512 bits cannot feed 400 batches
+        assert want[-1] is OutOfRange
