@@ -73,7 +73,8 @@ def _levels_from_bits(bits, swing):
 @functools.lru_cache(maxsize=None)
 def _ramps(spu, rise_ui):
     """Ramp geometry of one bit: leading and trailing sample counts and
-    the fraction of the step each of those samples has reached."""
+    the fraction of the step each of those samples has reached.  Every
+    render shares the cached arrays, so nothing may write to them."""
     half = rise_ui / 2.0
     offs = np.arange(spu) / float(spu)  # sample offset within each bit, in UI
     lead = offs[offs < half]            # still ramping from the previous level
