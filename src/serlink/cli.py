@@ -17,7 +17,8 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 from scipy import stats
@@ -26,86 +27,55 @@ from . import __version__, cdr, energy, node, phy
 from .errors import ConfigError, CurveOutOfRange, LinkError
 
 
-def _key(section, default, rule=None, valid=None):
-    """A config-file key in ``[section]``; ``valid`` tests the range ``rule`` states."""
-    return field(default=default,
-                 metadata={"section": section, "rule": rule, "valid": valid})
-
-
+# The config file format.  A key in ``[section]`` sets the LinkSimConfig
+# attribute ``attr`` (``channel.<name>`` for a ChannelConfig field); it parses
+# as that field's annotation, and ``convert`` takes a key whose file unit is
+# not the model's to the model's.  ``valid`` tests the file value against the
+# range ``rule`` states, and a float must also be finite.  The defaults are
+# LinkSimConfig's and ChannelConfig's: the nominal operating point.
+_Key = namedtuple("_Key", "section attr rule valid convert", defaults=(None,))
 _NON_NEGATIVE = (">= 0", lambda v: v >= 0)
 
-
-@dataclass
-class ScenarioConfig:
-    """Parsed simulation parameters; defaults are the nominal operating
-    point (400 MHz clock, 0.8 Gbps, N=4, 0.44 V swing, 2 cm trace).
-
-    Every field but ``config_hash`` is a config-file key; its metadata
-    is the only declaration of the key's section and accepted range.
-    Float values must also be finite.
-    """
-
+CONFIG_KEYS = {
     # a UI of at least 50 ps, so an 8-UI quantum spans many ticks of the
     # event scheduler's 1 ps grid, and at most 0.5 us, so the 50 MHz MCU
     # polls at most 25 times per UI and a slow run stays short
-    clock_mhz: float = _key("link", 400.0, "in [1, 10000]", lambda v: 1 <= v <= 10000)
-    cdr_n: int = _key("link", 4, f"one of {cdr.VALID_DIVIDERS}",
-                      lambda v: v in cdr.VALID_DIVIDERS)
-    pd_boundary: bool = _key("link", True, "true or false")
-    freq_offset: float = _key("link", 0.0, "in (-1, 1]", lambda v: -1 < v <= 1)
-    initial_phase_ui: float = _key("link", 0.25, "in [0, 2)", lambda v: 0 <= v < 2)
+    "clock_mhz": _Key("link", "ui_s", "in [1, 10000]", lambda v: 1 <= v <= 10000,
+                      lambda mhz: 1.0 / (2.0 * mhz * 1e6)),
+    "cdr_n": _Key("link", "cdr_n", f"one of {cdr.VALID_DIVIDERS}",
+                  lambda v: v in cdr.VALID_DIVIDERS),
+    "pd_boundary": _Key("link", "include_boundary_pd", "true or false",
+                        lambda v: v in (True, False)),
+    "freq_offset": _Key("link", "freq_offset", "in (-1, 1]", lambda v: -1 < v <= 1),
+    "initial_phase_ui": _Key("link", "initial_phase_ui", "in [0, 2)",
+                             lambda v: 0 <= v < 2),
     # swing and noise in volts, each at most 1000: far past any CMOS link,
     # and small enough that every rendered sample (a level of swing/2 plus
     # a noise draw of many sigma) and an eye's voltage span stay finite;
     # a 1e308 noise sigma overflows the draw to inf, and no eye bins exist
-    swing_v: float = _key("channel", 0.44, "in (0, 1000]", lambda v: 0 < v <= 1000)
-    trace_cm: float = _key("channel", 2.0, *_NON_NEGATIVE)
-    noise_sigma_v: float = _key("channel", 0.0, "in [0, 1000]", lambda v: 0 <= v <= 1000)
-    rj_sigma_ps: float = _key("channel", 0.0, *_NON_NEGATIVE)
-    prop_delay_ps: float = _key("channel", 0.0, *_NON_NEGATIVE)
-    rise_time_ui: float = _key("channel", 0.1, "in [0, 1]", lambda v: 0 <= v <= 1)
-    scenario: str = _key("protocol", "tx_initiated", "tx_initiated or rx_initiated",
-                         lambda v: v in ("tx_initiated", "rx_initiated"))
-    payload_bytes: int = _key("protocol", 16 * 1024, node.PAYLOAD_RULE,
-                              node.payload_fits)
-    rx_release_pin: str = _key("protocol", "peer", "peer or own",
-                               lambda v: v in ("peer", "own"))
-    line_cost_cycles: int = _key("protocol", 3, *_NON_NEGATIVE)
-    seed: int = _key("run", 1, *_NON_NEGATIVE)
-    config_hash: str = field(default="defaults", repr=False)
+    "swing_v": _Key("channel", "channel.swing", "in (0, 1000]", lambda v: 0 < v <= 1000),
+    "trace_cm": _Key("channel", "channel.trace_length_cm", *_NON_NEGATIVE),
+    "noise_sigma_v": _Key("channel", "channel.noise_sigma_v", "in [0, 1000]",
+                          lambda v: 0 <= v <= 1000),
+    "rj_sigma_ps": _Key("channel", "channel.rj_sigma_s", *_NON_NEGATIVE,
+                        lambda ps: ps * 1e-12),
+    "prop_delay_ps": _Key("channel", "channel.prop_delay_s", *_NON_NEGATIVE,
+                          lambda ps: ps * 1e-12),
+    "rise_time_ui": _Key("channel", "channel.rise_time_ui", "in [0, 1]",
+                         lambda v: 0 <= v <= 1),
+    "scenario": _Key("protocol", "scenario", "tx_initiated or rx_initiated",
+                     lambda v: v in ("tx_initiated", "rx_initiated")),
+    "payload_bytes": _Key("protocol", "payload_bytes", node.PAYLOAD_RULE,
+                          node.payload_fits),
+    "rx_release_pin": _Key("protocol", "rx_release_pin", "peer or own",
+                           lambda v: v in ("peer", "own")),
+    "line_cost_cycles": _Key("protocol", "line_cost_cycles", *_NON_NEGATIVE),
+    "seed": _Key("run", "seed", *_NON_NEGATIVE),
+}
 
-    @property
-    def ui_s(self):
-        return 1.0 / (2.0 * self.clock_mhz * 1e6)
-
-    def channel_config(self):
-        return phy.ChannelConfig(
-            swing=self.swing_v,
-            trace_length_cm=self.trace_cm,
-            noise_sigma_v=self.noise_sigma_v,
-            rj_sigma_s=self.rj_sigma_ps * 1e-12,
-            prop_delay_s=self.prop_delay_ps * 1e-12,
-            rise_time_ui=self.rise_time_ui,
-        )
-
-    def link_sim_config(self):
-        return node.LinkSimConfig(
-            channel=self.channel_config(),
-            scenario=self.scenario,
-            payload_bytes=self.payload_bytes,
-            freq_offset=self.freq_offset,
-            cdr_n=self.cdr_n,
-            initial_phase_ui=self.initial_phase_ui,
-            include_boundary_pd=self.pd_boundary,
-            seed=self.seed,
-            ui_s=self.ui_s,
-            line_cost_cycles=self.line_cost_cycles,
-            rx_release_pin=self.rx_release_pin,
-        )
-
-
-_KEYS = {f.name: f for f in fields(ScenarioConfig) if "section" in f.metadata}
-
+_ANNOTATIONS = {f.name: f.type for f in fields(node.LinkSimConfig)} | {
+    f"channel.{f.name}": f.type for f in fields(phy.ChannelConfig)}
+_TYPES = {key: _ANNOTATIONS[spec.attr] for key, spec in CONFIG_KEYS.items()}
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
@@ -113,30 +83,30 @@ _PARSERS = {"bool": lambda raw: _BOOLS[raw.lower()], "float": float, "int": int,
             "str": str}
 
 
-def _check(cfg, where):
-    """Raise ConfigError naming the first key whose value is out of range."""
-    for key, f in _KEYS.items():
-        value, valid = getattr(cfg, key), f.metadata["valid"]
-        finite = f.type != "float" or math.isfinite(value)
-        if not finite or (valid is not None and not valid(value)):
-            also = "finite and " if f.type == "float" else ""
-            raise ConfigError(f"{where}: {key} must be {also}{f.metadata['rule']}, "
-                              f"got {value!r}")
+def _check(key, value, where):
+    """Raise ConfigError unless ``value``, in the file's unit, is in ``key``'s range."""
+    kind, valid = _TYPES[key], CONFIG_KEYS[key].valid
+    if (kind == "float" and not math.isfinite(value)) or not valid(value):
+        also = "finite and " if kind == "float" else ""
+        raise ConfigError(f"{where}: {key} must be {also}{CONFIG_KEYS[key].rule}, "
+                          f"got {value!r}")
 
 
 def load_config(path=None):
-    """Read a sectioned key = value file; unknown and out-of-range keys are rejected."""
-    cfg = ScenarioConfig()
+    """Read a sectioned key = value file into a node.LinkSimConfig.
+
+    Returns the config and the hash of the file's text (``"defaults"``
+    without a file).  Unknown and out-of-range keys are rejected.
+    """
     if path is None:
-        return cfg
+        return node.LinkSimConfig(), "defaults"
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    cfg.config_hash = hashlib.sha256(text.encode()).hexdigest()[:12]
-    sections = {f.metadata["section"] for f in _KEYS.values()}
-    section = None
+    sections = {spec.section for spec in CONFIG_KEYS.values()}
+    values, section = {}, None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", ";")):
@@ -152,29 +122,32 @@ def load_config(path=None):
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        f = _KEYS.get(key)
-        if f is None or f.metadata["section"] != section:
+        spec = CONFIG_KEYS.get(key)
+        if spec is None or spec.section != section:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
-        parse = _PARSERS[f.type]
         try:
-            setattr(cfg, key, parse(raw))
+            values[key] = _PARSERS[_TYPES[key]](raw)
         except (KeyError, ValueError):  # KeyError: not a bool spelling
-            raise ConfigError(f"{path}:{lineno}: {key}: cannot parse {raw!r} as {f.type}")
-    _check(cfg, path)
-    return cfg
+            raise ConfigError(f"{path}:{lineno}: {key}: cannot parse {raw!r} "
+                              f"as {_TYPES[key]}")
+    link, channel = {}, {}
+    for key, spec in CONFIG_KEYS.items():  # the first bad key in table order
+        if key in values:
+            _check(key, values[key], path)
+            owner, _, name = spec.attr.rpartition(".")
+            (channel if owner else link)[name] = \
+                values[key] if spec.convert is None else spec.convert(values[key])
+    cfg = node.LinkSimConfig(channel=phy.ChannelConfig(**channel), **link)
+    return cfg, hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _scenario(args):
-    """The --config scenario, with --seed applied and checked."""
-    cfg = load_config(args.config)
+    """The --config scenario, --seed applied and checked, and its provenance line."""
+    cfg, config_hash = load_config(args.config)
     if args.seed is not None:
+        _check("seed", args.seed, "--seed")
         cfg.seed = args.seed
-        _check(cfg, "--seed")
-    return cfg
-
-
-def _provenance(cfg):
-    return f"# serlink {__version__} config_sha256={cfg.config_hash} seed={cfg.seed}"
+    return cfg, f"# serlink {__version__} config_sha256={config_hash} seed={cfg.seed}"
 
 
 def _write_atomic(path, text):
@@ -209,12 +182,12 @@ def _out_paths(args, *names):
 
 
 def cmd_run(args):
-    cfg = _scenario(args)
+    cfg, head = _scenario(args)
     report_path, events_path = _out_paths(args, "transfer_report.txt",
                                           "transfer_events.csv")
-    report = node.run_protocol(cfg.link_sim_config())
-    _write_atomic(report_path, _provenance(cfg) + "\n" + report.to_text())
-    _write_atomic(events_path, _provenance(cfg) + "\n" + report.events_csv())
+    report = node.run_protocol(cfg)
+    _write_atomic(report_path, head + "\n" + report.to_text())
+    _write_atomic(events_path, head + "\n" + report.events_csv())
     print(report.to_text(), end="")
     if not report.ok:
         print(f"FAILED: {report.diagnostic}", file=sys.stderr)
@@ -223,35 +196,34 @@ def cmd_run(args):
 
 
 def cmd_eye(args):
-    cfg = _scenario(args)
+    cfg, head = _scenario(args)
     eye_path, summary_path = _out_paths(args, "eye.csv", "eye_summary.csv")
-    channel = cfg.channel_config()
     rng = np.random.default_rng([cfg.seed, 0xE1])
     bits = rng.integers(0, 2, args.ui + 64)
-    wave = phy.channel_apply(phy.drive(bits, channel, ui_s=cfg.ui_s), channel,
+    wave = phy.channel_apply(phy.drive(bits, cfg.channel, ui_s=cfg.ui_s), cfg.channel,
                              rng=np.random.default_rng([cfg.seed, 0xE2]))
     eye = phy.eye_capture(wave, ui_s=cfg.ui_s, n_ui=args.ui)
     rows = ["phase_bin,voltage_bin,count"]
     nz = np.argwhere(eye.counts > 0)
     for i, j in nz:
         rows.append(f"{i},{j},{int(eye.counts[i, j])}")
-    _write_atomic(eye_path, _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
+    _write_atomic(eye_path, head + "\n" + "\n".join(rows) + "\n")
     summary = (f"eye_height_v,eye_width_ui\n"
                f"{eye.eye_height_v:.6f},{eye.eye_width_ui:.6f}\n")
-    _write_atomic(summary_path, _provenance(cfg) + "\n" + summary)
+    _write_atomic(summary_path, head + "\n" + summary)
     print(f"eye_height_v={eye.eye_height_v:.4f} eye_width_ui={eye.eye_width_ui:.4f}")
     return 0
 
 
 def cmd_energy(args):
-    cfg = _scenario(args)
+    _, head = _scenario(args)
     paths = _out_paths(args, "energy_curves.csv",
                        *(["energy_ratios.csv"] if args.compare else []))
     profile = energy.DEFAULT_PROFILE
     rows = ["bandwidth_mbps,buffer_kb,energy_pj_per_bit"]
     for bw, kb, pj in energy.energy_sweep(profile):
         rows.append(f"{bw:g},{kb:g},{pj:.9f}")
-    _write_atomic(paths[0], _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
+    _write_atomic(paths[0], head + "\n" + "\n".join(rows) + "\n")
     peak = energy.bw_max(profile, energy.BUFFER_BYTES)
     print(f"continuous: {energy.continuous_energy(profile):.4f} pJ/bit at "
           f"{profile.line_rate / 1e9:.1f} Gbps; bw_max(16KB) = {peak / 1e6:.1f} Mbps")
@@ -266,21 +238,28 @@ def cmd_energy(args):
             except CurveOutOfRange:
                 continue
             ratios.append(f"{args.compare}_same_bw,{bw_mbps:g},{same:.4f}")
-        _write_atomic(paths[1], _provenance(cfg) + "\n" + "\n".join(ratios) + "\n")
+        _write_atomic(paths[1], head + "\n" + "\n".join(ratios) + "\n")
         print("\n".join(ratios[1:]))
     return 0
 
 
-def cmd_ber(args):
-    cfg = _scenario(args)
-    rng = np.random.default_rng([cfg.seed, 0xBE])
-    margin = int(args.bits * (abs(cfg.freq_offset) + 0.002)) + 2048
-    tx_bits = rng.integers(0, 2, args.bits + margin).astype(np.int8)
-    result = cdr.recover_stream(
-        tx_bits, cfg.channel_config(), n_bits=args.bits, n=cfg.cdr_n,
+def _recover(cfg, n_bits, pattern, **options):
+    """Recover ``n_bits`` of ``pattern(length)`` sent over ``cfg``'s link; the length
+    covers a transmitter up to |freq_offset| + 0.2% faster, and a 2048-bit lead."""
+    tx_bits = pattern(n_bits + int(n_bits * (abs(cfg.freq_offset) + 0.002)) + 2048)
+    return tx_bits, cdr.recover_stream(
+        tx_bits, cfg.channel, n_bits=n_bits, n=cfg.cdr_n,
         freq_offset=cfg.freq_offset, initial_phase_ui=cfg.initial_phase_ui,
-        ui_s=cfg.ui_s, seed=cfg.seed, include_boundary=cfg.pd_boundary,
-        keep_trace=False)
+        ui_s=cfg.ui_s, seed=cfg.seed, include_boundary=cfg.include_boundary_pd,
+        **options)
+
+
+def cmd_ber(args):
+    cfg, _ = _scenario(args)
+    rng = np.random.default_rng([cfg.seed, 0xBE])
+    tx_bits, result = _recover(cfg, args.bits,
+                               lambda n: rng.integers(0, 2, n).astype(np.int8),
+                               keep_trace=False)
     # the loop recovers whole batches: a count not a multiple of 8 rounds down
     n_bits = len(result.bits)
     errors = result.errors_against(tx_bits) + result.slips
@@ -293,17 +272,13 @@ def cmd_ber(args):
 
 
 def cmd_lock(args):
-    cfg = _scenario(args)
+    cfg, head = _scenario(args)
     (trace_path,) = _out_paths(args, "lock_trace.csv")
-    bits = np.tile([1, 0], (args.bits + 2048) // 2)  # training pattern
-    result = cdr.recover_stream(
-        bits, cfg.channel_config(), n_bits=args.bits, n=cfg.cdr_n,
-        freq_offset=cfg.freq_offset, initial_phase_ui=cfg.initial_phase_ui,
-        ui_s=cfg.ui_s, seed=cfg.seed, include_boundary=cfg.pd_boundary)
+    _, result = _recover(cfg, args.bits, lambda n: np.tile([1, 0], n // 2))  # training
     rows = ["time_ns,pi_code,phase_error_ui"]
     for t_ns, code, err in result.trace:
         rows.append(f"{t_ns:.3f},{code},{err:.6f}")
-    _write_atomic(trace_path, _provenance(cfg) + "\n" + "\n".join(rows) + "\n")
+    _write_atomic(trace_path, head + "\n" + "\n".join(rows) + "\n")
     lock = "none" if result.lock_time_s is None else f"{result.lock_time_s * 1e6:.4f}us"
     print(f"lock_time={lock} pi_steps={result.pi_steps} slips={result.slips}")
     return 0

@@ -1,15 +1,16 @@
+import hashlib
 import re
 import tempfile
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serlink.cli import ScenarioConfig, load_config, main
+from serlink import phy
+from serlink.cli import CONFIG_KEYS, load_config, main
 from serlink.errors import ConfigError
-from serlink.node import MEMORY_BYTES
+from serlink.node import MEMORY_BYTES, LinkSimConfig
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -21,12 +22,13 @@ def write(tmp_path, text, name="scenario.cfg"):
 # -- config parsing -----------------------------------------------------------
 
 def test_defaults_are_the_nominal_operating_point():
-    cfg = ScenarioConfig()
-    assert cfg.clock_mhz == 400.0
+    assert load_config() == (LinkSimConfig(), "defaults")
+    cfg, _ = load_config()
+    assert cfg.ui_s == 1.0 / (2.0 * 400.0 * 1e6)
     assert cfg.ui_s == pytest.approx(1.25e-9)
     assert cfg.cdr_n == 4
-    assert cfg.swing_v == 0.44
-    assert cfg.trace_cm == 2.0
+    assert cfg.channel.swing == 0.44
+    assert cfg.channel.trace_length_cm == 2.0
     assert cfg.payload_bytes == 16 * 1024
 
 
@@ -47,12 +49,51 @@ scenario = rx_initiated
 [run]
 seed = 9
 """)
-    cfg = load_config(path)
+    cfg, config_hash = load_config(path)
     assert cfg.cdr_n == 8 and cfg.freq_offset == 0.002
-    assert cfg.trace_cm == 5.0 and cfg.noise_sigma_v == 0.001
+    assert cfg.channel.trace_length_cm == 5.0 and cfg.channel.noise_sigma_v == 0.001
     assert cfg.scenario == "rx_initiated" and cfg.payload_bytes == 4096
     assert cfg.seed == 9
-    assert cfg.config_hash != "defaults"
+    assert config_hash != "defaults"
+
+
+# every config key away from its default, each in its file unit
+ALL_KEYS_CFG = """
+[link]
+clock_mhz = 300
+cdr_n = 8
+pd_boundary = false
+freq_offset = 0.001
+initial_phase_ui = 0.5
+
+[channel]
+swing_v = 0.5
+trace_cm = 3.0
+noise_sigma_v = 0.005
+rj_sigma_ps = 3
+prop_delay_ps = 40
+rise_time_ui = 0.2
+
+[protocol]
+scenario = rx_initiated
+payload_bytes = 512
+rx_release_pin = own
+line_cost_cycles = 5
+
+[run]
+seed = 7
+"""
+
+
+def test_every_key_sets_its_model_field_in_model_units(tmp_path):
+    cfg, _ = load_config(write(tmp_path, ALL_KEYS_CFG))
+    assert cfg == LinkSimConfig(
+        channel=phy.ChannelConfig(swing=0.5, trace_length_cm=3.0, prop_delay_s=40e-12,
+                                  noise_sigma_v=0.005, rj_sigma_s=3e-12,
+                                  rise_time_ui=0.2),
+        scenario="rx_initiated", payload_bytes=512, freq_offset=0.001, cdr_n=8,
+        initial_phase_ui=0.5, include_boundary_pd=False, seed=7,
+        ui_s=1.0 / (2.0 * 300e6), line_cost_cycles=5, rx_release_pin="own")
 
 
 def test_unknown_key_reports_line_number(tmp_path):
@@ -87,7 +128,7 @@ def test_clock_mhz_must_be_positive(tmp_path, capsys, value):
     assert main(["ber", "--config", path, "--bits", "1000"]) == 2
     assert "clock_mhz" in capsys.readouterr().err
     slowest = write(tmp_path, "[link]\nclock_mhz = 1\n")
-    assert load_config(slowest).clock_mhz == 1.0
+    assert load_config(slowest)[0].ui_s == 1.0 / (2.0 * 1.0 * 1e6)
 
 
 @pytest.mark.parametrize("value", [0, -4, 6, MEMORY_BYTES + 4])
@@ -98,7 +139,7 @@ def test_payload_bytes_must_be_words_that_fit_node_memory(tmp_path, capsys, valu
     assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
     assert "payload_bytes" in capsys.readouterr().err
     largest = write(tmp_path, f"[protocol]\npayload_bytes = {MEMORY_BYTES}\n")
-    assert load_config(largest).payload_bytes == MEMORY_BYTES
+    assert load_config(largest)[0].payload_bytes == MEMORY_BYTES
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -141,19 +182,16 @@ def test_energy_applies_the_seed_option(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-SCHEMA = {f.name: f.metadata for f in fields(ScenarioConfig) if "section" in f.metadata}
-
-
 @settings(max_examples=200, deadline=None)
-@given(key=st.sampled_from(sorted(SCHEMA)),
+@given(key=st.sampled_from(sorted(CONFIG_KEYS)),
        value=st.text(st.characters(blacklist_categories=("Cs",))))
 def test_any_value_text_loads_or_raises_config_error(key, value):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.cfg"
-        path.write_text(f"[{SCHEMA[key]['section']}]\n{key} = {value}\n",
+        path.write_text(f"[{CONFIG_KEYS[key].section}]\n{key} = {value}\n",
                         encoding="utf-8")
         try:
-            assert isinstance(load_config(str(path)), ScenarioConfig)
+            assert isinstance(load_config(str(path))[0], LinkSimConfig)
         except ConfigError:
             pass
 
@@ -162,8 +200,7 @@ def test_readme_lists_every_key_with_its_section_and_range():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| `\[(\w+)\]` \| (.*?) \|", readme, re.M)
     assert {key: (section, rule) for key, section, rule in rows} == {
-        key: (meta["section"], meta["rule"])
-        for key, meta in SCHEMA.items()}
+        key: (spec.section, spec.rule) for key, spec in CONFIG_KEYS.items()}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -261,6 +298,17 @@ def test_ber_counts_only_the_bits_it_recovered(capsys):
     assert capsys.readouterr().out.startswith("bits=16 ")
 
 
+@pytest.mark.parametrize("offset", ["0.5", "1.0", "-0.99"])
+def test_ber_and_lock_size_the_pattern_for_the_offset(tmp_path, capsys, offset):
+    # a fast transmitter sends up to twice the bits the receiver recovers
+    path = write(tmp_path, f"[link]\nfreq_offset = {offset}\n")
+    for command in ("ber", "lock"):
+        main([command, "--config", path, "--bits", "4000", "--out", str(tmp_path)])
+        assert "exhausted" not in capsys.readouterr().err
+    lines = (tmp_path / "lock_trace.csv").read_text().splitlines()
+    assert len(lines) == 2 + 4000 // 8
+
+
 def test_ber_small_clean_run(capsys):
     rc = main(["ber", "--bits", "20000"])
     assert rc == 0
@@ -275,6 +323,54 @@ def test_lock_trace_output(tmp_path, capsys):
     lines = (tmp_path / "lock_trace.csv").read_text().splitlines()
     assert lines[1] == "time_ns,pi_code,phase_error_ui"
     assert "lock_time=" in capsys.readouterr().out
+
+
+# sha256 of stdout + stderr, the exit code and sha256 of each written file,
+# per command on ALL_KEYS_CFG; a change to how a key reaches the model
+# moves a digest
+_PINNED_COMMANDS = {
+    "run": ((), 0,
+            "83d691af9d66bd27119cc32c0a50ea472acfcb848db818990ec4c683154680e3", {
+                "transfer_events.csv":
+                    "5ecd41a7fea653b440fec4f475abb636cd47f9930b8e04d35098c6ec64cc4bb5",
+                "transfer_report.txt":
+                    "337eb41f40ffeb6c9b9afc3ac7ba0d10ae8ecf90c21d546ca1325ad3e735bfc6"}),
+    "eye": (("--ui", "2000"), 0,
+            "ee820cba4372aa7bdd907ade4b9baff48dee101f6c552ef233bc3e1267dfbd70", {
+                "eye.csv":
+                    "f665d67ca967a180d7f19fb179a914301526614950231687be42dd3ed2ffe3fa",
+                "eye_summary.csv":
+                    "9f10ef9f073be586a1a48131e082909dae664d43cdf68880c217473aed8c85f1"}),
+    "ber": (("--bits", "20000"), 0,
+            "2f932d49507b50d630c1bcda1c020e69a0eba63545b91c81cedbac056f710dc6", {}),
+    "lock": (("--bits", "8000"), 0,
+             "41fec3325a8800986cc58b2e39ed17a101fc3d36f1a32fc71b1c8c547680e343", {
+                 "lock_trace.csv":
+                     "cfbc67c30bc2a8c0edc2a78ce97149d48523f7ce26d210c8e14ceab131a6dde9"}),
+    "energy": (("--compare", "spi"), 0,
+               "b7562558b3d61c1cd6ec37322cdc75f0b26c286660fc8276b60a79ae1937a1bb", {
+                   "energy_curves.csv":
+                       "b263bfb899496087ad4bcf9193e1e088142960ee3ac7be0a7db1b0c02d6a6a20",
+                   "energy_ratios.csv":
+                       "8b5b900b3c4826d3a06500f0b788f4d6b92987118c8475f23eb93b25eca11956"}),
+}
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_command_outputs_are_pinned(tmp_path, capsys):
+    path = write(tmp_path, ALL_KEYS_CFG)
+    moved = []
+    for command, (extra, code, output, files) in _PINNED_COMMANDS.items():
+        out = tmp_path / command
+        rc = main([command, "--config", path, "--out", str(out), *extra])
+        captured = capsys.readouterr()
+        written = {p.name: _sha(p.read_bytes()) for p in sorted(out.glob("*"))}
+        if (rc, _sha((captured.out + captured.err).encode()), written) != \
+                (code, output, files):
+            moved.append(command)
+    assert moved == []
 
 
 def test_outputs_are_byte_identical_across_reruns(tmp_path):
