@@ -165,42 +165,46 @@ class CdrLoop:
         count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
         t0, ui_s, phi_s, half = self._t0, self.ui_s, self.phi_s, self._half_ui_s
         first = self._sample_index
-        t_data = [t0 + (k + 0.5) * ui_s + phi_s
-                  for k in range(first, first + count * BATCH_BITS)]
-        t_edge = [t - half for t in t_data]
+        n_data = count * BATCH_BITS
+        t_data = [t0 + (k + 0.5) * ui_s + phi_s for k in range(first, first + n_data)]
         # per batch, edges (half a UI earlier) before data: the jitter
         # draws then come in the same order whatever the count
         times = []
-        for lo in range(0, len(t_data), BATCH_BITS):
-            times += t_edge[lo:lo + BATCH_BITS]
-            times += t_data[lo:lo + BATCH_BITS]
-        bits = self.stream.sample_bits(times, self._rng).tolist()
+        for lo in range(0, n_data, BATCH_BITS):
+            batch = t_data[lo:lo + BATCH_BITS]
+            times += [t - half for t in batch]
+            times += batch
+        stream = self.stream
+        bits = stream.sample_bits(times, self._rng).tolist()
 
-        tx_ui, delay = self.stream.tx_ui_s, self.stream.reference_delay_s
+        tx_ui, delay = stream.tx_ui_s, stream.reference_delay_s
         us = [(t - delay) / tx_ui - 0.5 for t in t_data]
         ms = list(map(round, us))  # half to even, like np.rint
-        prev = ms[0] - 1 if self._last_index is None else self._last_index
-        jumps = [m - p for p, m in zip([prev] + ms, ms)]
+        include_boundary, last_bit = self.include_boundary, self._last_bit
+        prev = self._last_index  # None until the loop's first batch is done
         data_bits, t_ends, errs, batch_slips = [], [], [], []
-        for lo in range(0, len(t_data), BATCH_BITS):
+        for lo in range(0, n_data, BATCH_BITS):
             edge = bits[2 * lo:2 * lo + BATCH_BITS]
             data = bits[2 * lo + BATCH_BITS:2 * lo + 2 * BATCH_BITS]
             step = loop_filter_update(  # only the last batch can step
-                state, pd_batch(data, edge, self._last_bit, self.include_boundary))
-            self._last_bit = data[-1]
+                state, pd_batch(data, edge, last_bit, include_boundary))
+            last_bit = data[-1]
             end = lo + BATCH_BITS - 1
             t_end, err = t_data[end], us[end] - ms[end]
-            slips = BATCH_BITS - jumps[lo:end + 1].count(1)
-            if self._last_index is None:
-                slips = 0  # the loop's first batch has no slip reference yet
-            self._last_index = ms[end]
+            slips = 0  # the loop's first batch has no slip reference yet
+            if prev is not None:
+                for m in ms[lo:end + 1]:
+                    slips += m - prev != 1
+                    prev = m
+            prev = ms[end]
             data_bits += data
             t_ends.append(t_end)
             errs.append(err)
             batch_slips.append(slips)
-            self.slips += slips
-            if slips and self.first_slip_s is None:
-                self.first_slip_s = t_end
+            if slips:
+                self.slips += slips
+                if self.first_slip_s is None:
+                    self.first_slip_s = t_end
             if abs(err) <= LOCK_TOL_UI:
                 self._streak += 1
                 if self._streak == LOCK_BATCHES and self.lock_time_s is None:
@@ -208,7 +212,8 @@ class CdrLoop:
             else:
                 self._streak = 0
                 self._streak_start_s = t_end
-        self._sample_index += count * BATCH_BITS
+        self._last_bit, self._last_index = last_bit, prev
+        self._sample_index = first + n_data
         if step:
             pi_apply(state, step)
             self.phi_s += step * float(PI_STEP_UI) * self.ui_s

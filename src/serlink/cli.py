@@ -6,8 +6,8 @@ rate), lock (CDR phase trace).  All outputs are deterministic for a
 given config and seed, carry a header row and a provenance comment, and
 are written atomically.
 
-Exit codes: 0 success, 1 domain failure (lost lock, data mismatch,
-infeasible request), 2 usage or configuration errors.
+Exit codes: 0 success, 1 domain failure (lost lock, data mismatch, a
+slip in ber or lock, infeasible request), 2 usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def cmd_lock(args):
     _write_atomic(trace_path, head + "\n" + "\n".join(rows) + "\n")
     lock = "none" if result.lock_time_s is None else f"{result.lock_time_s * 1e6:.4f}us"
     print(f"lock_time={lock} pi_steps={result.pi_steps} slips={result.slips}")
-    return 0
+    return 0 if result.slips == 0 else 1
 
 
 def _count(minimum, maximum):

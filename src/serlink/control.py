@@ -95,10 +95,10 @@ class TxFramer:
 
     def step_cycle(self):
         """Advance one fast-clock cycle; returns a BitPair or None (idle)."""
-        if self._serializer.flit_done and not self._load_next_flit():
+        serializer = self._serializer
+        if serializer.flit_done and not self._load_next_flit():
             return None
-        pair, _ = self._serializer.step()
-        return pair
+        return serializer.step()[0]
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,9 @@ class DetectorEvents:
     start_detected: bool = False
     stop_detected: bool = False
     shift: bool = False
+
+
+_NO_EVENTS = DetectorEvents()  # shared by every pair that ends no marker
 
 
 class SequenceDetector:
@@ -127,14 +130,17 @@ class SequenceDetector:
         self._fresh = 0   # bits seen since the search last switched marker
 
     def push_pair(self, pair) -> DetectorEvents:
-        events = DetectorEvents()
+        events = _NO_EVENTS
+        window, fresh = self._window, self._fresh
+        # after a marker the next one needs eight fresh bits, so the
+        # marker sought cannot change within a pair
+        marker = codec.STOP_BYTE if self.in_data_comm else codec.START_BYTE
         for k, bit in enumerate(pair):
-            self._window = (self._window >> 1) | (bit << 7)
-            self._fresh += 1
-            marker = codec.STOP_BYTE if self.in_data_comm else codec.START_BYTE
-            if self._fresh < 8 or self._window != marker:
+            window = (window >> 1) | (bit << 7)
+            fresh += 1
+            if fresh < 8 or window != marker:
                 continue
-            self._fresh = 0
+            fresh = 0
             if self.in_data_comm:
                 self.in_data_comm = False
                 events = DetectorEvents(stop_detected=True, shift=self.shift)
@@ -142,6 +148,7 @@ class SequenceDetector:
                 self.in_data_comm = True
                 self.shift = k == 0  # ended on a pair's first bit: started odd
                 events = DetectorEvents(start_detected=True, shift=self.shift)
+        self._window, self._fresh = window, fresh
         return events
 
 
@@ -153,7 +160,7 @@ START_SKIP_PAIRS = 16
 class RxPipeline:
     """Realigner, deserializer and flit decoder behind the detector events.
 
-    ``push_pair`` consumes one raw comparator pair and returns a list of
+    ``push_pair`` consumes one raw comparator pair and returns a tuple of
     decoded 32-bit words (usually empty).  ``warm_en``/``comm_en`` are the
     RX enable registers as seen past the clock-domain crossing; only
     ``comm_en`` gates the wire, which is ignored while it is off.
@@ -172,40 +179,34 @@ class RxPipeline:
         self.comm_en = False
         self.receiving = False
         self._skip = 0
-        self.last_events = DetectorEvents()
+        self.last_events = _NO_EVENTS
         self.frames_received = 0
 
     def push_pair(self, pair):
         if not self.comm_en:
             self.receiving = False
-            return []
+            return ()
         events = self.detector.push_pair(pair)
         self.last_events = events
-
-        if events.start_detected:
-            self.receiving = True
-            self._realigner.shift = events.shift
+        if events is not _NO_EVENTS:
             self._deserializer.reset()
-            self.rd = Disparity.NEGATIVE
-            self._skip = START_SKIP_PAIRS
-            return []
-        if events.stop_detected:
-            self.receiving = False
-            self._deserializer.reset()
-            self.frames_received += 1
-            return []
+            self.receiving = events.start_detected
+            if events.start_detected:
+                self._realigner.shift = events.shift
+                self.rd = Disparity.NEGATIVE
+                self._skip = START_SKIP_PAIRS
+            else:
+                self.frames_received += 1
+            return ()
+        aligned = self._realigner.push(pair)
         if not self.receiving:
-            self._realigner.push(pair)
-            return []
+            return ()
         if self._skip:
-            self._realigner.push(pair)
             self._skip -= 1
-            return []
-        word40 = self._deserializer.push(self._realigner.push(pair))
+            return ()
+        word40 = self._deserializer.push(aligned)
         if word40 is None:
-            return []
+            return ()
         flit = codec.Flit.from_int(word40)
         (kind, word), self.rd = codec.decode_flit(flit, self.rd)
-        if kind is not FlitKind.DATA:
-            return []
-        return [word]
+        return (word,) if kind is FlitKind.DATA else ()

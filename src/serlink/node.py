@@ -74,12 +74,15 @@ class Scheduler:
         return t
 
     def run(self, until_ps=None, stop=None):
-        while self._heap:
+        heap, advance = self._heap, self.advance
+        if until_ps is None:
+            until_ps = float("inf")
+        while heap:
             if stop is not None and stop():
                 break
-            if until_ps is not None and self._heap[0][0] > until_ps:
+            if heap[0][0] > until_ps:
                 break
-            self.advance()
+            advance()
 
 
 class Fifo:
@@ -381,15 +384,16 @@ class LinkEngine:
     # -- TX data plane ------------------------------------------------------
 
     def _tx_quantum(self):
+        step_cycle = self.framer.step_cycle
+        high = self.cfg.channel.swing / 2.0
+        low = -high
         levels = []
-        half_swing = self.cfg.channel.swing / 2.0
         for _ in range(4):
-            pair = self.framer.step_cycle()
+            pair = step_cycle()
             if pair is None:
-                levels.extend((0.0, 0.0))
+                levels += (0.0, 0.0)
             else:
-                levels.extend((half_swing if pair.even else -half_swing,
-                               half_swing if pair.odd else -half_swing))
+                levels += (high if pair.even else low, high if pair.odd else low)
         self.stream.push_levels(levels)
         state = self.framer.state
         if state is not self._prev_tx_state:
@@ -429,30 +433,29 @@ class LinkEngine:
             self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
 
         bits = rec.data_bits
-        was_receiving = self.pipeline.receiving
-        for i in range(4):
-            pair = datapath.BitPair(bits[2 * i], bits[2 * i + 1])
+        pipeline, log = self.pipeline, self.log
+        was_receiving = pipeline.receiving
+        for pair in map(datapath.BitPair, bits[0::2], bits[1::2]):
             try:
-                words = self.pipeline.push_pair(pair)
+                words = pipeline.push_pair(pair)
             except CodecError as exc:
                 self.decode_errors += 1
-                self.log("rx", "decode_error", str(exc))
+                log("rx", "decode_error", str(exc))
                 self.abort(f"decode failure during transfer: {exc}")
                 return
-            events = self.pipeline.last_events
+            events = pipeline.last_events
             if events.start_detected:
-                self.log("rx", "start_detected", 1)
-                self.log("rx", "shift", int(events.shift))
-                self.log("rx", "rx_digital", "data")
+                log("rx", "start_detected", 1)
+                log("rx", "shift", int(events.shift))
+                log("rx", "rx_digital", "data")
             if events.stop_detected:
-                self.log("rx", "stop_detected", 1)
-                self.log("rx", "rx_digital",
-                         "warm" if self.pipeline.warm_en else "standby")
+                log("rx", "stop_detected", 1)
+                log("rx", "rx_digital", "warm" if pipeline.warm_en else "standby")
             for word in words:
                 self.rx_fifo.push(self.sim.now_ps, word,
                                   extra_latency_ps=self._decode_ps)
-        if was_receiving != self.pipeline.receiving:
-            self.log("rx", "rx_receiving", int(self.pipeline.receiving))
+        if was_receiving != pipeline.receiving:
+            log("rx", "rx_receiving", int(pipeline.receiving))
         self._schedule_rx_quantum(rec.t_end_s[-1] + 8 * self.cfg.ui_s)
 
     def abort(self, reason):

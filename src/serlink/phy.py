@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
+from scipy import signal
 
 from .errors import InsufficientSpan, OutOfRange
 
@@ -29,11 +29,16 @@ DEFAULT_EYE_UIS = 150
 EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
+_STREAM_KEEP = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 3  # samples a stream retains
+_SAMPLE_INDEX = np.arange(_STREAM_KEEP, dtype=float)  # positions for np.interp
 
-# Two-point calibration anchors for the trace-length -> pole map:
-# eye height in volts measured at a 0.44 V swing.
-_CAL_ANCHORS = ((2.0, 0.418), (5.0, 0.386))
-_CAL_SWING = 0.44
+# Two-point calibration of the trace-length -> pole map: (length in cm,
+# time constant in s).  Each constant is the root, by brentq to 1e-15 s,
+# of the eye height of 480 seeded random bits at a 0.44 V swing, folded
+# over 400 UI, minus its target: 0.418 V at 2 cm and 0.386 V at 5 cm.
+# A test re-derives both and checks them bitwise.
+_CAL_TAUS = ((2.0, float.fromhex("0x1.6268400faad5ep-32")),
+             (5.0, float.fromhex("0x1.d4a8e5620ff0fp-32")))
 
 
 @dataclass
@@ -221,20 +226,6 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     return EyeDiagram(counts, pe, ve, height, width_ui, best / spu)
 
 
-def _calibration_eye_height(tau_s):
-    rng = np.random.default_rng(20210906)
-    bits = rng.integers(0, 2, 480)
-    w = drive(bits, ChannelConfig(swing=_CAL_SWING))
-    w.samples = _Channel(1.0 / (2.0 * math.pi * tau_s), w.dt_s).apply(w.samples)
-    return eye_capture(w, n_ui=400).eye_height_v
-
-
-@functools.lru_cache(maxsize=None)
-def _anchor_tau(length_cm, target_v):
-    f = lambda tau: _calibration_eye_height(tau) - target_v
-    return optimize.brentq(f, 1e-12, 2e-9, xtol=1e-15)
-
-
 @functools.lru_cache(maxsize=None)
 def pole_for_length(length_cm):
     """Trace length -> low-pass pole, from the two-point calibration map.
@@ -244,9 +235,7 @@ def pole_for_length(length_cm):
     """
     if length_cm <= 0:
         return None
-    (l1, t1), (l2, t2) = _CAL_ANCHORS
-    tau1 = _anchor_tau(l1, t1)
-    tau2 = _anchor_tau(l2, t2)
+    (l1, tau1), (l2, tau2) = _CAL_TAUS
     slope = (math.log(tau2) - math.log(tau1)) / (math.log(l2) - math.log(l1))
     tau = math.exp(math.log(tau1) + slope * (math.log(length_cm) - math.log(l1)))
     return 1.0 / (2.0 * math.pi * tau)
@@ -266,14 +255,19 @@ class StreamingNrz:
         self.tx_ui_s = tx_ui_s
         self.dt_s = tx_ui_s / SAMPLES_PER_UI
         self._bit_source = bit_source
-        self._channel = _Channel(cfg.pole_hz(), self.dt_s, cfg.noise_sigma_v,
+        pole = cfg.pole_hz()
+        self._channel = _Channel(pole, self.dt_s, cfg.noise_sigma_v,
                                  np.random.default_rng([seed, 0xC0]))
+        # where transmitted bit centers effectively sit at the receiver:
+        # propagation delay plus the low-pass transition delay (a
+        # first-order step crosses zero ln2 time constants after the edge)
+        group = math.log(2.0) / (2.0 * math.pi * pole) if pole is not None else 0.0
+        self.reference_delay_s = cfg.prop_delay_s + group
         self._pending = np.zeros(0)  # levels not yet rendered
         self._nbits = 0           # bits fully rendered
         self._prev_level = 0.0
         self._grid_t0 = 0.0       # time of rendered sample 0 (pre-delay)
         self._tail = np.zeros(0)  # rendered samples kept for interpolation
-        self._keep = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 3
 
     def push_bits(self, bits):
         self.push_levels(_levels_from_bits(bits, self.cfg.swing))
@@ -293,8 +287,8 @@ class StreamingNrz:
         raw = self._channel.apply(raw)
         self._nbits += len(levels)
         self._tail = np.concatenate((self._tail, raw))
-        if len(self._tail) > self._keep:
-            drop = len(self._tail) - self._keep
+        if len(self._tail) > _STREAM_KEEP:
+            drop = len(self._tail) - _STREAM_KEEP
             self._tail = self._tail[drop:]
             self._grid_t0 += drop * self.dt_s
 
@@ -302,15 +296,6 @@ class StreamingNrz:
     def frontier_s(self):
         """Latest time (post-delay) the waveform is valid for."""
         return (self._nbits * self.tx_ui_s - self.dt_s) + self.cfg.prop_delay_s
-
-    @property
-    def reference_delay_s(self):
-        """Where transmitted bit centers effectively sit at the receiver:
-        propagation delay plus the low-pass transition delay (a first-order
-        step crosses zero ln2 time constants after the input edge)."""
-        pole = self.cfg.pole_hz()
-        group = math.log(2.0) / (2.0 * math.pi * pole) if pole is not None else 0.0
-        return self.cfg.prop_delay_s + group
 
     def ensure(self, t_s):
         """Render forward (draining pending levels, then the bit source)."""
@@ -325,31 +310,36 @@ class StreamingNrz:
                 raise OutOfRange(f"waveform not rendered up to {t_s * 1e9:.3f} ns")
 
     def voltage(self, times):
-        """Linear interpolation of the rendered samples; bitwise np.interp.
+        """Linear interpolation of the rendered samples, by np.interp.
 
         A time before the first sample ever rendered reads that (settled)
-        sample; one before samples already dropped raises OutOfRange.
+        sample, and one at or past the last rendered sample reads that
+        one; a time before samples already dropped raises OutOfRange.
         """
-        times = np.asarray(times, dtype=float)
+        times = np.array(times, dtype=float)  # a copy, worked in place
+        delay, dt = self.cfg.prop_delay_s, self.dt_s
+        # one sort finds both extremes faster than min() and max()
+        ends = times.copy()
+        ends.sort()
+        t_min, t_max = float(ends[0]), float(ends[-1])
         # sample 0 sits at the propagation delay: render at least it
-        self.ensure(max(float(times.max()), self.cfg.prop_delay_s))
-        rel = (times - self.cfg.prop_delay_s - self._grid_t0) / self.dt_s
-        if rel.min() < 0:
-            if self._grid_t0 > 0:  # samples have been dropped
-                raise OutOfRange("sample time before retained waveform window")
-            rel = np.maximum(rel, 0.0)
-        tail = self._tail
-        last = len(tail) - 1
-        j = np.minimum(rel.astype(np.intp), last - 1)
-        lo = tail[j]
-        v = (tail[j + 1] - lo) * (rel - j) + lo
-        return np.where(rel < last, v, tail[last])
+        self.ensure(max(t_max, delay))
+        g, tail = self._grid_t0, self._tail
+        # the sample position is monotone in the time, so the earliest
+        # time gives the earliest position by the same operations
+        if g > 0 and (t_min - delay - g) / dt < 0:  # samples have been dropped
+            raise OutOfRange("sample time before retained waveform window")
+        if delay:  # t - 0.0 is t
+            times -= delay
+        times -= g
+        times /= dt
+        # before sample 0 np.interp reads it, past the last sample the last
+        return np.interp(times, _SAMPLE_INDEX[:len(tail)], tail)
 
     def sample_bits(self, times, rng=None):
         """Comparator decisions at the given times (with jitter if set)."""
-        times = np.asarray(times, dtype=float)
         if rng is not None and self.cfg.rj_sigma_s > 0:
-            times = times + rng.normal(0.0, self.cfg.rj_sigma_s, len(times))
+            times = np.add(times, rng.normal(0.0, self.cfg.rj_sigma_s, len(times)))
         # 0 V decides 0, and interpolation roundoff near an exact
         # transition must not turn a 0 V crossing into a 1
-        return (self.voltage(times) > 1e-9).astype(np.int8)
+        return (self.voltage(times) > 1e-9).view(np.int8)

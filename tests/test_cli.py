@@ -315,6 +315,19 @@ def test_ber_small_clean_run(capsys):
     assert "errors=0" in capsys.readouterr().out
 
 
+def test_lock_that_slips_exits_1_like_ber(tmp_path, capsys):
+    # a 6% offset outruns the loop's slew: both commands report the slips
+    path = write(tmp_path, "[link]\nfreq_offset = 0.06\n")
+    for command in ("ber", "lock"):
+        rc = main([command, "--config", path, "--bits", "8000", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        slips = int(out.split("slips=")[1].split()[0])
+        assert slips > 0 and rc == 1, (command, out)
+    assert (tmp_path / "lock_trace.csv").exists()  # written before the exit code
+    assert main(["lock", "--bits", "8000", "--out", str(tmp_path)]) == 0
+    assert "slips=0" in capsys.readouterr().out
+
+
 def test_lock_trace_output(tmp_path, capsys):
     path = write(tmp_path, "[channel]\ntrace_cm = 0.0\n"
                            "[link]\ninitial_phase_ui = 0.25\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import optimize
 
 from serlink import phy
 from serlink.errors import InsufficientSpan, OutOfRange
@@ -103,6 +104,22 @@ def test_pole_map_monotone_and_open_circuit_at_zero():
     assert pole_for_length(0.0) is None
     p2, p3, p5 = pole_for_length(2.0), pole_for_length(3.0), pole_for_length(5.0)
     assert p2 > p3 > p5 > 0
+
+
+def _calibration_eye_height(tau_s):
+    rng = np.random.default_rng(20210906)
+    bits = rng.integers(0, 2, 480)
+    w = drive(bits, ChannelConfig(swing=0.44))
+    w.samples = phy._Channel(1.0 / (2.0 * math.pi * tau_s), w.dt_s).apply(w.samples)
+    return eye_capture(w, n_ui=400).eye_height_v
+
+
+def test_calibrated_time_constants_are_rederived_bitwise():
+    # the stored constants are the brentq roots of the calibration eye
+    for (length, tau), target in zip(phy._CAL_TAUS, (0.418, 0.386)):
+        root = optimize.brentq(lambda t: _calibration_eye_height(t) - target,
+                               1e-12, 2e-9, xtol=1e-15)
+        assert root.hex() == tau.hex(), length
 
 
 def test_pole_map_values_are_pinned():
@@ -314,3 +331,86 @@ def test_streaming_time_before_first_sample_reads_it_settled():
     stream.ensure(1500 * UI_S)
     with pytest.raises(OutOfRange):
         stream.voltage(np.array([0.0]))
+
+
+def _np_interp_reference(stream, levels, seed, times):
+    """What ``stream.voltage(times)`` must return, or None where it must
+    raise OutOfRange, read from the stream after the call.
+
+    The waveform is rendered in one piece from the levels the stream has
+    rendered and sampled with np.interp, under the stream's rules: it
+    renders until its frontier passes every time (and sample 0); a time
+    before sample 0 reads it settled, unless samples have been dropped;
+    a time at or past the last rendered sample reads that sample.
+    """
+    cfg = stream.cfg
+    times = np.asarray(times, dtype=float)
+    if stream.frontier_s <= max(times.max(), cfg.prop_delay_s):
+        return None  # the levels ran out before the frontier got there
+    n = stream._nbits
+    raw = phy._render_trapezoid(levels[:n], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
+                                0.0, levels[n])
+    whole = phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
+                         np.random.default_rng([seed, 0xC0])).apply(raw)
+    kept = whole[len(whole) - len(stream._tail):]
+    assert stream._tail.tobytes() == kept.tobytes()  # the window is the newest samples
+    rel = (times - cfg.prop_delay_s - stream._grid_t0) / stream.dt_s
+    if len(kept) < len(whole) and rel.min() < 0:
+        return None
+    return np.interp(rel, np.arange(len(kept)), kept)
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.sampled_from((0.0, 2.0, 5.0)), delay=st.sampled_from((0.0, 0.3e-9)),
+       noisy=st.booleans(), seed=st.integers(0, 3), n_levels=st.integers(2, 1400),
+       picks=st.lists(st.one_of(st.floats(0.0, 1.0),
+                                st.sampled_from(("first", "before", "last"))),
+                      min_size=1, max_size=64),
+       span_ui=st.sampled_from((None, 700)), as_array=st.booleans())
+@example(length=2.0, delay=0.0, noisy=False, seed=0, n_levels=41,
+         picks=["last", 0.5, "before"], span_ui=None, as_array=False)  # the last sample
+@example(length=5.0, delay=0.3e-9, noisy=True, seed=1, n_levels=1400,
+         picks=[1.0, "first"], span_ui=None, as_array=True)  # sample 0 already dropped
+@example(length=2.0, delay=0.3e-9, noisy=False, seed=2, n_levels=1400,
+         picks=[0.0, 0.3, 1.0], span_ui=700, as_array=False)  # within a moved window
+def test_streamed_sampling_matches_np_interp_reference(length, delay, noisy, seed, n_levels,
+                                                       picks, span_ui, as_array):
+    # unsorted times over the renderable span (from 2 UI before it, or
+    # over its last span_ui UI, which the stream retains) and at its
+    # ends; the comparator's times are jittered on top
+    cfg = ChannelConfig(trace_length_cm=length, prop_delay_s=delay,
+                        noise_sigma_v=0.01 if noisy else 0.0,
+                        rj_sigma_s=5e-12 if noisy else 0.0)
+    levels = np.random.default_rng([seed, 1]).choice([-0.22, 0.0, 0.22], n_levels)
+    dt = UI_S / phy.SAMPLES_PER_UI
+    end = np.nextafter(((n_levels - 1) * UI_S - dt) + delay, -np.inf)
+    edges = {"first": delay, "before": delay - 3e-12, "last": end}
+    start = -2 * UI_S if span_ui is None else end - span_ui * UI_S
+    times = [edges[p] if isinstance(p, str) else start + p * (end - start) for p in picks]
+    if as_array:
+        times = np.array(times)
+
+    def run(call):
+        stream = StreamingNrz(cfg, seed=seed)
+        stream.push_levels(levels)
+        try:
+            return stream, call(stream)
+        except OutOfRange:
+            return stream, None
+
+    stream, got = run(lambda s: s.voltage(times))
+    want = _np_interp_reference(stream, levels, seed, times)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
+
+    stream, got = run(lambda s: s.sample_bits(times, np.random.default_rng(seed)))
+    jittered = np.asarray(times, dtype=float)
+    if noisy:
+        jittered = jittered + np.random.default_rng(seed).normal(0.0, cfg.rj_sigma_s,
+                                                                 len(times))
+    want = _np_interp_reference(stream, levels, seed, jittered)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == np.int8
+        assert got.tobytes() == (want > 1e-9).astype(np.int8).tobytes()
