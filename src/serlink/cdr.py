@@ -48,9 +48,10 @@ def alexander_pd(d_prev, edge, d_cur) -> PdDecision:
 def pd_batch(data, edge, last_bit_prev_batch, include_boundary=True):
     """Early-minus-late sum of one 8-bit batch; |sum| <= 8."""
     total = 0
-    prev = last_bit_prev_batch
-    for i, (d, e) in enumerate(zip(data, edge)):
-        if d != prev and (i or include_boundary):
+    # without the boundary detector the first data bit decides nothing
+    prev = last_bit_prev_batch if include_boundary else data[0]
+    for d, e in zip(data, edge):
+        if d != prev:
             total += 1 if e == prev else -1
         prev = d
     return total
@@ -178,8 +179,9 @@ class CdrLoop:
         bits = stream.sample_bits(times, self._rng).tolist()
 
         tx_ui, delay = stream.tx_ui_s, stream.reference_delay_s
-        us = [(t - delay) / tx_ui - 0.5 for t in t_data]
-        ms = list(map(round, us))  # half to even, like np.rint
+        # the transmitted bit each data sample lands on: round() is half
+        # to even, like np.rint
+        ms = [round((t - delay) / tx_ui - 0.5) for t in t_data]
         include_boundary, last_bit = self.include_boundary, self._last_bit
         prev = self._last_index  # None until the loop's first batch is done
         data_bits, t_ends, errs, batch_slips = [], [], [], []
@@ -190,7 +192,8 @@ class CdrLoop:
                 state, pd_batch(data, edge, last_bit, include_boundary))
             last_bit = data[-1]
             end = lo + BATCH_BITS - 1
-            t_end, err = t_data[end], us[end] - ms[end]
+            t_end = t_data[end]
+            err = ((t_end - delay) / tx_ui - 0.5) - ms[end]
             slips = 0  # the loop's first batch has no slip reference yet
             if prev is not None:
                 for m in ms[lo:end + 1]:
@@ -201,10 +204,9 @@ class CdrLoop:
             t_ends.append(t_end)
             errs.append(err)
             batch_slips.append(slips)
-            if slips:
-                self.slips += slips
-                if self.first_slip_s is None:
-                    self.first_slip_s = t_end
+            self.slips += slips
+            if slips and self.first_slip_s is None:
+                self.first_slip_s = t_end
             if abs(err) <= LOCK_TOL_UI:
                 self._streak += 1
                 if self._streak == LOCK_BATCHES and self.lock_time_s is None:

@@ -160,10 +160,10 @@ START_SKIP_PAIRS = 16
 class RxPipeline:
     """Realigner, deserializer and flit decoder behind the detector events.
 
-    ``push_pair`` consumes one raw comparator pair and returns a tuple of
-    decoded 32-bit words (usually empty).  ``warm_en``/``comm_en`` are the
-    RX enable registers as seen past the clock-domain crossing; only
-    ``comm_en`` gates the wire, which is ignored while it is off.
+    ``push_pair`` consumes one raw (even, odd) comparator pair and returns
+    a tuple of decoded 32-bit words (usually empty).  ``warm_en``/``comm_en``
+    are the RX enable registers as seen past the clock-domain crossing;
+    only ``comm_en`` gates the wire, which is ignored while it is off.
     ``receiving`` is set at a start marker and cleared at the stop marker
     or at the first pair after ``comm_en`` drops.  Framing events are
     exposed on ``detector`` / ``last_events``; decode failures raise with

@@ -87,9 +87,8 @@ class ShiftRealigner:
         self._last_odd = 0
 
     def push(self, pair):
-        if self.shift:
-            out = BitPair(self._last_odd, pair.even)
-        else:
-            out = BitPair(pair.even, pair.odd)
-        self._last_odd = pair.odd
+        """Consume one (even, odd) pair; returns the realigned BitPair."""
+        even, odd = pair
+        out = BitPair(self._last_odd, even) if self.shift else BitPair(even, odd)
+        self._last_odd = odd
         return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import cdr, control, datapath, energy, phy
+from . import cdr, control, energy, phy
 from .errors import (AlignmentError, CodecError, OutOfRange, SimulationError,
                      UnknownRegister)
 
@@ -216,13 +216,16 @@ class Node:
             self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
 
     def _dma_tick(self):
+        active = False
         for channel in (self.dma_read, self.dma_write):
             if channel is not None and channel.enabled:
                 dma_step(channel, self.memory, self.sim.now_ps)
-                if channel.done and channel.enabled:
+                if channel.done:
                     channel.enabled = False
                     self.log(self.name, f"dma_{channel.direction}_done", 1)
-        if any(c is not None and c.enabled for c in (self.dma_read, self.dma_write)):
+                else:
+                    active = True
+        if active:
             self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
         else:
             self._dma_tick_scheduled = False
@@ -435,7 +438,7 @@ class LinkEngine:
         bits = rec.data_bits
         pipeline, log = self.pipeline, self.log
         was_receiving = pipeline.receiving
-        for pair in map(datapath.BitPair, bits[0::2], bits[1::2]):
+        for pair in zip(bits[0::2], bits[1::2]):  # (even, odd) comparator pairs
             try:
                 words = pipeline.push_pair(pair)
             except CodecError as exc:
