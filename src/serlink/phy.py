@@ -30,7 +30,6 @@ EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
 _STREAM_KEEP = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 3  # samples a stream retains
-_SAMPLE_INDEX = np.arange(_STREAM_KEEP, dtype=float)  # positions for np.interp
 
 # Two-point calibration of the trace-length -> pole map: (length in cm,
 # time constant in s).  Each constant is the root, by brentq to 1e-15 s,
@@ -241,6 +240,13 @@ def pole_for_length(length_cm):
     return 1.0 / (2.0 * math.pi * tau)
 
 
+@functools.lru_cache(maxsize=None)
+def _sample_positions():
+    """0, 1, 2, ... as floats over a stream's retained window, for np.interp;
+    built on first use, so code that never streams does not hold it."""
+    return np.arange(_STREAM_KEEP, dtype=float)
+
+
 class StreamingNrz:
     """Chunk-rendered TX waveform for long closed-loop runs.
 
@@ -334,7 +340,7 @@ class StreamingNrz:
         times -= g
         times /= dt
         # before sample 0 np.interp reads it, past the last sample the last
-        return np.interp(times, _SAMPLE_INDEX[:len(tail)], tail)
+        return np.interp(times, _sample_positions()[:len(tail)], tail)
 
     def sample_bits(self, times, rng=None):
         """Comparator decisions at the given times (with jitter if set)."""
