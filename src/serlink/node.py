@@ -1,15 +1,18 @@
 """Two-chip link simulation: registers, DMA, GPIO handshake, scheduler.
 
 Each node models one chip: Table-style configuration registers, a flat
-on-chip memory, decoupled read/write DMA channels moving one 32-bit word
-per 50 MHz cycle through clock-domain-crossing FIFOs, and two GPIO pins
-used by the synchronization protocols.  A shared deterministic event
-scheduler (integer picosecond timestamps, FIFO order among equal times)
-drives both nodes plus the serial link data plane.
+on-chip memory, one uDMA channel moving one 32-bit word per 50 MHz cycle
+through a clock-domain-crossing FIFO (the TX node reads memory into its
+FIFO, the RX node writes its FIFO to memory), and two GPIO pins used by
+the synchronization protocols.  Software configures the DMA only through
+the registers: writing the channel's size register starts it at its
+address register.  A shared deterministic event scheduler (integer
+picosecond timestamps, FIFO order among equal times) drives both nodes
+plus the serial link data plane.
 
 Protocols are scripted step lists, not an ISA simulation: every program
-line costs a fixed number of 50 MHz cycles and the summed line time is
-reported as the programming latency.
+line costs a fixed number of 50 MHz cycles and the summed line and
+interrupt-entry time is reported as the programming latency.
 """
 
 from __future__ import annotations
@@ -140,6 +143,7 @@ class ConfigRegisters:
 
 
 REGISTER_NAMES = frozenset(f.name for f in fields(ConfigRegisters))
+_DMA_SIZE = {"read": "tx_data_size", "write": "rx_data_size"}  # starts the channel
 
 
 @dataclass
@@ -148,7 +152,6 @@ class DmaChannel:
     fifo: Fifo
     cursor: int = 0
     remaining: int = 0
-    enabled: bool = False
 
     @property
     def done(self):
@@ -157,7 +160,7 @@ class DmaChannel:
 
 def dma_step(channel: DmaChannel, memory, now_ps=0):
     """Move one 32-bit word if the channel can progress; returns True if moved."""
-    if not channel.enabled or channel.remaining <= 0:
+    if channel.remaining <= 0:
         return False
     if channel.direction == "read":
         if not channel.fifo.can_push():
@@ -175,7 +178,7 @@ def dma_step(channel: DmaChannel, memory, now_ps=0):
 
 
 class Node:
-    """One chip: memory, registers, DMA channels and its program driver."""
+    """One chip: memory, registers, its DMA channel and its program driver."""
 
     def __init__(self, name, sim: Scheduler, log, config):
         self.name = name
@@ -186,16 +189,19 @@ class Node:
         self.regs = ConfigRegisters()
         self.program_cycles = 0
         self.on_register_write = None  # hook(name, value) after validation
-        self.dma_read = None
-        self.dma_write = None
-        self._dma_tick_scheduled = False
+        self.dma = None  # one DmaChannel: "read" on the TX node, "write" on the RX
 
     def write_register(self, name, value):
         if name not in REGISTER_NAMES:
             raise UnknownRegister(name)
+        starts = self.dma is not None and name == _DMA_SIZE[self.dma.direction]
         if name.endswith("_size"):
-            if value % 4 or value < 0:
-                raise AlignmentError(f"{name} must be a non-negative multiple of 4")
+            addr = getattr(self.regs, name.replace("_size", "_addr"))
+            if value % 4 or not 0 <= value <= len(self.memory) - addr:
+                raise AlignmentError(f"{name} must be a non-negative multiple of 4 "
+                                     "that fits in memory from its address register")
+            if starts and not self.dma.done:
+                raise SimulationError(f"{name} written while its DMA is still moving")
         elif name.endswith("_addr"):
             if value % 4 or not 0 <= value < len(self.memory):
                 raise AlignmentError(f"{name} must be word aligned and in memory")
@@ -204,73 +210,53 @@ class Node:
                 raise AlignmentError(f"cdr_n must be one of {cdr.VALID_DIVIDERS}")
         setattr(self.regs, name, int(value))
         self.log(self.name, name, int(value))
+        if starts and value:  # a tick is pending exactly while words remain
+            self.dma.cursor, self.dma.remaining = addr, int(value)
+            self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
         if self.on_register_write is not None:
             self.on_register_write(name, int(value))
 
-    # -- DMA ------------------------------------------------------------
-
-    def start_dma(self, channel):
-        channel.enabled = True
-        if not self._dma_tick_scheduled:
-            self._dma_tick_scheduled = True
-            self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
-
     def _dma_tick(self):
-        active = False
-        for channel in (self.dma_read, self.dma_write):
-            if channel is not None and channel.enabled:
-                dma_step(channel, self.memory, self.sim.now_ps)
-                if channel.done:
-                    channel.enabled = False
-                    self.log(self.name, f"dma_{channel.direction}_done", 1)
-                else:
-                    active = True
-        if active:
-            self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
+        dma_step(self.dma, self.memory, self.sim.now_ps)
+        if self.dma.done:
+            self.log(self.name, f"dma_{self.dma.direction}_done", 1)
         else:
-            self._dma_tick_scheduled = False
+            self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, self._dma_tick)
 
     # -- scripted program driver ------------------------------------------
 
     def run_program(self, steps, on_done=None):
         """Execute a step list: ("line", label, fn), ("irq", label),
-        ("wait", label, predicate), ("wait_cycles", label, n)."""
+        ("wait", label, predicate), ("wait_cycles", label, n).  A wait polls
+        its predicate once per MCU period; every other step waits its cycles
+        (the line cost, IRQ_ENTRY_CYCLES or n), a line then runs its fn, and
+        line and irq cycles count toward the programming latency."""
 
         def advance(i):
-            if i >= len(steps):
+            if i == len(steps):
                 if on_done is not None:
                     on_done()
                 return
-            step = steps[i]
-            kind, label = step[0], step[1]
-            if kind == "line":
-                cost = self.config.line_cost_cycles
-                self.program_cycles += cost
-
-                def fire(fn=step[2], nxt=i + 1):
-                    fn()
-                    advance(nxt)
-                self.sim.schedule(self.sim.now_ps + cost * MCU_PERIOD_PS, fire)
-            elif kind == "irq":
-                cost = IRQ_ENTRY_CYCLES
-                self.program_cycles += cost
-                self.sim.schedule(self.sim.now_ps + cost * MCU_PERIOD_PS,
-                                  lambda nxt=i + 1: advance(nxt))
-            elif kind == "wait":
-                predicate = step[2]
-
-                def poll(nxt=i + 1):
-                    if predicate():
-                        advance(nxt)
-                    else:
-                        self.sim.schedule(self.sim.now_ps + MCU_PERIOD_PS, poll)
-                poll()
+            kind, _, *arg = steps[i]
+            nxt = i + 1
+            if kind == "wait":
+                if arg[0]():
+                    return advance(nxt)
+                cycles, nxt = 1, i  # poll again one MCU period later
             elif kind == "wait_cycles":
-                n = step[2]
-                self.sim.schedule(self.sim.now_ps + n * MCU_PERIOD_PS,
-                                  lambda nxt=i + 1: advance(nxt))
+                cycles = arg[0]
+            elif kind in ("line", "irq"):
+                cycles = (self.config.line_cost_cycles if kind == "line"
+                          else IRQ_ENTRY_CYCLES)
+                self.program_cycles += cycles
             else:
                 raise SimulationError(f"unknown program step {kind!r}")
+
+            def fire():
+                if kind == "line":
+                    arg[0]()
+                advance(nxt)
+            self.sim.schedule(self.sim.now_ps + cycles * MCU_PERIOD_PS, fire)
 
         advance(0)
 
@@ -330,7 +316,6 @@ class LinkEngine:
     def __init__(self, sim, cfg: LinkSimConfig, tx: Node, rx: Node, log: EventLog):
         self.sim = sim
         self.cfg = cfg
-        self.tx = tx
         self.rx = rx
         self.log = log
         self.aborted = None
@@ -339,8 +324,8 @@ class LinkEngine:
         self._decode_ps = s_to_ps(DECODER_LATENCY_SLOW * cfg.slow_cycle_s)
         self.tx_fifo = Fifo(latency_ps=self._cdc_ps)
         self.rx_fifo = Fifo(latency_ps=self._cdc_ps)
-        tx.dma_read = DmaChannel("read", self.tx_fifo)
-        rx.dma_write = DmaChannel("write", self.rx_fifo)
+        tx.dma = DmaChannel("read", self.tx_fifo)
+        rx.dma = DmaChannel("write", self.rx_fifo)
 
         self.framer = control.TxFramer(self._pop_word, self._tx_valid)
         self.stream = phy.StreamingNrz(cfg.channel, tx_ui_s=cfg.tx_ui_s,
@@ -517,17 +502,11 @@ def _dma_setups(cfg, tx, rx, payload):
     def setup_tx_dma():
         tx.write_register("tx_data_addr", 0)
         tx.write_register("tx_data_size", len(payload))
-        tx.dma_read.cursor = 0
-        tx.dma_read.remaining = len(payload)
-        tx.start_dma(tx.dma_read)
 
     def setup_rx_dma():
         rx.write_register("rx_data_addr", 0)
         rx.write_register("rx_data_size", len(payload))
         rx.write_register("cdr_n", cfg.cdr_n)
-        rx.dma_write.cursor = 0
-        rx.dma_write.remaining = len(payload)
-        rx.start_dma(rx.dma_write)
 
     return setup_tx_dma, setup_rx_dma
 
@@ -638,7 +617,7 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     setup_cycles = None  # both nodes' program cycles when teardown starts
 
     def transfer_complete():
-        return (len(finished) == 2 and rx.dma_write.done
+        return (len(finished) == 2 and rx.dma.done
                 and engine.framer.state is control.TxState.IDLE
                 and not engine.framer.warm_en)
 
@@ -647,7 +626,7 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
         # a frame has ended, both nodes switch the link off.  The poll has
         # no exit: ``stop`` ends the run at completion or an abort.
         nonlocal setup_cycles
-        if (setup_cycles is None and rx in finished and rx.dma_write.done
+        if (setup_cycles is None and rx in finished and rx.dma.done
                 and engine.pipeline.frames_received >= 1):
             setup_cycles = tx.program_cycles + rx.program_cycles
             timestamps["data_done"] = sim.now_s
@@ -663,7 +642,7 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     sim.run(until_ps=s_to_ps(WATCHDOG_FACTOR * expected_s),
             stop=lambda: engine.aborted is not None or transfer_complete())
 
-    delivered = rx.dma_write.cursor
+    delivered = rx.dma.cursor
     received = bytes(rx.memory[0:cfg.payload_bytes])
     mismatches = sum(a != b for a, b in zip(payload, received))
     completed = transfer_complete()

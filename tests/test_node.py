@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -86,6 +87,29 @@ def test_register_alignment_checks():
         n.write_register("cdr_n", 5)
 
 
+def test_size_register_must_fit_in_memory_from_its_address():
+    n, _ = make_node()
+    with pytest.raises(AlignmentError, match="tx_data_size"):
+        n.write_register("tx_data_size", MEMORY_BYTES + 4)
+    n.write_register("rx_data_addr", 64)
+    with pytest.raises(AlignmentError, match="rx_data_size"):
+        n.write_register("rx_data_size", MEMORY_BYTES - 60)
+    n.write_register("rx_data_size", MEMORY_BYTES - 64)
+    assert (n.regs.tx_data_size, n.regs.rx_data_size) == (0, MEMORY_BYTES - 64)
+
+
+def test_size_write_while_its_dma_moves_is_rejected():
+    n, sim = make_node()
+    n.dma = DmaChannel("read", Fifo(depth=1 << 20))
+    n.write_register("tx_data_size", 16)
+    with pytest.raises(SimulationError, match="tx_data_size"):
+        n.write_register("tx_data_size", 8)
+    assert n.regs.tx_data_size == 16 and n.dma.remaining == 16
+    sim.run()
+    n.write_register("tx_data_size", 8)  # finished: the channel may start again
+    assert n.dma.remaining == 8
+
+
 def test_cdr_n_register_reaches_the_loop():
     cfg = LinkSimConfig(payload_bytes=256, cdr_n=8)
     report = run_protocol(cfg)
@@ -99,7 +123,7 @@ def test_dma_read_moves_one_word_per_cycle():
     n, _ = make_node()
     n.memory[0:16384] = bytes(range(256)) * 64
     fifo = Fifo(depth=1 << 20)
-    chan = DmaChannel("read", fifo, cursor=0, remaining=16384, enabled=True)
+    chan = DmaChannel("read", fifo, cursor=0, remaining=16384)
     cycles = 0
     while not chan.done:
         assert dma_step(chan, n.memory, now_ps=cycles * 20000)
@@ -109,7 +133,7 @@ def test_dma_read_moves_one_word_per_cycle():
 
 def test_dma_done_channel_does_not_move():
     n, _ = make_node()
-    chan = DmaChannel("read", Fifo(), cursor=0, remaining=0, enabled=True)
+    chan = DmaChannel("read", Fifo(), cursor=0, remaining=0)
     assert not dma_step(chan, n.memory)
 
 
@@ -117,12 +141,34 @@ def test_dma_stalls_on_full_fifo_without_loss():
     n, _ = make_node()
     n.memory[0:64] = bytes(range(64))
     fifo = Fifo(depth=2)
-    chan = DmaChannel("read", fifo, cursor=0, remaining=64, enabled=True)
+    chan = DmaChannel("read", fifo, cursor=0, remaining=64)
     assert dma_step(chan, n.memory) and dma_step(chan, n.memory)
     assert not dma_step(chan, n.memory)  # full: stall, no data lost
     assert chan.remaining == 64 - 8
     fifo.pop(10**9)
     assert dma_step(chan, n.memory, now_ps=10**9)
+
+
+def test_size_register_starts_the_channel_at_its_address():
+    rows = []
+    sim = Scheduler()
+    n = Node("n0", sim, lambda *row, **k: rows.append(row), LinkSimConfig())
+    n.memory[64:80] = bytes(range(16))
+    fifo = Fifo(depth=1 << 20)
+    n.dma = DmaChannel("read", fifo)
+    n.write_register("rx_data_size", 16)  # the other direction's register
+    assert sim.advance() is None and n.dma.remaining == 0
+    n.write_register("tx_data_addr", 64)
+    n.write_register("tx_data_size", 16)
+    sim.run()
+    # zero crossing latency: each entry's ready time is its push time
+    assert fifo._entries == [(20000, 0x03020100), (40000, 0x07060504),
+                             (60000, 0x0B0A0908), (80000, 0x0F0E0D0C)]
+    assert rows.count(("n0", "dma_read_done", 1)) == 1
+    bare, bare_sim = make_node()  # no channel: size writes start nothing
+    bare.write_register("tx_data_size", 16)
+    bare.write_register("rx_data_size", 16)
+    assert bare_sim.advance() is None
 
 
 def test_fifo_entries_respect_crossing_latency():
@@ -318,3 +364,21 @@ def test_event_energy_integration_matches_phase_model():
     # and the active wire time reflects the 10b/8b coding overhead
     wire_span = ev["stop_detected"] - ev["start_detected"]
     assert wire_span == pytest.approx(payload * 8 * (40 / 32) / 0.8e9, rel=0.02)
+
+
+@pytest.mark.parametrize("scenario", ["tx_initiated", "rx_initiated"])
+@pytest.mark.parametrize("payload", [1024, 4096])
+def test_timeline_matches_the_duty_cycle_model_at_the_coded_rate(payload, scenario):
+    # an oracle that shares no code with the node: the duty-cycle model at
+    # zero idle time, with the wire's 32 payload bits per 40 coded bits
+    report = run_protocol(LinkSimConfig(payload_bytes=payload, scenario=scenario))
+    assert report.ok
+    bits = payload * 8
+    t = report.timestamps
+    p = energy.DEFAULT_PROFILE
+    coded = dataclasses.replace(p, line_rate=p.line_rate * 32 / 40)
+    bw = energy.bw_max(coded, payload)
+    model = energy.duty_cycle_energy(coded, energy.DutyCycleConfig(bw, payload))
+    assert bits / (t["end"] - t["tx_warm_en"]) == pytest.approx(bw, rel=0.015)
+    assert report.energy_j / bits == pytest.approx(model.energy_per_bit_pj * 1e-12,
+                                                   rel=0.015)
