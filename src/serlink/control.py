@@ -52,15 +52,18 @@ def tx_fsm_step(state, valid, warm_en, comm_en):
         nxt = TxState.DATA_COMM if valid else TxState.STOP_HEADER
     else:  # STOP_HEADER
         nxt = TxState.IDLE
+    return _TX_ACTIONS[nxt]
 
-    select = {
-        TxState.IDLE: None,
-        TxState.WARM_UP: FlitKind.TRAINING,
-        TxState.START_HEADER: FlitKind.START,
-        TxState.DATA_COMM: FlitKind.DATA,
-        TxState.STOP_HEADER: FlitKind.STOP,
-    }[nxt]
-    return TxAction(nxt, select, select is FlitKind.DATA)
+
+# the action that enters each state: the flit it selects, and whether
+# that flit pops a word
+_TX_ACTIONS = {state: TxAction(state, flit, flit is FlitKind.DATA) for state, flit in (
+    (TxState.IDLE, None),
+    (TxState.WARM_UP, FlitKind.TRAINING),
+    (TxState.START_HEADER, FlitKind.START),
+    (TxState.DATA_COMM, FlitKind.DATA),
+    (TxState.STOP_HEADER, FlitKind.STOP),
+)}
 
 
 class TxFramer:

@@ -21,6 +21,11 @@ class BitPair(NamedTuple):
     odd: int   # falling-edge sample
 
 
+# builds a BitPair from an (even, odd) tuple, as the namedtuple's own
+# __new__ does, without that Python-level call per pair
+_tuple_new = tuple.__new__
+
+
 class Serializer:
     """Serializes one loaded 40-bit flit, two bits per step, bit 0 first."""
 
@@ -52,7 +57,7 @@ class Serializer:
         if bits is None or pos == FLIT_BITS:  # as flit_done
             raise Underflow("serializer stepped with no flit loaded")
         self._pos = pos + 2
-        return BitPair(bits[pos], bits[pos + 1]), (pos // GROUP_BITS) % GROUPS
+        return _tuple_new(BitPair, (bits[pos], bits[pos + 1])), (pos // GROUP_BITS) % GROUPS
 
 
 class Deserializer:
@@ -89,6 +94,6 @@ class ShiftRealigner:
     def push(self, pair):
         """Consume one (even, odd) pair; returns the realigned BitPair."""
         even, odd = pair
-        out = BitPair(self._last_odd, even) if self.shift else BitPair(even, odd)
+        out = _tuple_new(BitPair, (self._last_odd, even) if self.shift else (even, odd))
         self._last_odd = odd
         return out

@@ -75,6 +75,12 @@ class DutyCycleConfig:
             raise ValueError("bandwidth and buffer size must be positive")
 
 
+# the share of the cycle by which t_idle may fall below zero from
+# rounding alone: bw_max's cycle comes back a few ulps short of
+# t_act + t_warm
+_IDLE_ROUNDING = 1e-12
+
+
 @dataclass(frozen=True)
 class EnergyReport:
     t_act_s: float
@@ -91,6 +97,8 @@ def duty_cycle_energy(profile: PowerProfile, cfg: DutyCycleConfig) -> EnergyRepo
     t_act = bits / profile.line_rate
     t_cycle = bits / cfg.target_bw
     t_idle = t_cycle - t_act - profile.t_warm_s
+    if -_IDLE_ROUNDING * t_cycle <= t_idle < 0:  # at bw_max, short only by rounding
+        t_idle = 0.0
     if t_idle < 0:
         raise InfeasibleBandwidth(
             f"{cfg.target_bw / 1e6:.1f} Mbps exceeds the sustainable bandwidth "

@@ -1,9 +1,11 @@
 """Behavioral analog layer: driver, channel, comparator sampling, eyes.
 
-The differential driver is an ideal NRZ trapezoid at +/- swing/2 with a
-configurable rise time.  The channel is a pure delay plus one stage,
-``_Channel``: a first-order low-pass whose pole is derived from the
-trace length by a two-point calibration map, plus additive Gaussian
+The differential driver is an ideal NRZ trapezoid with a configurable
+rise time over three levels: -swing/2, 0 V (idle) and +swing/2.  Both
+renderers gather each bit's samples from one table row per (previous,
+current, next) level triple.  The channel is a pure delay plus one
+stage, ``_Channel``: a first-order low-pass whose pole is derived from
+the trace length by a two-point calibration map, plus additive Gaussian
 noise, carrying its state from one block of samples to the next.
 ``channel_apply`` runs a whole waveform (eye folding needs it whole)
 through a fresh stage; ``StreamingNrz`` runs each chunk through the one
@@ -30,6 +32,7 @@ EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
 _STREAM_KEEP = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 3  # samples a stream retains
+_STREAM_BUFFER = 2 * _STREAM_KEEP  # a stream's sample buffer; holds the window
 
 # Two-point calibration of the trace-length -> pole map: (length in cm,
 # time constant in s).  Each constant is the root, by brentq to 1e-15 s,
@@ -104,11 +107,37 @@ def _render_trapezoid(levels, spu, rise_ui, prev_level, next_level):
     return out
 
 
+def _driver_levels(swing):
+    """The driver's levels by code: 0 is -swing/2, 1 is 0 V (idle), 2 is
+    +swing/2."""
+    return (-swing / 2.0, 0.0, swing / 2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_table(swing, rise_ui):
+    """One bit's samples for every level triple: row 9*prev + 3*cur + next
+    over the level codes renders level ``cur`` between ``prev`` and
+    ``next``.  Each row is ``_render_trapezoid`` of its one level, whose
+    samples depend only on that triple, so gathering rows equals
+    rendering the whole sequence, bit for bit.  Shared, so read-only."""
+    levels = _driver_levels(swing)
+    table = np.array([_render_trapezoid([cur], SAMPLES_PER_UI, rise_ui, prev, nxt)
+                      for prev in levels for cur in levels for nxt in levels])
+    table.flags.writeable = False
+    return table
+
+
+def _gather(table, codes):
+    """Samples of ``codes[1:-1]``, each between its neighbours in ``codes``."""
+    return table.take(9 * codes[:-2] + 3 * codes[1:-1] + codes[2:], axis=0).ravel()
+
+
 def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
     """Render the TX output for a bit sequence (one bit per UI, DDR)."""
-    levels = _levels_from_bits(bits, cfg.swing)
-    samples = _render_trapezoid(levels, SAMPLES_PER_UI, cfg.rise_time_ui,
-                                levels[0], levels[-1])
+    codes = np.where(np.asarray(bits) > 0, 2, 0)
+    # the first and last bits are their own outer neighbours
+    codes = np.concatenate((codes[:1], codes, codes[-1:]))
+    samples = _gather(_bit_table(cfg.swing, cfg.rise_time_ui), codes)
     return Waveform(0.0, ui_s / SAMPLES_PER_UI, samples)
 
 
@@ -254,6 +283,10 @@ class StreamingNrz:
     driver is idle); ``voltage`` evaluates the delayed, filtered, noisy
     waveform at arbitrary times within the rendered window.  One pending
     level is always held back so boundary ramps see their next level.
+
+    The window is a view into one buffer of ``_STREAM_BUFFER`` samples
+    that each filtered chunk is appended to; only when a chunk no longer
+    fits are the retained samples moved to its front, in place.
     """
 
     def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S, seed=0, bit_source=None):
@@ -269,47 +302,73 @@ class StreamingNrz:
         # first-order step crosses zero ln2 time constants after the edge)
         group = math.log(2.0) / (2.0 * math.pi * pole) if pole is not None else 0.0
         self.reference_delay_s = cfg.prop_delay_s + group
-        self._pending = np.zeros(0)  # levels not yet rendered
+        self._alphabet = np.array(_driver_levels(cfg.swing))  # ascending, by code
+        self._codes = {level: code for code, level in enumerate(self._alphabet.tolist())}
+        self._table = _bit_table(cfg.swing, cfg.rise_time_ui)
+        self._pending = []        # codes of the levels not yet rendered
+        self._prev_code = 1       # the line starts idle
         self._nbits = 0           # bits fully rendered
-        self._prev_level = 0.0
+        self._frontier_s = -self.dt_s + cfg.prop_delay_s  # as 0 bits rendered
         self._grid_t0 = 0.0       # time of rendered sample 0 (pre-delay)
-        self._tail = np.zeros(0)  # rendered samples kept for interpolation
+        self._buf = np.empty(_STREAM_BUFFER)
+        self._end = 0             # the window is _buf[_end - len(_tail):_end]
+        self._tail = self._buf[:0]  # rendered samples kept for interpolation
 
     def push_bits(self, bits):
         self.push_levels(_levels_from_bits(bits, self.cfg.swing))
 
     def push_levels(self, levels):
-        self._pending = np.concatenate((self._pending, np.asarray(levels, dtype=float)))
+        """Queue levels for rendering; each must be one of the driver's
+        three levels (-swing/2, 0.0 or +swing/2), else ValueError."""
+        alphabet = self._alphabet
+        if isinstance(levels, np.ndarray):  # as push_bits gives them
+            codes = alphabet.searchsorted(levels)
+            valid = (alphabet.take(codes, mode="clip") == levels).all()
+            codes = codes.tolist()
+        else:
+            codes = [self._codes.get(v) for v in levels]
+            valid = None not in codes
+        if not valid:
+            raise ValueError(f"driver levels must be one of {tuple(alphabet.tolist())}")
+        self._pending += codes
         while len(self._pending) > STREAM_CHUNK_BITS:
-            self._render(self._pending[:STREAM_CHUNK_BITS],
-                         self._pending[STREAM_CHUNK_BITS])
-            self._pending = self._pending[STREAM_CHUNK_BITS:]
+            self._render(STREAM_CHUNK_BITS)
 
-    def _render(self, levels, next_level):
-        levels = np.asarray(levels, dtype=float)
-        raw = _render_trapezoid(levels, SAMPLES_PER_UI, self.cfg.rise_time_ui,
-                                self._prev_level, next_level)
-        self._prev_level = levels[-1]
-        raw = self._channel.apply(raw)
-        self._nbits += len(levels)
-        self._tail = np.concatenate((self._tail, raw))
-        if len(self._tail) > _STREAM_KEEP:
-            drop = len(self._tail) - _STREAM_KEEP
-            self._tail = self._tail[drop:]
+    def _render(self, take):
+        """Render the first ``take`` pending levels into the window."""
+        pending = self._pending
+        # codes are 0..2, so even a row index (at most 26) fits in a byte
+        codes = np.frombuffer(bytes([self._prev_code] + pending[:take + 1]), np.uint8)
+        self._prev_code = pending[take - 1]
+        del pending[:take]
+        raw = self._channel.apply(_gather(self._table, codes))
+        self._nbits += take
+        self._frontier_s = (self._nbits * self.tx_ui_s - self.dt_s) + self.cfg.prop_delay_s
+        buf, end, kept = self._buf, self._end, len(self._tail)
+        n = len(raw)
+        if end + n > len(buf):  # full: move the window to the front
+            buf[:kept] = buf[end - kept:end]
+            end = kept
+        buf[end:end + n] = raw
+        end += n
+        kept += n
+        if kept > _STREAM_KEEP:
+            drop = kept - _STREAM_KEEP
+            kept = _STREAM_KEEP
             self._grid_t0 += drop * self.dt_s
+        self._end = end
+        self._tail = buf[end - kept:end]
 
     @property
     def frontier_s(self):
         """Latest time (post-delay) the waveform is valid for."""
-        return (self._nbits * self.tx_ui_s - self.dt_s) + self.cfg.prop_delay_s
+        return self._frontier_s
 
     def ensure(self, t_s):
         """Render forward (draining pending levels, then the bit source)."""
         while self.frontier_s <= t_s:
             if len(self._pending) > 1:
-                take = min(STREAM_CHUNK_BITS, len(self._pending) - 1)
-                self._render(self._pending[:take], self._pending[take])
-                self._pending = self._pending[take:]
+                self._render(min(STREAM_CHUNK_BITS, len(self._pending) - 1))
             elif self._bit_source is not None:
                 self.push_bits(self._bit_source(STREAM_CHUNK_BITS))
             else:

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from serlink import energy
 from serlink.energy import (DEFAULT_PROFILE, DutyCycleConfig, PowerProfile,
@@ -58,6 +59,19 @@ def test_duty_cycle_time_budget_identity():
 def test_infeasible_bandwidth_raises():
     with pytest.raises(InfeasibleBandwidth):
         duty_cycle_energy(DEFAULT_PROFILE, DutyCycleConfig(799e6, 16 * 1024))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.integers(1, 32 * 1024), line_rate=st.sampled_from((0.8e9, 0.64e9)))
+@example(words=10, line_rate=0.8e9)  # 40 B: t_idle used to round to -1e-22 s
+def test_bw_max_is_feasible_and_just_above_is_not(words, line_rate):
+    profile = PowerProfile(line_rate=line_rate)
+    buffer_bytes = 4 * words
+    peak = bw_max(profile, buffer_bytes)
+    rep = duty_cycle_energy(profile, DutyCycleConfig(peak, buffer_bytes))
+    assert 0.0 <= rep.t_idle_s <= 1e-12 * rep.t_cycle_s
+    with pytest.raises(InfeasibleBandwidth):
+        duty_cycle_energy(profile, DutyCycleConfig(peak * 1.001, buffer_bytes))
 
 
 def test_continuous_energy_examples():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -52,6 +53,34 @@ def test_ramps_cross_zero_at_bit_boundaries():
     spu = round(UI_S / w.dt_s)
     assert w.samples[spu] == 0.0
     assert w.samples[2 * spu] == 0.0
+
+
+@st.composite
+def _level_runs(draw):
+    """Codes 0/1/2 (-swing/2, idle, +swing/2) in runs, so idle stretches
+    and repeated levels both occur."""
+    runs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)),
+                         min_size=1, max_size=40))
+    return [code for code, length in runs for _ in range(length)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes=_level_runs(), prev=st.integers(0, 2), nxt=st.integers(0, 2),
+       rise=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
+       swing=st.sampled_from((0.44, 0.3, 1.0, 0.0123, 2.5)))
+def test_table_render_is_the_trapezoid_bitwise(codes, prev, nxt, rise, swing):
+    alphabet = phy._driver_levels(swing)
+    levels = [alphabet[c] for c in codes]
+    want = phy._render_trapezoid(levels, phy.SAMPLES_PER_UI, rise,
+                                 alphabet[prev], alphabet[nxt])
+    got = phy._gather(phy._bit_table(swing, rise), np.array([prev] + codes + [nxt]))
+    assert got.tobytes() == want.tobytes()
+    # drive: bits map to the outer levels, the ends are their own neighbours
+    bits = [c // 2 for c in codes if c != 1] or [1]
+    drv = [alphabet[2 * b] for b in bits]
+    want = phy._render_trapezoid(drv, phy.SAMPLES_PER_UI, rise, drv[0], drv[-1])
+    got = drive(bits, ChannelConfig(swing=swing, rise_time_ui=rise)).samples
+    assert got.tobytes() == want.tobytes()
 
 
 # -- channel ---------------------------------------------------------------
@@ -414,3 +443,55 @@ def test_streamed_sampling_matches_np_interp_reference(length, delay, noisy, see
     if want is not None:
         assert got.dtype == np.int8
         assert got.tobytes() == (want > 1e-9).astype(np.int8).tobytes()
+
+
+def test_window_compaction_keeps_the_newest_samples_bitwise():
+    # uneven bursts drive the window through several in-place moves to
+    # the front of the stream's buffer, rendering as ensure does
+    cfg = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.01, prop_delay_s=0.3e-9)
+    levels = np.random.default_rng(61).choice([-0.22, 0.0, 0.22], 4200)
+    stream = StreamingNrz(cfg, seed=5)
+    buf = stream._buf
+    raw = phy._render_trapezoid(levels[:-1], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
+                                0.0, levels[-1])
+    whole = phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
+                         np.random.default_rng([5, 0xC0])).apply(raw)
+    takes = []
+    render = stream._render
+
+    def recording_render(take):
+        takes.append(take)
+        render(take)
+
+    stream._render = recording_render
+    spu, keep = phy.SAMPLES_PER_UI, phy._STREAM_KEEP
+    pushed = 0
+    bursts = itertools.cycle((1, 7, 255, 256, 257))
+    while pushed < len(levels):
+        burst = levels[pushed:pushed + next(bursts)]
+        pushed += len(burst)
+        stream.push_levels(burst.tolist() if pushed % 2 else burst)
+        stream.ensure((pushed - 2) * UI_S + cfg.prop_delay_s)  # all but one level
+        assert stream._nbits == pushed - 1
+        end = stream._nbits * spu
+        assert stream._tail.tobytes() == whole[max(end - keep, 0):end].tobytes()
+        grid_t0, kept = 0.0, 0  # the window's drops, summed chunk by chunk
+        for take in takes:
+            kept += take * spu
+            if kept > keep:
+                grid_t0 += (kept - keep) * stream.dt_s
+                kept = keep
+        assert stream._grid_t0 == grid_t0
+    assert sum(takes) * spu > 2 * len(buf)  # the window moved to the front thrice or more
+    assert stream._buf is buf and np.shares_memory(stream._tail, buf)
+
+
+def test_off_alphabet_levels_raise_and_render_nothing():
+    stream = StreamingNrz(CLEAN)
+    stream.push_levels([0.22] * 300)
+    state = (stream._nbits, list(stream._pending), stream._tail.tobytes())
+    for bad in ([0.22, 0.1], np.array([0.22] * 300 + [0.5]), [float("nan")],
+                np.array([-0.22, np.nan]), [0.2200001]):
+        with pytest.raises(ValueError, match="-0.22, 0.0, 0.22"):
+            stream.push_levels(bad)
+        assert (stream._nbits, list(stream._pending), stream._tail.tobytes()) == state
