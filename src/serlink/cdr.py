@@ -25,11 +25,7 @@ PI_STEP_UI = Fraction(1, 16)   # one interpolator step, in UI (1/32 of 2 UI)
 BATCH_BITS = 8
 VALID_DIVIDERS = (1, 2, 4, 8, 16, 32, 64, 128)
 
-# Warm-up budget consumed by the duty-cycle energy model: worst-case loop
-# settling (16 steps * 16 fast cycles * 2.5 ns) plus handshake programming.
-CDR_SETTLE_S = 0.64e-6
-PROGRAMMING_S = 0.75e-6
-WARMUP_S = CDR_SETTLE_S + PROGRAMMING_S  # 1.39 us
+CDR_SETTLE_S = 0.64e-6  # worst-case loop settling: 16 steps * 16 fast cycles * 2.5 ns
 
 
 class PdDecision(enum.Enum):

@@ -226,18 +226,18 @@ def cmd_energy(args):
     _write_atomic(paths[0], head + "\n" + "\n".join(rows) + "\n")
     peak = energy.bw_max(profile, energy.BUFFER_BYTES)
     print(f"continuous: {energy.continuous_energy(profile):.4f} pJ/bit at "
-          f"{profile.line_rate / 1e9:.1f} Gbps; bw_max(16KB) = {peak / 1e6:.1f} Mbps")
+          f"{profile.line_rate / 1e9:.1f} Gbps; "
+          f"bw_max({energy.BUFFER_BYTES // 1024}KB) = {peak / 1e6:.1f} Mbps")
     if args.compare:
         ratios = ["comparison,bandwidth_mbps,ratio"]
         best = energy.compare_peripherals(profile, args.compare, peak, mode="best")
         ratios.append(f"{args.compare}_best_vs_link_at_bw_max,{peak / 1e6:.3f},{best:.4f}")
-        for bw_mbps in (10.0,):
-            try:
-                same = energy.compare_peripherals(profile, args.compare,
-                                                  bw_mbps * 1e6, mode="same_bw")
-            except CurveOutOfRange:
-                continue
-            ratios.append(f"{args.compare}_same_bw,{bw_mbps:g},{same:.4f}")
+        try:  # no same-bandwidth line where the curve does not reach 10 Mbps
+            same = energy.compare_peripherals(profile, args.compare, 10e6, mode="same_bw")
+        except CurveOutOfRange:
+            pass
+        else:
+            ratios.append(f"{args.compare}_same_bw,10,{same:.4f}")
         _write_atomic(paths[1], head + "\n" + "\n".join(ratios) + "\n")
         print("\n".join(ratios[1:]))
     return 0

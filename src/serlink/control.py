@@ -188,6 +188,7 @@ class RxPipeline:
     def push_pair(self, pair):
         if not self.comm_en:
             self.receiving = False
+            self.last_events = _NO_EVENTS
             return ()
         events = self.detector.push_pair(pair)
         self.last_events = events

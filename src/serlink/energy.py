@@ -17,7 +17,10 @@ from importlib import resources
 
 import numpy as np
 
+from . import cdr, phy
 from .errors import CurveOutOfRange, InfeasibleBandwidth
+
+PROGRAMMING_S = 0.75e-6  # handshake programming, the rest of the warm-up budget
 
 
 @dataclass(frozen=True)
@@ -31,8 +34,8 @@ class PowerProfile:
     tx_digital_active_w: float = 0.253e-3  # data-comm and warm-up
     digital_standby_w: float = 1e-6        # per side
     pg_overhead_j: float = 120e-12         # analog power-gate turn-on cost
-    t_warm_s: float = 1.39e-6              # loop settling + programming
-    line_rate: float = 0.8e9
+    t_warm_s: float = cdr.CDR_SETTLE_S + PROGRAMMING_S  # 1.39 us
+    line_rate: float = phy.LINE_RATE
 
     def __post_init__(self):
         fields = (self.rx_analog_w, self.tx_analog_w, self.rx_digital_data_w,

@@ -36,7 +36,7 @@ FIFO_DEPTH = 4
 CDC_SLOW_CYCLES = 2        # clock-domain crossing latency, slow-clock cycles
 DECODER_LATENCY_SLOW = 1   # slow-clock cycles from decoded word to RX FIFO
 IRQ_ENTRY_CYCLES = 2
-CDR_WARMUP_CYCLES = 32     # 0.64 us at 50 MHz
+CDR_WARMUP_CYCLES = round(cdr.CDR_SETTLE_S * PS_PER_S) // MCU_PERIOD_PS  # 32
 WATCHDOG_FACTOR = 10.0     # deadline, in multiples of the expected transfer time
 
 
@@ -267,7 +267,7 @@ class LinkSimConfig:
 
     channel: phy.ChannelConfig = field(default_factory=phy.ChannelConfig)
     scenario: str = "tx_initiated"       # or "rx_initiated"
-    payload_bytes: int = 16 * 1024
+    payload_bytes: int = energy.BUFFER_BYTES
     freq_offset: float = 0.0             # TX serdes clock vs RX, fractional
     cdr_n: int = 4
     initial_phase_ui: float = 0.25
@@ -279,7 +279,7 @@ class LinkSimConfig:
 
     @property
     def slow_cycle_s(self):
-        return 8 * self.ui_s  # Clk/4 period in UI terms
+        return cdr.BATCH_BITS * self.ui_s  # Clk/4 period: one CDR batch
 
     @property
     def tx_ui_s(self):
@@ -330,6 +330,7 @@ class LinkEngine:
         self.framer = control.TxFramer(self._pop_word, self._tx_valid)
         self.stream = phy.StreamingNrz(cfg.channel, tx_ui_s=cfg.tx_ui_s,
                                        seed=cfg.seed)
+        self._levels = phy.driver_levels(cfg.channel.swing)
         self.pipeline = control.RxPipeline()
         self.loop = None
         self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
@@ -373,13 +374,12 @@ class LinkEngine:
 
     def _tx_quantum(self):
         step_cycle = self.framer.step_cycle
-        high = self.cfg.channel.swing / 2.0
-        low = -high
+        low, idle, high = self._levels
         levels = []
-        for _ in range(4):
+        for _ in range(cdr.BATCH_BITS // 2):
             pair = step_cycle()
             if pair is None:
-                levels += (0.0, 0.0)
+                levels += (idle, idle)
             else:
                 levels += (high if pair.even else low, high if pair.odd else low)
         self.stream.push_levels(levels)
@@ -387,10 +387,10 @@ class LinkEngine:
         if state is not self._prev_tx_state:
             self.log("tx", "tx_state", state.value)
             if state is control.TxState.DATA_COMM and self.first_data_bit_s is None:
-                self.first_data_bit_s = self._tx_quanta * 8 * self.cfg.tx_ui_s
+                self.first_data_bit_s = self._tx_quanta * cdr.BATCH_BITS * self.cfg.tx_ui_s
             self._prev_tx_state = state
         self._tx_quanta += 1
-        self.sim.schedule(s_to_ps(self._tx_quanta * 8 * self.cfg.tx_ui_s),
+        self.sim.schedule(s_to_ps(self._tx_quanta * cdr.BATCH_BITS * self.cfg.tx_ui_s),
                           self._tx_quantum)
 
     # -- RX data plane ------------------------------------------------------
@@ -402,7 +402,7 @@ class LinkEngine:
             initial_phase_ui=self.cfg.initial_phase_ui,
             include_boundary=self.cfg.include_boundary_pd,
             seed=self.cfg.seed, t_start_s=anchor_s)
-        self._schedule_rx_quantum(anchor_s + 8 * self.cfg.ui_s)
+        self._schedule_rx_quantum(anchor_s + self.cfg.slow_cycle_s)
 
     def _schedule_rx_quantum(self, batch_end_s):
         # run two quanta behind the recovered sampling instants so the
@@ -444,7 +444,7 @@ class LinkEngine:
                                   extra_latency_ps=self._decode_ps)
         if was_receiving != pipeline.receiving:
             log("rx", "rx_receiving", int(pipeline.receiving))
-        self._schedule_rx_quantum(rec.t_end_s[-1] + 8 * self.cfg.ui_s)
+        self._schedule_rx_quantum(rec.t_end_s[-1] + self.cfg.slow_cycle_s)
 
     def abort(self, reason):
         if self.aborted is None:
@@ -638,7 +638,7 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
 
     sim.schedule(0, teardown_poll)
 
-    expected_s = cfg.payload_bytes * 8 * cfg.ui_s + cdr.WARMUP_S + 5e-6
+    expected_s = cfg.payload_bytes * 8 * cfg.ui_s + energy.DEFAULT_PROFILE.t_warm_s + 5e-6
     sim.run(until_ps=s_to_ps(WATCHDOG_FACTOR * expected_s),
             stop=lambda: engine.aborted is not None or transfer_complete())
 

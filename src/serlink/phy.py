@@ -31,6 +31,7 @@ DEFAULT_EYE_UIS = 150
 EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
+_NOISE_BLOCK = 1 << 16     # noise samples a channel draws per call, added in place
 _STREAM_KEEP = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 3  # samples a stream retains
 _STREAM_BUFFER = 2 * _STREAM_KEEP  # a stream's sample buffer; holds the window
 
@@ -72,9 +73,8 @@ class Waveform:
 
 
 def _levels_from_bits(bits, swing):
-    bits = np.asarray(bits)
-    levels = np.where(bits > 0, swing / 2.0, -swing / 2.0).astype(float)
-    return levels
+    low, _, high = driver_levels(swing)
+    return np.where(np.asarray(bits) > 0, high, low).astype(float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -107,7 +107,7 @@ def _render_trapezoid(levels, spu, rise_ui, prev_level, next_level):
     return out
 
 
-def _driver_levels(swing):
+def driver_levels(swing):
     """The driver's levels by code: 0 is -swing/2, 1 is 0 V (idle), 2 is
     +swing/2."""
     return (-swing / 2.0, 0.0, swing / 2.0)
@@ -120,7 +120,7 @@ def _bit_table(swing, rise_ui):
     ``next``.  Each row is ``_render_trapezoid`` of its one level, whose
     samples depend only on that triple, so gathering rows equals
     rendering the whole sequence, bit for bit.  Shared, so read-only."""
-    levels = _driver_levels(swing)
+    levels = driver_levels(swing)
     table = np.array([_render_trapezoid([cur], SAMPLES_PER_UI, rise_ui, prev, nxt)
                       for prev in levels for cur in levels for nxt in levels])
     table.flags.writeable = False
@@ -164,7 +164,13 @@ class _Channel:
             samples, self._zi = signal.lfilter([alpha], [1.0, alpha - 1.0], samples,
                                                zi=self._zi)
         if self._sigma > 0:
-            samples = samples + self._rng.normal(0.0, self._sigma, len(samples))
+            if alpha is None:  # unfiltered, so still the caller's samples
+                samples = np.array(samples, dtype=float)
+            # drawn block by block, the noise equals one draw of the whole
+            # length, and no waveform-sized noise array is ever held
+            for lo in range(0, len(samples), _NOISE_BLOCK):
+                block = samples[lo:lo + _NOISE_BLOCK]
+                block += self._rng.normal(0.0, self._sigma, len(block))
         return samples
 
 
@@ -302,7 +308,7 @@ class StreamingNrz:
         # first-order step crosses zero ln2 time constants after the edge)
         group = math.log(2.0) / (2.0 * math.pi * pole) if pole is not None else 0.0
         self.reference_delay_s = cfg.prop_delay_s + group
-        self._alphabet = np.array(_driver_levels(cfg.swing))  # ascending, by code
+        self._alphabet = np.array(driver_levels(cfg.swing))  # ascending, by code
         self._codes = {level: code for code, level in enumerate(self._alphabet.tolist())}
         self._table = _bit_table(cfg.swing, cfg.rise_time_ui)
         self._pending = []        # codes of the levels not yet rendered

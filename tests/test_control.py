@@ -240,6 +240,17 @@ def test_pipeline_receiving_follows_markers_and_comm_en():
     assert got == [] and pipe.frames_received == 0
 
 
+def test_last_events_clear_while_comm_en_is_off():
+    pipe = RxPipeline()
+    pipe.comm_en = True
+    for i in range(0, 8, 2):
+        pipe.push_pair(BitPair(START_BITS[i], START_BITS[i + 1]))
+    assert pipe.last_events.start_detected
+    pipe.comm_en = False
+    pipe.push_pair(BitPair(1, 1))
+    assert not pipe.last_events.start_detected and not pipe.last_events.stop_detected
+
+
 @settings(max_examples=25, deadline=None)
 @given(words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
        shift=st.sampled_from((0, 1)))

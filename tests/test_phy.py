@@ -69,7 +69,7 @@ def _level_runs(draw):
        rise=st.sampled_from((0.0, 0.1, 0.5, 1.0)),
        swing=st.sampled_from((0.44, 0.3, 1.0, 0.0123, 2.5)))
 def test_table_render_is_the_trapezoid_bitwise(codes, prev, nxt, rise, swing):
-    alphabet = phy._driver_levels(swing)
+    alphabet = phy.driver_levels(swing)
     levels = [alphabet[c] for c in codes]
     want = phy._render_trapezoid(levels, phy.SAMPLES_PER_UI, rise,
                                  alphabet[prev], alphabet[nxt])
@@ -100,6 +100,25 @@ def test_channel_filter_is_linear():
     once = channel_apply(w, cfg).samples
     scaled = channel_apply(phy.Waveform(w.t0_s, w.dt_s, 2.5 * w.samples), cfg).samples
     assert np.allclose(scaled, 2.5 * once)
+
+
+@settings(max_examples=12, deadline=None)
+@given(length=st.sampled_from((0.0, 2.0)),
+       n=st.sampled_from([k * phy._NOISE_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)]),
+       seed=st.integers(0, 3))
+def test_channel_noise_in_blocks_equals_one_draw(length, n, seed):
+    # in-place block draws give the filtered samples plus one whole-length
+    # draw, bitwise, and never write to the caller's samples
+    cfg = ChannelConfig(trace_length_cm=length)
+    samples = np.random.default_rng(seed).uniform(-0.22, 0.22, n)
+    before = samples.copy()
+    dt_s = UI_S / phy.SAMPLES_PER_UI
+    got = phy._Channel(cfg.pole_hz(), dt_s, 0.02,
+                       np.random.default_rng([seed, 1])).apply(samples)
+    clean = phy._Channel(cfg.pole_hz(), dt_s).apply(samples)
+    want = clean + np.random.default_rng([seed, 1]).normal(0.0, 0.02, n)
+    assert got.tobytes() == want.tobytes()
+    assert samples.tobytes() == before.tobytes()
 
 
 def test_calibrated_eye_heights_hit_targets():
