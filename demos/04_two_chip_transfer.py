@@ -6,7 +6,7 @@ Runs both synchronization protocols over the full simulated stack
 and prints the event timeline.
 """
 
-from serlink import node
+from serlink import energy, node
 
 
 def show(report):
@@ -24,13 +24,14 @@ def show(report):
 
 
 def main():
-    print("== transmitter-initiated, 16 KB ==")
-    report = node.run_protocol(node.LinkSimConfig(payload_bytes=16 * 1024))
+    kb = energy.BUFFER_BYTES // 1024
+    print(f"== transmitter-initiated, {kb} KB ==")
+    report = node.run_protocol(node.LinkSimConfig(payload_bytes=energy.BUFFER_BYTES))
     show(report)
 
-    print("\n== receiver-initiated, 16 KB, 0.2% clock offset ==")
+    print(f"\n== receiver-initiated, {kb} KB, 0.2% clock offset ==")
     report = node.run_protocol(node.LinkSimConfig(
-        payload_bytes=16 * 1024, scenario="rx_initiated", freq_offset=0.002))
+        payload_bytes=energy.BUFFER_BYTES, scenario="rx_initiated", freq_offset=0.002))
     show(report)
 
     print("\n== pushing the offset past the tracking range ==")

@@ -7,26 +7,22 @@ buffers amortize the wake-up cost; beyond 16 KB the gain is under 1%.
 """
 
 from serlink import energy
-from serlink.energy import DEFAULT_PROFILE, DutyCycleConfig, duty_cycle_energy
+from serlink.energy import DEFAULT_PROFILE
 
 
 def main():
     print(f"continuous streaming: {energy.continuous_energy(DEFAULT_PROFILE):.2f} "
           f"pJ/bit at {DEFAULT_PROFILE.line_rate / 1e9:.1f} Gbps "
           f"({DEFAULT_PROFILE.p_active_w * 1e3:.2f} mW)")
-    peak = energy.bw_max(DEFAULT_PROFILE, 16 * 1024)
-    print(f"best duty-cycled average bandwidth with a 16 KB buffer: "
-          f"{peak / 1e6:.0f} Mbps\n")
+    peak = energy.bw_max(DEFAULT_PROFILE, energy.BUFFER_BYTES)
+    print(f"best duty-cycled average bandwidth with a "
+          f"{energy.BUFFER_BYTES // 1024} KB buffer: {peak / 1e6:.0f} Mbps\n")
 
     print("energy per bit (pJ) vs buffer size and bandwidth target")
-    buffers = (0.5, 1, 2, 4, 8, 16, 32, 64)
-    header = "bw\\KB " + "".join(f"{b:>8g}" for b in buffers)
-    print(header)
-    for bw in (50, 100, 200, 400, 600):
-        cells = [duty_cycle_energy(DEFAULT_PROFILE,
-                                   DutyCycleConfig(bw * 1e6, int(kb * 1024))
-                                   ).energy_per_bit_pj
-                 for kb in buffers]
+    print("bw\\KB " + "".join(f"{b:>8g}" for b in energy.SWEEP_BUFFERS_KB))
+    sweep = energy.energy_sweep(DEFAULT_PROFILE)
+    for bw in energy.SWEEP_BANDWIDTHS_MBPS:
+        cells = [pj for row_bw, _, pj in sweep if row_bw == bw]
         print(f"{bw:>5} " + "".join(f"{c:8.3f}" for c in cells))
 
     print("\nagainst conventional peripherals (reference curves bundled):")

@@ -63,13 +63,16 @@ CONFIG_KEYS = {
                           lambda ps: ps * 1e-12),
     "rise_time_ui": _Key("channel", "channel.rise_time_ui", "in [0, 1]",
                          lambda v: 0 <= v <= 1),
-    "scenario": _Key("protocol", "scenario", "tx_initiated or rx_initiated",
-                     lambda v: v in ("tx_initiated", "rx_initiated")),
+    "scenario": _Key("protocol", "scenario", " or ".join(node.SCENARIOS),
+                     lambda v: v in node.SCENARIOS),
     "payload_bytes": _Key("protocol", "payload_bytes", node.PAYLOAD_RULE,
                           node.payload_fits),
-    "rx_release_pin": _Key("protocol", "rx_release_pin", "peer or own",
-                           lambda v: v in ("peer", "own")),
-    "line_cost_cycles": _Key("protocol", "line_cost_cycles", *_NON_NEGATIVE),
+    "rx_release_pin": _Key("protocol", "rx_release_pin", " or ".join(node.RELEASE_PINS),
+                           lambda v: v in node.RELEASE_PINS),
+    # the watchdog scales with the line cost; at most 1000 cycles (20 us a
+    # line) keeps a 4 B transfer to about 0.26 ms simulated
+    "line_cost_cycles": _Key("protocol", "line_cost_cycles", "in [0, 1000]",
+                             lambda v: 0 <= v <= 1000),
     "seed": _Key("run", "seed", *_NON_NEGATIVE),
 }
 

@@ -177,41 +177,42 @@ def _encode_control(byte, rd):
 def _build_tables():
     encode = {}
     decode = {}
-    legal_rd = {}
     for rd in Disparity:
         for byte in range(256):
             code, rd_out = _encode_data(byte, rd)
             encode[(byte, False, rd)] = (code, rd_out)
             decode[(code, rd)] = (Symbol(byte), rd_out)
-            legal_rd.setdefault(code, set()).add(rd)
         for byte in SUPPORTED_CONTROL:
             code, rd_out = _encode_control(byte, rd)
             encode[(byte, True, rd)] = (code, rd_out)
             if (code, rd) in decode:
                 raise AssertionError("control code collides with data code")
             decode[(code, rd)] = (Symbol(byte, is_control=True), rd_out)
-            legal_rd.setdefault(code, set()).add(rd)
-    return encode, decode, legal_rd
+    return encode, decode
 
 
-_ENCODE, _DECODE, _LEGAL_RD = _build_tables()
+# Every legal input of each direction: a miss in these is the only rejection.
+_ENCODE, _DECODE = _build_tables()
 
 
 def encode_symbol(sym: Symbol, rd: Disparity):
     """Encode one symbol, returning (10-bit code, updated disparity)."""
-    if sym.is_control and sym.payload not in SUPPORTED_CONTROL:
+    found = _ENCODE.get((sym.payload, sym.is_control, rd))
+    if found is not None:
+        return found
+    if sym.is_control:
         raise UnsupportedControlSymbol(f"0x{sym.payload:02x} is not a supported K character")
-    return _ENCODE[(sym.payload & 0xFF, sym.is_control, rd)]
+    raise ValueError(f"data byte must be in [0, 255], got {sym.payload!r}")
 
 
 def decode_symbol(code: int, rd: Disparity):
     """Decode one 10-bit code, returning (Symbol, updated disparity)."""
-    rds = _LEGAL_RD.get(code)
-    if rds is None:
-        raise InvalidCode(f"0b{code:010b} is not an 8b/10b code")
-    if rd not in rds:
+    found = _DECODE.get((code, rd))
+    if found is not None:
+        return found
+    if (code, rd.flipped()) in _DECODE:
         raise DisparityError(f"0b{code:010b} is not legal at {rd.name} disparity")
-    return _DECODE[(code, rd)]
+    raise InvalidCode(f"0b{code:010b} is not an 8b/10b code")
 
 
 # Frame markers.  The start/stop headers carry these bytes raw (not 8b/10b
@@ -270,7 +271,7 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
     and training flits are disparity-neutral and leave it unchanged.
     """
     if kind is FlitKind.DATA:
-        if word is None:
+        if word is None or not 0 <= word < 1 << 32:
             raise ValueError("data flit requires a 32-bit word")
         lanes = []
         for i in range(LANES):

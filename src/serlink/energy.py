@@ -12,7 +12,7 @@ conventional pJ/bit figure is exposed where results are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -38,10 +38,7 @@ class PowerProfile:
     line_rate: float = phy.LINE_RATE
 
     def __post_init__(self):
-        fields = (self.rx_analog_w, self.tx_analog_w, self.rx_digital_data_w,
-                  self.rx_digital_warm_w, self.tx_digital_active_w,
-                  self.digital_standby_w, self.pg_overhead_j, self.t_warm_s)
-        if any(v < 0 for v in fields):
+        if any(getattr(self, f.name) < 0 for f in fields(self)):
             raise ValueError("power profile values must be non-negative")
 
     @property

@@ -99,10 +99,10 @@ class Fifo:
     def can_push(self):
         return len(self._entries) < self.depth
 
-    def push(self, now_ps, value, extra_latency_ps=0):
+    def push(self, now_ps, value):
         if not self.can_push():
             raise SimulationError("FIFO overflow")
-        self._entries.append((now_ps + self.latency_ps + extra_latency_ps, value))
+        self._entries.append((now_ps + self.latency_ps, value))
 
     def ready(self, now_ps):
         return bool(self._entries) and self._entries[0][0] <= now_ps
@@ -243,14 +243,10 @@ class Node:
                 if arg[0]():
                     return advance(nxt)
                 cycles, nxt = 1, i  # poll again one MCU period later
-            elif kind == "wait_cycles":
-                cycles = arg[0]
-            elif kind in ("line", "irq"):
-                cycles = (self.config.line_cost_cycles if kind == "line"
-                          else IRQ_ENTRY_CYCLES)
-                self.program_cycles += cycles
             else:
-                raise SimulationError(f"unknown program step {kind!r}")
+                cycles = self.step_cycles(steps[i])
+                if kind != "wait_cycles":
+                    self.program_cycles += cycles
 
             def fire():
                 if kind == "line":
@@ -260,30 +256,16 @@ class Node:
 
         advance(0)
 
-
-@dataclass
-class LinkSimConfig:
-    """Full parameterization of a two-node transfer simulation."""
-
-    channel: phy.ChannelConfig = field(default_factory=phy.ChannelConfig)
-    scenario: str = "tx_initiated"       # or "rx_initiated"
-    payload_bytes: int = energy.BUFFER_BYTES
-    freq_offset: float = 0.0             # TX serdes clock vs RX, fractional
-    cdr_n: int = 4
-    initial_phase_ui: float = 0.25
-    include_boundary_pd: bool = True
-    seed: int = 1
-    ui_s: float = phy.UI_S
-    line_cost_cycles: int = 3
-    rx_release_pin: str = "peer"        # which pin the RX negates to release the TX
-
-    @property
-    def slow_cycle_s(self):
-        return cdr.BATCH_BITS * self.ui_s  # Clk/4 period: one CDR batch
-
-    @property
-    def tx_ui_s(self):
-        return self.ui_s / (1.0 + self.freq_offset)
+    def step_cycles(self, step):
+        """The MCU cycles ``run_program`` spends on a step other than a wait."""
+        kind, _, *arg = step
+        if kind == "wait_cycles":
+            return arg[0]
+        if kind == "line":
+            return self.config.line_cost_cycles
+        if kind == "irq":
+            return IRQ_ENTRY_CYCLES
+        raise SimulationError(f"unknown program step {kind!r}")
 
 
 class EventLog:
@@ -321,9 +303,9 @@ class LinkEngine:
         self.aborted = None
 
         self._cdc_ps = s_to_ps(CDC_SLOW_CYCLES * cfg.slow_cycle_s)
-        self._decode_ps = s_to_ps(DECODER_LATENCY_SLOW * cfg.slow_cycle_s)
         self.tx_fifo = Fifo(latency_ps=self._cdc_ps)
-        self.rx_fifo = Fifo(latency_ps=self._cdc_ps)
+        self.rx_fifo = Fifo(latency_ps=self._cdc_ps + s_to_ps(
+            DECODER_LATENCY_SLOW * cfg.slow_cycle_s))
         tx.dma = DmaChannel("read", self.tx_fifo)
         rx.dma = DmaChannel("write", self.rx_fifo)
 
@@ -440,8 +422,7 @@ class LinkEngine:
                 log("rx", "stop_detected", 1)
                 log("rx", "rx_digital", "warm" if pipeline.warm_en else "standby")
             for word in words:
-                self.rx_fifo.push(self.sim.now_ps, word,
-                                  extra_latency_ps=self._decode_ps)
+                self.rx_fifo.push(self.sim.now_ps, word)
         if was_receiving != pipeline.receiving:
             log("rx", "rx_receiving", int(pipeline.receiving))
         self._schedule_rx_quantum(rec.t_end_s[-1] + self.cfg.slow_cycle_s)
@@ -544,15 +525,8 @@ def _tx_initiated_programs(cfg, tx, rx, wires, payload):
 def _rx_initiated_programs(cfg, tx, rx, wires, payload):
     gpio0, gpio1 = wires
     setup_tx_dma, setup_rx_dma = _dma_setups(cfg, tx, rx, payload)
-
-    def negate():
-        # `peer`: force the transmitter-owned pin low across the wire
-        # (flagged as a forced drive); `own`: negate the RX's own pin.
-        # Either breaks the transmitter's both-pins-high wait.
-        if cfg.rx_release_pin == "peer":
-            gpio0.set(0, rx, force=True)
-        else:
-            gpio1.set(0, rx)
+    tx.memory[0:len(payload)] = payload  # the payload already resides at the TX
+    negate = functools.partial(RELEASE_PINS[cfg.rx_release_pin], rx, gpio0, gpio1)
 
     rx_steps = [
         ("line", "setup_gpio1_dir", lambda: None),
@@ -579,15 +553,55 @@ def _rx_initiated_programs(cfg, tx, rx, wires, payload):
     return tx_steps, rx_steps
 
 
+# Each scenario's program builder, (cfg, tx, rx, wires, payload) -> (TX
+# steps, RX steps).  The first of this table and the next is the default.
+SCENARIOS = {"tx_initiated": _tx_initiated_programs,
+             "rx_initiated": _rx_initiated_programs}
+# How the receiver-initiated RX breaks the transmitter's both-pins-high wait:
+# force the transmitter-owned pin low across the wire (logged as a forced
+# drive), or negate its own pin.
+RELEASE_PINS = {"peer": lambda rx, gpio0, gpio1: gpio0.set(0, rx, force=True),
+                "own": lambda rx, gpio0, gpio1: gpio1.set(0, rx)}
+
+
+@dataclass
+class LinkSimConfig:
+    """Full parameterization of a two-node transfer simulation."""
+
+    channel: phy.ChannelConfig = field(default_factory=phy.ChannelConfig)
+    scenario: str = next(iter(SCENARIOS))
+    payload_bytes: int = energy.BUFFER_BYTES
+    freq_offset: float = 0.0             # TX serdes clock vs RX, fractional
+    cdr_n: int = 4
+    initial_phase_ui: float = 0.25
+    include_boundary_pd: bool = True
+    seed: int = 1
+    ui_s: float = phy.UI_S
+    line_cost_cycles: int = 3
+    rx_release_pin: str = next(iter(RELEASE_PINS))
+
+    @property
+    def slow_cycle_s(self):
+        return cdr.BATCH_BITS * self.ui_s  # Clk/4 period: one CDR batch
+
+    @property
+    def tx_ui_s(self):
+        return self.ui_s / (1.0 + self.freq_offset)
+
+
 def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     """Run one complete transfer between two simulated chips.
 
     Raises OutOfRange, before simulating, for a payload size outside
-    PAYLOAD_RULE; every other failure is reported, not raised.
+    PAYLOAD_RULE, and ValueError for a scenario or release pin that its
+    table does not name; every other failure is reported, not raised.
     """
     if not payload_fits(cfg.payload_bytes):
         raise OutOfRange(f"payload_bytes must be {PAYLOAD_RULE}, "
                          f"got {cfg.payload_bytes}")
+    for name, table in (("scenario", SCENARIOS), ("rx_release_pin", RELEASE_PINS)):
+        if (value := getattr(cfg, name)) not in table:
+            raise ValueError(f"unknown {name} {value!r}")
     sim = Scheduler()
     log = EventLog(sim)
     tx = Node("tx", sim, log, cfg)
@@ -599,16 +613,7 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     gpio1 = GpioWire("gpio1", rx, log)
     engine = LinkEngine(sim, cfg, tx, rx, log)
 
-    if cfg.scenario == "tx_initiated":
-        tx_steps, rx_steps = _tx_initiated_programs(cfg, tx, rx, (gpio0, gpio1),
-                                                    payload)
-    elif cfg.scenario == "rx_initiated":
-        # payload already resides in the TX-side memory for this scenario
-        tx.memory[0:len(payload)] = payload
-        tx_steps, rx_steps = _rx_initiated_programs(cfg, tx, rx, (gpio0, gpio1),
-                                                    payload)
-    else:
-        raise ValueError(f"unknown scenario {cfg.scenario!r}")
+    tx_steps, rx_steps = SCENARIOS[cfg.scenario](cfg, tx, rx, (gpio0, gpio1), payload)
 
     finished = set()  # nodes whose setup program has run to its end
     tx.run_program(tx_steps, on_done=lambda: finished.add(tx))
@@ -638,19 +643,24 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
 
     sim.schedule(0, teardown_poll)
 
-    expected_s = cfg.payload_bytes * 8 * cfg.ui_s + energy.DEFAULT_PROFILE.t_warm_s + 5e-6
+    # the payload's line time, both setup programs' timed steps at the
+    # cycles run_program charges, and 5 us of slack
+    program_cycles = sum(side.step_cycles(step)
+                         for side, steps in ((tx, tx_steps), (rx, rx_steps))
+                         for step in steps if step[0] != "wait")
+    expected_s = (cfg.payload_bytes * 8 * cfg.ui_s
+                  + program_cycles * MCU_PERIOD_PS / PS_PER_S + 5e-6)
     sim.run(until_ps=s_to_ps(WATCHDOG_FACTOR * expected_s),
             stop=lambda: engine.aborted is not None or transfer_complete())
 
     delivered = rx.dma.cursor
     received = bytes(rx.memory[0:cfg.payload_bytes])
     mismatches = sum(a != b for a, b in zip(payload, received))
-    completed = transfer_complete()
 
     diagnostic = ""
     if engine.aborted:
         diagnostic = engine.aborted
-    elif not completed:
+    elif not transfer_complete():
         diagnostic = "ProtocolDeadlock: watchdog expired before completion"
     elif mismatches:
         diagnostic = f"DataMismatch: {mismatches} bytes differ"
@@ -670,10 +680,9 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
                                    energy.DEFAULT_PROFILE, sim.now_s)
     if setup_cycles is None:
         setup_cycles = tx.program_cycles + rx.program_cycles
-    ok = completed and mismatches == 0 and not engine.aborted
     return TransferReport(
         scenario=cfg.scenario,
-        ok=ok,
+        ok=not diagnostic,
         delivered_bytes=delivered,
         expected_bytes=cfg.payload_bytes,
         mismatches=mismatches,

@@ -169,6 +169,16 @@ def test_out_of_range_key_exits_with_usage_code(tmp_path, capsys, section, key, 
     assert key in capsys.readouterr().err
 
 
+def test_line_cost_is_bounded(tmp_path, capsys):
+    # the watchdog deadline scales with the line cost, so an unbounded
+    # cost would simulate without end
+    largest = write(tmp_path, "[protocol]\nline_cost_cycles = 1000\n")
+    assert load_config(largest)[0].line_cost_cycles == 1000
+    path = write(tmp_path, "[protocol]\nline_cost_cycles = 1001\n")
+    assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    assert "line_cost_cycles" in capsys.readouterr().err
+
+
 def test_seed_option_is_checked_like_the_seed_key(capsys):
     assert main(["ber", "--seed", "-1", "--bits", "1000"]) == 2
     assert "--seed" in capsys.readouterr().err
@@ -224,6 +234,14 @@ def test_run_large_offset_fails_with_loss_of_lock(tmp_path, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert "LossOfLock" in captured.out + captured.err
+
+
+def test_run_decode_failure_exits_with_domain_code(tmp_path, capsys):
+    path = write(tmp_path, "[channel]\nnoise_sigma_v = 0.08\n"
+                           "[protocol]\npayload_bytes = 64\n")
+    rc = main(["run", "--config", path, "--out", str(tmp_path)])
+    assert rc == 1
+    assert "FAILED: decode failure during transfer: lane 3" in capsys.readouterr().err
 
 
 def test_eye_outputs(tmp_path, capsys):

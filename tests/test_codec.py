@@ -77,6 +77,26 @@ def test_unsupported_control_symbol_rejected():
         encode_symbol(Symbol(0x42, is_control=True), Disparity.NEGATIVE)
 
 
+def test_unsupported_control_symbol_keeps_its_message():
+    with pytest.raises(UnsupportedControlSymbol,
+                       match="^0x42 is not a supported K character$"):
+        encode_symbol(Symbol(0x42, is_control=True), Disparity.POSITIVE)
+
+
+@pytest.mark.parametrize("payload", [256, -1, 300])
+def test_data_symbol_outside_a_byte_is_rejected(payload):
+    # masking the payload to a byte would encode Symbol(300) as byte 44
+    for rd in Disparity:
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            encode_symbol(Symbol(payload), rd)
+
+
+@pytest.mark.parametrize("word", [2**32, 2**32 + 5, -1])
+def test_data_flit_word_outside_32_bits_is_rejected(word):
+    with pytest.raises(ValueError, match="32-bit word"):
+        encode_flit(FlitKind.DATA, word, Disparity.NEGATIVE)
+
+
 def test_all_zeros_is_invalid():
     with pytest.raises(InvalidCode):
         decode_symbol(0, Disparity.NEGATIVE)
@@ -174,7 +194,7 @@ def test_corrupted_lane_reported_with_index():
     corrupted = None
     for bit in range(10):
         candidate = lanes[2] ^ (1 << bit)
-        if candidate not in codec._LEGAL_RD:
+        if all((candidate, rd) not in codec._DECODE for rd in Disparity):
             corrupted = candidate
             break
     assert corrupted is not None

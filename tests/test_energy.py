@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -169,3 +170,10 @@ def test_profile_validation():
         PowerProfile(rx_analog_w=-1e-3)
     with pytest.raises(ValueError):
         DutyCycleConfig(0, 1024)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PowerProfile)])
+def test_every_profile_field_must_be_non_negative(name):
+    # a negative line rate would give a negative pJ/bit
+    with pytest.raises(ValueError, match="non-negative"):
+        PowerProfile(**{name: -1.0})

@@ -217,6 +217,29 @@ def test_watchdog_deadline_follows_the_configured_clock():
     assert report.timestamps["end"] > 200e-6
 
 
+@pytest.mark.parametrize("cycles", [300, 1000])
+@pytest.mark.parametrize("scenario", list(node.SCENARIOS))
+@pytest.mark.parametrize("payload", [4, 64])
+def test_watchdog_deadline_covers_slow_programs(payload, scenario, cycles):
+    # at 300 cycles a line the programs alone take about 73 us, so the
+    # deadline must count them at their cost, not at a nominal 0.75 us
+    report = run_protocol(LinkSimConfig(payload_bytes=payload, scenario=scenario,
+                                        line_cost_cycles=cycles))
+    assert report.ok, report.diagnostic
+
+
+def test_expired_watchdog_reports_a_deadlock(monkeypatch):
+    monkeypatch.setattr(node, "WATCHDOG_FACTOR", 0.1)
+    report = run_protocol(LinkSimConfig(payload_bytes=4))
+    assert not report.ok
+    assert report.diagnostic == "ProtocolDeadlock: watchdog expired before completion"
+    # 32 line bits, 70 cycles of timed program steps (12 lines of 3, one
+    # interrupt entry of 2, the 32-cycle clock_ready wait) and 5 us of slack
+    cycle_s = node.MCU_PERIOD_PS / node.PS_PER_S
+    deadline_s = 0.1 * (32 * phy.UI_S + 70 * cycle_s + 5e-6)
+    assert 0 < report.timestamps["end"] <= deadline_s
+
+
 def test_gpio_ordering_matches_handshake():
     report = run_protocol(LinkSimConfig(payload_bytes=512))
     t_gpio0 = next(t for t, sig, v in report.gpio_edges if sig == "gpio0" and v)
@@ -246,6 +269,18 @@ def test_rx_release_pin_variants():
     assert any(sig == "gpio1" and v == 0 for (_, n, sig, v) in own.events)
 
 
+@pytest.mark.parametrize("name,value", [("scenario", "rx"),
+                                        ("rx_release_pin", "Peer")])
+def test_unknown_choice_is_rejected_before_simulating(monkeypatch, name, value):
+    # an unchecked pin would fall through to some release and report ok
+    monkeypatch.setattr(node.Scheduler, "run",
+                        lambda *a, **k: pytest.fail("simulated an unknown choice"))
+    cfg = dataclasses.replace(LinkSimConfig(payload_bytes=4, scenario="rx_initiated"),
+                              **{name: value})
+    with pytest.raises(ValueError, match=f"unknown {name} {value!r}"):
+        run_protocol(cfg)
+
+
 def test_gpio_single_driver_enforced():
     sim = Scheduler()
     cfg = LinkSimConfig()
@@ -262,6 +297,16 @@ def test_large_offset_reports_loss_of_lock():
     assert not report.ok
     assert report.loss_of_lock
     assert "LossOfLock" in report.diagnostic
+
+
+def test_decode_failure_aborts_the_transfer():
+    report = run_protocol(LinkSimConfig(payload_bytes=64, seed=1,
+                                        channel=phy.ChannelConfig(noise_sigma_v=0.08)))
+    assert not report.ok and not report.loss_of_lock
+    assert report.decode_errors == 1
+    assert report.diagnostic == ("decode failure during transfer: lane 3: "
+                                 "0b0010101011 is not legal at POSITIVE disparity")
+    assert [sig for (_, _, sig, _) in report.events].count("decode_error") == 1
 
 
 @pytest.mark.parametrize("channel", [phy.ChannelConfig(rj_sigma_s=10e-9),
