@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import phy
-from .errors import OutOfRange
+from .errors import OutOfRange, check
 
 PI_CODES = 32
 PI_STEP_UI = Fraction(1, 16)   # one interpolator step, in UI (1/32 of 2 UI)
@@ -26,6 +26,19 @@ BATCH_BITS = 8
 VALID_DIVIDERS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 CDR_SETTLE_S = 0.64e-6  # worst-case loop settling: 16 steps * 16 fast cycles * 2.5 ns
+# the DDR serdes clock's bounds in MHz (a UI is 1 / (2 * clock)): a UI of
+# at least 50 ps, so an 8-UI quantum spans many ticks of the event
+# scheduler's 1 ps grid, and at most 0.5 us, so the 50 MHz MCU polls at
+# most 25 times per UI and a slow run stays short
+CLOCK_MHZ = (1, 10000)
+_UI_BOUNDS = tuple(1.0 / (2.0 * mhz * 1e6) for mhz in reversed(CLOCK_MHZ))
+# the rules recover_stream shares with node.LinkSimConfig's fields of these names
+LINK_RULES = {
+    "freq_offset": ("in (-1, 1]", lambda v: -1 < v <= 1),
+    "initial_phase_ui": ("in [0, 2)", lambda v: 0 <= v < 2),
+    "ui_s": ("in [{:g}, {:g}]".format(*_UI_BOUNDS),
+             lambda v: _UI_BOUNDS[0] <= v <= _UI_BOUNDS[1]),
+}
 
 
 class PdDecision(enum.Enum):
@@ -260,9 +273,12 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
 
     Recovers ``n_bits // 8`` whole batches, so ``n_bits`` must be at
     least BATCH_BITS.  Lock, slips and steps are the loop's own
-    observations (CdrLoop).  Raises OutOfRange if sampling runs past the
-    end of ``tx_bits``.
+    observations (CdrLoop).  Raises ValueError for a link argument outside
+    LINK_RULES, and OutOfRange if sampling runs past the end of ``tx_bits``.
     """
+    for name, value in (("freq_offset", freq_offset),
+                        ("initial_phase_ui", initial_phase_ui), ("ui_s", ui_s)):
+        check(name, "float", LINK_RULES[name], value)
     tx_bits = np.asarray(tx_bits, dtype=np.int8)
     tx_ui = ui_s / (1.0 + freq_offset)
     if n_bits < BATCH_BITS:

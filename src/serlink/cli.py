@@ -13,12 +13,11 @@ slip in ber or lock, infeasible request), 2 usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import fields
 
 import numpy as np
 from scipy import stats
@@ -28,71 +27,47 @@ from .errors import ConfigError, CurveOutOfRange, LinkError
 
 
 # The config file format.  A key in ``[section]`` sets the LinkSimConfig
-# attribute ``attr`` (``channel.<name>`` for a ChannelConfig field); it parses
-# as that field's annotation, and ``convert`` takes a key whose file unit is
-# not the model's to the model's.  ``valid`` tests the file value against the
-# range ``rule`` states, and a float must also be finite.  The defaults are
-# LinkSimConfig's and ChannelConfig's: the nominal operating point.
-_Key = namedtuple("_Key", "section attr rule valid convert", defaults=(None,))
-_NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+# field ``attr`` (``channel.<name>`` for a ChannelConfig field), parsed as
+# its annotation; ``convert`` takes a file unit that is not the model's to
+# the model's.  The model's RULES check each value and give its ``rule``
+# text, unless the file unit moves the bounds.  The defaults are the
+# models': the nominal operating point.
+_Key = namedtuple("_Key", "section model field convert rule")
+
+
+def _key(section, attr, convert=None, rule=None):
+    owner, _, name = attr.rpartition(".")
+    model = phy.ChannelConfig if owner else node.LinkSimConfig
+    return _Key(section, model, name, convert, rule or model.RULES[name][0])
+
 
 CONFIG_KEYS = {
-    # a UI of at least 50 ps, so an 8-UI quantum spans many ticks of the
-    # event scheduler's 1 ps grid, and at most 0.5 us, so the 50 MHz MCU
-    # polls at most 25 times per UI and a slow run stays short
-    "clock_mhz": _Key("link", "ui_s", "in [1, 10000]", lambda v: 1 <= v <= 10000,
-                      lambda mhz: 1.0 / (2.0 * mhz * 1e6)),
-    "cdr_n": _Key("link", "cdr_n", f"one of {cdr.VALID_DIVIDERS}",
-                  lambda v: v in cdr.VALID_DIVIDERS),
-    "pd_boundary": _Key("link", "include_boundary_pd", "true or false",
-                        lambda v: v in (True, False)),
-    "freq_offset": _Key("link", "freq_offset", "in (-1, 1]", lambda v: -1 < v <= 1),
-    "initial_phase_ui": _Key("link", "initial_phase_ui", "in [0, 2)",
-                             lambda v: 0 <= v < 2),
-    # swing and noise in volts, each at most 1000: far past any CMOS link,
-    # and small enough that every rendered sample (a level of swing/2 plus
-    # a noise draw of many sigma) and an eye's voltage span stay finite;
-    # a 1e308 noise sigma overflows the draw to inf, and no eye bins exist
-    "swing_v": _Key("channel", "channel.swing", "in (0, 1000]", lambda v: 0 < v <= 1000),
-    "trace_cm": _Key("channel", "channel.trace_length_cm", *_NON_NEGATIVE),
-    "noise_sigma_v": _Key("channel", "channel.noise_sigma_v", "in [0, 1000]",
-                          lambda v: 0 <= v <= 1000),
-    "rj_sigma_ps": _Key("channel", "channel.rj_sigma_s", *_NON_NEGATIVE,
-                        lambda ps: ps * 1e-12),
-    "prop_delay_ps": _Key("channel", "channel.prop_delay_s", *_NON_NEGATIVE,
-                          lambda ps: ps * 1e-12),
-    "rise_time_ui": _Key("channel", "channel.rise_time_ui", "in [0, 1]",
-                         lambda v: 0 <= v <= 1),
-    "scenario": _Key("protocol", "scenario", " or ".join(node.SCENARIOS),
-                     lambda v: v in node.SCENARIOS),
-    "payload_bytes": _Key("protocol", "payload_bytes", node.PAYLOAD_RULE,
-                          node.payload_fits),
-    "rx_release_pin": _Key("protocol", "rx_release_pin", " or ".join(node.RELEASE_PINS),
-                           lambda v: v in node.RELEASE_PINS),
-    # the watchdog scales with the line cost; at most 1000 cycles (20 us a
-    # line) keeps a 4 B transfer to about 0.26 ms simulated
-    "line_cost_cycles": _Key("protocol", "line_cost_cycles", "in [0, 1000]",
-                             lambda v: 0 <= v <= 1000),
-    "seed": _Key("run", "seed", *_NON_NEGATIVE),
+    "clock_mhz": _key("link", "ui_s", lambda mhz: 1.0 / (2.0 * mhz * 1e6),
+                      "in [{}, {}]".format(*cdr.CLOCK_MHZ)),
+    "cdr_n": _key("link", "cdr_n"),
+    "pd_boundary": _key("link", "include_boundary_pd"),
+    "freq_offset": _key("link", "freq_offset"),
+    "initial_phase_ui": _key("link", "initial_phase_ui"),
+    "swing_v": _key("channel", "channel.swing"),
+    "trace_cm": _key("channel", "channel.trace_length_cm"),
+    "noise_sigma_v": _key("channel", "channel.noise_sigma_v"),
+    "rj_sigma_ps": _key("channel", "channel.rj_sigma_s", lambda ps: ps * 1e-12),
+    "prop_delay_ps": _key("channel", "channel.prop_delay_s", lambda ps: ps * 1e-12),
+    "rise_time_ui": _key("channel", "channel.rise_time_ui"),
+    "scenario": _key("protocol", "scenario"),
+    "payload_bytes": _key("protocol", "payload_bytes"),
+    "rx_release_pin": _key("protocol", "rx_release_pin"),
+    "line_cost_cycles": _key("protocol", "line_cost_cycles"),
+    "seed": _key("run", "seed"),
 }
 
-_ANNOTATIONS = {f.name: f.type for f in fields(node.LinkSimConfig)} | {
-    f"channel.{f.name}": f.type for f in fields(phy.ChannelConfig)}
-_TYPES = {key: _ANNOTATIONS[spec.attr] for key, spec in CONFIG_KEYS.items()}
+_TYPES = {key: spec.model.__dataclass_fields__[spec.field].type
+          for key, spec in CONFIG_KEYS.items()}
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 _PARSERS = {"bool": lambda raw: _BOOLS[raw.lower()], "float": float, "int": int,
             "str": str}
-
-
-def _check(key, value, where):
-    """Raise ConfigError unless ``value``, in the file's unit, is in ``key``'s range."""
-    kind, valid = _TYPES[key], CONFIG_KEYS[key].valid
-    if (kind == "float" and not math.isfinite(value)) or not valid(value):
-        also = "finite and " if kind == "float" else ""
-        raise ConfigError(f"{where}: {key} must be {also}{CONFIG_KEYS[key].rule}, "
-                          f"got {value!r}")
 
 
 def load_config(path=None):
@@ -136,10 +111,12 @@ def load_config(path=None):
     link, channel = {}, {}
     for key, spec in CONFIG_KEYS.items():  # the first bad key in table order
         if key in values:
-            _check(key, values[key], path)
-            owner, _, name = spec.attr.rpartition(".")
-            (channel if owner else link)[name] = \
-                values[key] if spec.convert is None else spec.convert(values[key])
+            try:  # ZeroDivisionError: clock_mhz = 0
+                value = values[key] if spec.convert is None else spec.convert(values[key])
+                spec.model(**{spec.field: value})
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"{path}: {key} must be {spec.rule}, got {values[key]!r}")
+            (channel if spec.model is phy.ChannelConfig else link)[spec.field] = value
     cfg = node.LinkSimConfig(channel=phy.ChannelConfig(**channel), **link)
     return cfg, hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -148,8 +125,10 @@ def _scenario(args):
     """The --config scenario, --seed applied and checked, and its provenance line."""
     cfg, config_hash = load_config(args.config)
     if args.seed is not None:
-        _check("seed", args.seed, "--seed")
-        cfg.seed = args.seed
+        try:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        except ValueError:
+            raise ConfigError(f"--seed must be {CONFIG_KEYS['seed'].rule}, got {args.seed}")
     return cfg, f"# serlink {__version__} config_sha256={config_hash} seed={cfg.seed}"
 
 

@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from . import cdr, phy
-from .errors import CurveOutOfRange, InfeasibleBandwidth
+from .errors import CurveOutOfRange, InfeasibleBandwidth, check_fields
 
 PROGRAMMING_S = 0.75e-6  # handshake programming, the rest of the warm-up budget
 
@@ -38,8 +38,7 @@ class PowerProfile:
     line_rate: float = phy.LINE_RATE
 
     def __post_init__(self):
-        if any(getattr(self, f.name) < 0 for f in fields(self)):
-            raise ValueError("power profile values must be non-negative")
+        check_fields(self)
 
     @property
     def p_active_w(self):
@@ -59,6 +58,10 @@ class PowerProfile:
         return 2 * self.digital_standby_w
 
 
+# a zero line rate would divide by zero in continuous_energy and bw_max
+PowerProfile.RULES = {f.name: ("non-negative", lambda v: v >= 0)
+                      for f in fields(PowerProfile)} | {
+    "line_rate": ("non-negative and non-zero", lambda v: v > 0)}
 DEFAULT_PROFILE = PowerProfile()
 BUFFER_BYTES = 16 * 1024   # the nominal transfer buffer
 SWEEP_BANDWIDTHS_MBPS = (50, 100, 200, 400, 600)
@@ -70,9 +73,10 @@ class DutyCycleConfig:
     target_bw: float        # bits/s averaged over the whole cycle
     buffer_bytes: int
 
+    RULES = dict.fromkeys(("target_bw", "buffer_bytes"), ("> 0", lambda v: v > 0))
+
     def __post_init__(self):
-        if self.target_bw <= 0 or self.buffer_bytes <= 0:
-            raise ValueError("bandwidth and buffer size must be positive")
+        check_fields(self)
 
 
 # the share of the cycle by which t_idle may fall below zero from

@@ -1,4 +1,27 @@
-"""Exception hierarchy shared by the link simulator."""
+"""Exception hierarchy shared by the link simulator, and its config check."""
+
+import math
+import numbers
+from dataclasses import fields
+
+NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+# what a value must be besides its rule, by field annotation, and the words
+_KINDS = {"float": ("finite, ", lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
+          "int": ("an integer, ", lambda v: isinstance(v, numbers.Integral))}
+
+
+def check(name, kind, rule, value):
+    """Raise ValueError naming ``name`` and its rule unless ``value`` suits
+    ``kind``, a field annotation, and passes ``rule``, a (text, test) pair."""
+    also, suits = _KINDS.get(kind, ("", lambda v: True))
+    if not (suits(value) and rule[1](value)):
+        raise ValueError(f"{name} must be {also}{rule[0]}, got {value!r}")
+
+
+def check_fields(config):
+    """Check each field of the dataclass ``config`` against its class's RULES."""
+    for f in fields(config):
+        check(f.name, f.type, config.RULES[f.name], getattr(config, f.name))
 
 
 class LinkError(Exception):

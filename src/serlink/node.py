@@ -24,13 +24,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import cdr, control, energy, phy
-from .errors import (AlignmentError, CodecError, OutOfRange, SimulationError,
-                     UnknownRegister)
+from .errors import (NON_NEGATIVE, AlignmentError, CodecError, OutOfRange,
+                     SimulationError, UnknownRegister, check_fields)
 
 PS_PER_S = 1e12
 MEMORY_BYTES = 1 << 17  # 128 KiB on-chip memory per node
-PAYLOAD_RULE = (f"a positive multiple of 4 no larger than the {MEMORY_BYTES}-byte "
-                "node memory")
 MCU_PERIOD_PS = 20000      # 50 MHz
 FIFO_DEPTH = 4
 CDC_SLOW_CYCLES = 2        # clock-domain crossing latency, slow-clock cycles
@@ -38,11 +36,6 @@ DECODER_LATENCY_SLOW = 1   # slow-clock cycles from decoded word to RX FIFO
 IRQ_ENTRY_CYCLES = 2
 CDR_WARMUP_CYCLES = round(cdr.CDR_SETTLE_S * PS_PER_S) // MCU_PERIOD_PS  # 32
 WATCHDOG_FACTOR = 10.0     # deadline, in multiples of the expected transfer time
-
-
-def payload_fits(payload_bytes):
-    """Whether a transfer of ``payload_bytes`` satisfies PAYLOAD_RULE."""
-    return 0 < payload_bytes <= MEMORY_BYTES and payload_bytes % 4 == 0
 
 
 def s_to_ps(t_s):
@@ -564,7 +557,7 @@ RELEASE_PINS = {"peer": lambda rx, gpio0, gpio1: gpio0.set(0, rx, force=True),
                 "own": lambda rx, gpio0, gpio1: gpio1.set(0, rx)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSimConfig:
     """Full parameterization of a two-node transfer simulation."""
 
@@ -580,6 +573,23 @@ class LinkSimConfig:
     line_cost_cycles: int = 3
     rx_release_pin: str = next(iter(RELEASE_PINS))
 
+    # each field's (rule text, test).  An empty payload would wait for the
+    # watchdog, which scales with the line cost; at most 1000 cycles (20 us
+    # a line) keeps a 4 B transfer to about 0.26 ms simulated
+    RULES = cdr.LINK_RULES | {
+        "channel": ("a phy.ChannelConfig", lambda v: isinstance(v, phy.ChannelConfig)),
+        "scenario": (" or ".join(SCENARIOS), lambda v: v in SCENARIOS),
+        "payload_bytes": (f"a positive multiple of 4 no larger than the {MEMORY_BYTES}-byte "
+                          "node memory", lambda v: 0 < v <= MEMORY_BYTES and v % 4 == 0),
+        "cdr_n": (f"one of {cdr.VALID_DIVIDERS}", lambda v: v in cdr.VALID_DIVIDERS),
+        "include_boundary_pd": ("true or false", lambda v: v in (True, False)),
+        "seed": NON_NEGATIVE,
+        "line_cost_cycles": ("in [0, 1000]", lambda v: 0 <= v <= 1000),
+        "rx_release_pin": (" or ".join(RELEASE_PINS), lambda v: v in RELEASE_PINS)}
+
+    def __post_init__(self):
+        check_fields(self)
+
     @property
     def slow_cycle_s(self):
         return cdr.BATCH_BITS * self.ui_s  # Clk/4 period: one CDR batch
@@ -590,18 +600,8 @@ class LinkSimConfig:
 
 
 def run_protocol(cfg: LinkSimConfig) -> TransferReport:
-    """Run one complete transfer between two simulated chips.
-
-    Raises OutOfRange, before simulating, for a payload size outside
-    PAYLOAD_RULE, and ValueError for a scenario or release pin that its
-    table does not name; every other failure is reported, not raised.
-    """
-    if not payload_fits(cfg.payload_bytes):
-        raise OutOfRange(f"payload_bytes must be {PAYLOAD_RULE}, "
-                         f"got {cfg.payload_bytes}")
-    for name, table in (("scenario", SCENARIOS), ("rx_release_pin", RELEASE_PINS)):
-        if (value := getattr(cfg, name)) not in table:
-            raise ValueError(f"unknown {name} {value!r}")
+    """Run one complete transfer between two simulated chips; every failure
+    is reported, not raised."""
     sim = Scheduler()
     log = EventLog(sim)
     tx = Node("tx", sim, log, cfg)

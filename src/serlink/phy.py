@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .errors import InsufficientSpan, OutOfRange
+from .errors import NON_NEGATIVE, InsufficientSpan, OutOfRange, check_fields
 
 LINE_RATE = 0.8e9          # bits/s at DDR with the nominal 400 MHz clock
 UI_S = 1.0 / LINE_RATE     # 1.25 ns unit interval
@@ -44,7 +44,7 @@ _CAL_TAUS = ((2.0, float.fromhex("0x1.6268400faad5ep-32")),
              (5.0, float.fromhex("0x1.d4a8e5620ff0fp-32")))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
     swing: float = 0.44            # differential swing, volts (levels +/- swing/2)
     trace_length_cm: float = 2.0
@@ -53,11 +53,19 @@ class ChannelConfig:
     rj_sigma_s: float = 0.0        # random jitter on sampling instants
     rise_time_ui: float = 0.1
 
+    # swing and noise in volts, each at most 1000: far past any CMOS link,
+    # and small enough that every rendered sample (a level of swing/2 plus
+    # a noise draw of many sigma) and an eye's voltage span stay finite;
+    # a 1e308 noise sigma overflows the draw to inf, and no eye bins exist
+    RULES = {"swing": ("in (0, 1000]", lambda v: 0 < v <= 1000),
+             "trace_length_cm": NON_NEGATIVE,
+             "prop_delay_s": NON_NEGATIVE,
+             "noise_sigma_v": ("in [0, 1000]", lambda v: 0 <= v <= 1000),
+             "rj_sigma_s": NON_NEGATIVE,
+             "rise_time_ui": ("in [0, 1]", lambda v: 0 <= v <= 1)}
+
     def __post_init__(self):
-        if self.swing <= 0:
-            raise ValueError("swing must be positive")
-        if self.noise_sigma_v < 0:
-            raise ValueError("noise_sigma_v must be non-negative")
+        check_fields(self)
 
     def pole_hz(self):
         return pole_for_length(self.trace_length_cm)

@@ -206,6 +206,15 @@ def test_recover_stream_rejects_empty_run():
             recover_stream(np.tile([1, 0], 2000), CLEAN, n_bits=n_bits)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("freq_offset", np.nan), ("freq_offset", -1.0), ("initial_phase_ui", np.nan),
+    ("initial_phase_ui", 2.0), ("ui_s", 0.0), ("ui_s", np.inf)])
+def test_recover_stream_rejects_a_bad_link_argument_up_front(name, value):
+    # with no bits to send, a run that got past the check would raise OutOfRange
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        recover_stream([], CLEAN, n_bits=BATCH_BITS, **{name: value})
+
+
 def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
                            initial_phase_ui, seed, include_boundary):
     """Reference for recover_stream: one process_batch() call per batch.

@@ -206,6 +206,39 @@ def test_any_value_text_loads_or_raises_config_error(key, value):
             pass
 
 
+# file values of each annotation, in and out of every key's range
+_FILE_VALUES = {
+    "float": st.one_of(st.floats(), st.floats(-2, 2), st.floats(0, 20000),
+                       st.sampled_from([0.0, 1.0, 2.0, 1000.0, 10000.0, 5e-324])),
+    "int": st.one_of(st.integers(), st.integers(-8, 1 << 18),
+                     st.sampled_from([0, 4, 6, 128, 1000, 1001, MEMORY_BYTES + 4])),
+    "bool": st.sampled_from([True, False]),
+    "str": st.sampled_from(["tx_initiated", "rx_initiated", "peer", "own", "rx", "Own"]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(CONFIG_KEYS)), data=st.data())
+def test_the_cli_rejects_a_value_exactly_when_the_model_does(key, data):
+    spec = CONFIG_KEYS[key]
+    value = data.draw(_FILE_VALUES[spec.model.__dataclass_fields__[spec.field].type])
+    try:
+        converted = value if spec.convert is None else spec.convert(value)
+        spec.model(**{spec.field: converted})
+    except (ValueError, ZeroDivisionError):  # clock_mhz = 0 has no unit interval
+        converted = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "agree.cfg"
+        path.write_text(f"[{spec.section}]\n{key} = {value}\n", encoding="utf-8")
+        if converted is None:
+            with pytest.raises(ConfigError, match=f": {key} must be "):
+                load_config(str(path))
+        else:
+            cfg = load_config(str(path))[0]
+            model = cfg.channel if spec.model is phy.ChannelConfig else cfg
+            assert getattr(model, spec.field) == converted
+
+
 def test_readme_lists_every_key_with_its_section_and_range():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = re.findall(r"^\| `(\w+)` \| `\[(\w+)\]` \| (.*?) \|", readme, re.M)
