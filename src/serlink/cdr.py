@@ -26,18 +26,13 @@ BATCH_BITS = 8
 VALID_DIVIDERS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 CDR_SETTLE_S = 0.64e-6  # worst-case loop settling: 16 steps * 16 fast cycles * 2.5 ns
-# the DDR serdes clock's bounds in MHz (a UI is 1 / (2 * clock)): a UI of
-# at least 50 ps, so an 8-UI quantum spans many ticks of the event
-# scheduler's 1 ps grid, and at most 0.5 us, so the 50 MHz MCU polls at
-# most 25 times per UI and a slow run stays short
-CLOCK_MHZ = (1, 10000)
-_UI_BOUNDS = tuple(1.0 / (2.0 * mhz * 1e6) for mhz in reversed(CLOCK_MHZ))
-# the rules recover_stream shares with node.LinkSimConfig's fields of these names
+# the rules recover_stream and CdrState share with node.LinkSimConfig's
+# fields of these names
 LINK_RULES = {
     "freq_offset": ("in (-1, 1]", lambda v: -1 < v <= 1),
     "initial_phase_ui": ("in [0, 2)", lambda v: 0 <= v < 2),
-    "ui_s": ("in [{:g}, {:g}]".format(*_UI_BOUNDS),
-             lambda v: _UI_BOUNDS[0] <= v <= _UI_BOUNDS[1]),
+    "ui_s": phy.UI_RULE,
+    "cdr_n": (f"one of {VALID_DIVIDERS}", lambda v: v in VALID_DIVIDERS),
 }
 
 
@@ -81,8 +76,7 @@ class CdrState:
     batch_count: int = 0
 
     def __post_init__(self):
-        if self.n not in VALID_DIVIDERS:
-            raise ValueError(f"divider must be one of {VALID_DIVIDERS}")
+        check("n", "int", LINK_RULES["cdr_n"], self.n)
 
 
 def loop_filter_update(state: CdrState, batch_sum):

@@ -42,8 +42,8 @@ def _key(section, attr, convert=None, rule=None):
 
 
 CONFIG_KEYS = {
-    "clock_mhz": _key("link", "ui_s", lambda mhz: 1.0 / (2.0 * mhz * 1e6),
-                      "in [{}, {}]".format(*cdr.CLOCK_MHZ)),
+    "clock_mhz": _key("link", "ui_s", phy.ui_for_clock,
+                      "in [{}, {}]".format(*phy.CLOCK_MHZ)),
     "cdr_n": _key("link", "cdr_n"),
     "pd_boundary": _key("link", "include_boundary_pd"),
     "freq_offset": _key("link", "freq_offset"),

@@ -18,7 +18,7 @@ from importlib import resources
 import numpy as np
 
 from . import cdr, phy
-from .errors import CurveOutOfRange, InfeasibleBandwidth, check_fields
+from .errors import CurveOutOfRange, InfeasibleBandwidth, check, check_fields
 
 PROGRAMMING_S = 0.75e-6  # handshake programming, the rest of the warm-up budget
 
@@ -121,9 +121,9 @@ def continuous_energy(profile: PowerProfile):
 
 
 def bw_max(profile: PowerProfile, buffer_bytes):
-    """Best sustainable average bandwidth once warm-up is amortized."""
-    if buffer_bytes <= 0:
-        raise ValueError("buffer size must be positive")
+    """Best sustainable average bandwidth once warm-up is amortized;
+    ``buffer_bytes`` follows DutyCycleConfig's rule, else ValueError."""
+    check("buffer_bytes", "int", DutyCycleConfig.RULES["buffer_bytes"], buffer_bytes)
     bits = buffer_bytes * 8
     return bits / (bits / profile.line_rate + profile.t_warm_s)
 

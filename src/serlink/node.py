@@ -199,8 +199,9 @@ class Node:
             if value % 4 or not 0 <= value < len(self.memory):
                 raise AlignmentError(f"{name} must be word aligned and in memory")
         elif name == "cdr_n":
-            if value not in cdr.VALID_DIVIDERS:
-                raise AlignmentError(f"cdr_n must be one of {cdr.VALID_DIVIDERS}")
+            text, test = cdr.LINK_RULES["cdr_n"]
+            if not test(value):
+                raise AlignmentError(f"cdr_n must be {text}")
         setattr(self.regs, name, int(value))
         self.log(self.name, name, int(value))
         if starts and value:  # a tick is pending exactly while words remain
@@ -305,7 +306,6 @@ class LinkEngine:
         self.framer = control.TxFramer(self._pop_word, self._tx_valid)
         self.stream = phy.StreamingNrz(cfg.channel, tx_ui_s=cfg.tx_ui_s,
                                        seed=cfg.seed)
-        self._levels = phy.driver_levels(cfg.channel.swing)
         self.pipeline = control.RxPipeline()
         self.loop = None
         self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
@@ -349,15 +349,12 @@ class LinkEngine:
 
     def _tx_quantum(self):
         step_cycle = self.framer.step_cycle
-        low, idle, high = self._levels
-        levels = []
+        idle = (phy.IDLE, phy.IDLE)
+        codes = []
         for _ in range(cdr.BATCH_BITS // 2):
             pair = step_cycle()
-            if pair is None:
-                levels += (idle, idle)
-            else:
-                levels += (high if pair.even else low, high if pair.odd else low)
-        self.stream.push_levels(levels)
+            codes += idle if pair is None else pair  # a bit is its own driver code
+        self.stream.push_levels(codes)
         state = self.framer.state
         if state is not self._prev_tx_state:
             self.log("tx", "tx_state", state.value)
@@ -581,7 +578,6 @@ class LinkSimConfig:
         "scenario": (" or ".join(SCENARIOS), lambda v: v in SCENARIOS),
         "payload_bytes": (f"a positive multiple of 4 no larger than the {MEMORY_BYTES}-byte "
                           "node memory", lambda v: 0 < v <= MEMORY_BYTES and v % 4 == 0),
-        "cdr_n": (f"one of {cdr.VALID_DIVIDERS}", lambda v: v in cdr.VALID_DIVIDERS),
         "include_boundary_pd": ("true or false", lambda v: v in (True, False)),
         "seed": NON_NEGATIVE,
         "line_cost_cycles": ("in [0, 1000]", lambda v: 0 <= v <= 1000),

@@ -1,16 +1,18 @@
 """Behavioral analog layer: driver, channel, comparator sampling, eyes.
 
 The differential driver is an ideal NRZ trapezoid with a configurable
-rise time over three levels: -swing/2, 0 V (idle) and +swing/2.  Both
-renderers gather each bit's samples from one table row per (previous,
-current, next) level triple.  The channel is a pure delay plus one
-stage, ``_Channel``: a first-order low-pass whose pole is derived from
-the trace length by a two-point calibration map, plus additive Gaussian
-noise, carrying its state from one block of samples to the next.
-``channel_apply`` runs a whole waveform (eye folding needs it whole)
-through a fresh stage; ``StreamingNrz`` runs each chunk through the one
-stage it keeps.  Comparators return the sign of the (optionally
-jittered) sampled differential voltage.
+rise time.  It takes driver codes: a bit is its own code (0 sends
+-swing/2, 1 sends +swing/2) and ``IDLE`` (2) is the 0 V idle level.
+Only the bit table turns codes into volts: both renderers gather each
+bit's samples from its row for the (previous, current, next) codes.
+The channel is a pure delay plus one stage, ``_Channel``: a first-order
+low-pass whose pole is derived from the trace length by a two-point
+calibration map, plus additive Gaussian noise, carrying its state from
+one block of samples to the next.  ``channel_apply`` runs a whole
+waveform (eye folding needs it whole) through a fresh stage;
+``StreamingNrz`` runs each chunk through the one stage it keeps.
+Comparators return the sign of the (optionally jittered) sampled
+differential voltage.
 """
 
 from __future__ import annotations
@@ -22,10 +24,26 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal
 
-from .errors import NON_NEGATIVE, InsufficientSpan, OutOfRange, check_fields
+from .errors import NON_NEGATIVE, InsufficientSpan, OutOfRange, check, check_fields
+
+
+def ui_for_clock(mhz):
+    """The unit interval of a DDR serdes clock of ``mhz`` MHz: half its period."""
+    return 1.0 / (2.0 * mhz * 1e6)
+
 
 LINE_RATE = 0.8e9          # bits/s at DDR with the nominal 400 MHz clock
 UI_S = 1.0 / LINE_RATE     # 1.25 ns unit interval
+# the DDR serdes clock's bounds in MHz: a UI of at least 50 ps, so an
+# 8-UI quantum spans many ticks of the event scheduler's 1 ps grid, and
+# at most 0.5 us, so the 50 MHz MCU polls at most 25 times per UI and a
+# slow run stays short
+CLOCK_MHZ = (1, 10000)
+_UI_BOUNDS = tuple(ui_for_clock(mhz) for mhz in reversed(CLOCK_MHZ))
+UI_RULE = ("in [{:g}, {:g}]".format(*_UI_BOUNDS),
+           lambda v: _UI_BOUNDS[0] <= v <= _UI_BOUNDS[1])
+IDLE = 2                   # the 0 V idle level's driver code; a bit is its own code
+_CODES = {code: code for code in (0, 1, IDLE)}  # push_levels's lookup
 SAMPLES_PER_UI = 32
 DEFAULT_EYE_UIS = 150
 EYE_VOLT_BINS = 64
@@ -80,11 +98,6 @@ class Waveform:
     samples: np.ndarray
 
 
-def _levels_from_bits(bits, swing):
-    low, _, high = driver_levels(swing)
-    return np.where(np.asarray(bits) > 0, high, low).astype(float)
-
-
 @functools.lru_cache(maxsize=None)
 def _ramps(spu, rise_ui):
     """Ramp geometry of one bit: leading and trailing sample counts and
@@ -116,15 +129,15 @@ def _render_trapezoid(levels, spu, rise_ui, prev_level, next_level):
 
 
 def driver_levels(swing):
-    """The driver's levels by code: 0 is -swing/2, 1 is 0 V (idle), 2 is
-    +swing/2."""
-    return (-swing / 2.0, 0.0, swing / 2.0)
+    """The driver's levels by code: bit 0 sends -swing/2, bit 1 +swing/2,
+    and IDLE 0 V."""
+    return (-swing / 2.0, swing / 2.0, 0.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _bit_table(swing, rise_ui):
-    """One bit's samples for every level triple: row 9*prev + 3*cur + next
-    over the level codes renders level ``cur`` between ``prev`` and
+    """One bit's samples for every code triple: row 9*prev + 3*cur + next
+    renders the level of code ``cur`` between those of ``prev`` and
     ``next``.  Each row is ``_render_trapezoid`` of its one level, whose
     samples depend only on that triple, so gathering rows equals
     rendering the whole sequence, bit for bit.  Shared, so read-only."""
@@ -141,8 +154,10 @@ def _gather(table, codes):
 
 
 def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
-    """Render the TX output for a bit sequence (one bit per UI, DDR)."""
-    codes = np.where(np.asarray(bits) > 0, 2, 0)
+    """Render the TX output for a bit sequence (one bit per UI, DDR);
+    ``ui_s`` must satisfy UI_RULE, else ValueError."""
+    check("ui_s", "float", UI_RULE, ui_s)
+    codes = np.asarray(bits) > 0
     # the first and last bits are their own outer neighbours
     codes = np.concatenate((codes[:1], codes, codes[-1:]))
     samples = _gather(_bit_table(cfg.swing, cfg.rise_time_ui), codes)
@@ -205,7 +220,9 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
 
     Height is the vertical opening (smallest high sample minus largest
     low sample) at the best phase; width is the contiguous phase span
-    around it where the opening stays within 0.1% of the best.
+    around it where the opening stays within 0.1% of the best.  ``ui_s``
+    must be finite and at least the sample period, else ValueError
+    (UI_RULE's 50 ps floor serves the event scheduler only).
 
     The folded ``(traces, 2*spu)`` matrix is walked in blocks of
     ``_EYE_BLOCK_TRACES`` traces, so temporaries stay small.  Column c
@@ -216,6 +233,7 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     the counts and edges equal ``np.histogram2d`` of the folded samples
     over [0, 2] UI and the whole waveform's voltage range.
     """
+    check("ui_s", "float", (f">= the sample period {w.dt_s:g}", lambda v: v >= w.dt_s), ui_s)
     spu = int(round(ui_s / w.dt_s))
     span_ui = (len(w.samples) - 1) / spu
     if span_ui < n_ui:
@@ -293,10 +311,11 @@ def _sample_positions():
 class StreamingNrz:
     """Chunk-rendered TX waveform for long closed-loop runs.
 
-    Levels are pushed in bursts (one per bit period, 0 V while the
-    driver is idle); ``voltage`` evaluates the delayed, filtered, noisy
-    waveform at arbitrary times within the rendered window.  One pending
-    level is always held back so boundary ramps see their next level.
+    Driver codes are pushed in bursts, one per bit period: the bit
+    itself, or IDLE while the driver is idle.  ``voltage`` evaluates the
+    delayed, filtered, noisy waveform at arbitrary times within the
+    rendered window.  One pending code is always held back so boundary
+    ramps see their next level.
 
     The window is a view into one buffer of ``_STREAM_BUFFER`` samples
     that each filtered chunk is appended to; only when a chunk no longer
@@ -316,11 +335,9 @@ class StreamingNrz:
         # first-order step crosses zero ln2 time constants after the edge)
         group = math.log(2.0) / (2.0 * math.pi * pole) if pole is not None else 0.0
         self.reference_delay_s = cfg.prop_delay_s + group
-        self._alphabet = np.array(driver_levels(cfg.swing))  # ascending, by code
-        self._codes = {level: code for code, level in enumerate(self._alphabet.tolist())}
         self._table = _bit_table(cfg.swing, cfg.rise_time_ui)
-        self._pending = []        # codes of the levels not yet rendered
-        self._prev_code = 1       # the line starts idle
+        self._pending = []        # codes not yet rendered
+        self._prev_code = IDLE    # the line starts idle
         self._nbits = 0           # bits fully rendered
         self._frontier_s = -self.dt_s + cfg.prop_delay_s  # as 0 bits rendered
         self._grid_t0 = 0.0       # time of rendered sample 0 (pre-delay)
@@ -329,27 +346,22 @@ class StreamingNrz:
         self._tail = self._buf[:0]  # rendered samples kept for interpolation
 
     def push_bits(self, bits):
-        self.push_levels(_levels_from_bits(bits, self.cfg.swing))
+        self.push_levels((np.asarray(bits) > 0).view(np.int8).tolist())
 
-    def push_levels(self, levels):
-        """Queue levels for rendering; each must be one of the driver's
-        three levels (-swing/2, 0.0 or +swing/2), else ValueError."""
-        alphabet = self._alphabet
-        if isinstance(levels, np.ndarray):  # as push_bits gives them
-            codes = alphabet.searchsorted(levels)
-            valid = (alphabet.take(codes, mode="clip") == levels).all()
-            codes = codes.tolist()
-        else:
-            codes = [self._codes.get(v) for v in levels]
-            valid = None not in codes
-        if not valid:
-            raise ValueError(f"driver levels must be one of {tuple(alphabet.tolist())}")
+    def push_levels(self, codes):
+        """Queue driver codes for rendering: 0 or 1 sends that bit and IDLE
+        the 0 V idle level.  Any other value raises ValueError, and then
+        nothing is queued."""
+        try:
+            codes = list(map(_CODES.__getitem__, codes))
+        except (KeyError, TypeError):  # TypeError: an unhashable value
+            raise ValueError(f"driver codes must be 0, 1 or IDLE ({IDLE})") from None
         self._pending += codes
         while len(self._pending) > STREAM_CHUNK_BITS:
             self._render(STREAM_CHUNK_BITS)
 
     def _render(self, take):
-        """Render the first ``take`` pending levels into the window."""
+        """Render the first ``take`` pending codes into the window."""
         pending = self._pending
         # codes are 0..2, so even a row index (at most 26) fits in a byte
         codes = np.frombuffer(bytes([self._prev_code] + pending[:take + 1]), np.uint8)
@@ -379,7 +391,7 @@ class StreamingNrz:
         return self._frontier_s
 
     def ensure(self, t_s):
-        """Render forward (draining pending levels, then the bit source)."""
+        """Render forward (draining pending codes, then the bit source)."""
         while self.frontier_s <= t_s:
             if len(self._pending) > 1:
                 self._render(min(STREAM_CHUNK_BITS, len(self._pending) - 1))

@@ -89,8 +89,9 @@ def test_bw_max_cases():
     assert bw_max(DEFAULT_PROFILE, 1 << 30) == pytest.approx(0.8e9, rel=1e-3)
     no_warm = PowerProfile(t_warm_s=0.0)
     assert bw_max(no_warm, 4096) == 0.8e9
-    with pytest.raises(ValueError):
-        bw_max(DEFAULT_PROFILE, 0)
+    for bad in (0, float("nan"), float("inf"), 0.5, -4):
+        with pytest.raises(ValueError, match="buffer_bytes"):
+            bw_max(DEFAULT_PROFILE, bad)
 
 
 def test_diminishing_returns_in_buffer_size():

@@ -4,7 +4,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serlink import energy, node, phy
+from serlink import datapath, energy, node, phy
 from serlink.errors import AlignmentError, SimulationError, UnknownRegister
 from serlink.node import (MEMORY_BYTES, DmaChannel, Fifo, LinkSimConfig, Node,
                           Scheduler, dma_step, run_protocol)
@@ -190,6 +190,29 @@ def test_rx_initiated_transfer_is_byte_exact():
     report = run_protocol(LinkSimConfig(payload_bytes=1024,
                                         scenario="rx_initiated"))
     assert report.ok and report.mismatches == 0
+
+
+@pytest.mark.parametrize("scenario,n_bits", [("tx_initiated", 1840),
+                                             ("rx_initiated", 1680)])
+def test_the_stream_gets_the_serializers_bits_as_codes(monkeypatch, scenario, n_bits):
+    loaded, pushed = [], []
+    load, push = datapath.Serializer.load, phy.StreamingNrz.push_levels
+
+    def recording_load(self, bits):
+        load(self, bits)
+        loaded.extend(bits)
+
+    def recording_push(self, codes):
+        push(self, codes)
+        pushed.extend(codes)
+
+    monkeypatch.setattr(datapath.Serializer, "load", recording_load)
+    monkeypatch.setattr(phy.StreamingNrz, "push_levels", recording_push)
+    report = run_protocol(LinkSimConfig(payload_bytes=64, scenario=scenario))
+    assert report.ok
+    sent = [code for code in pushed if code != phy.IDLE]
+    assert sent == loaded
+    assert len(sent) == n_bits
 
 
 def test_both_scenarios_with_frequency_offsets():

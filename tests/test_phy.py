@@ -57,8 +57,8 @@ def test_ramps_cross_zero_at_bit_boundaries():
 
 @st.composite
 def _level_runs(draw):
-    """Codes 0/1/2 (-swing/2, idle, +swing/2) in runs, so idle stretches
-    and repeated levels both occur."""
+    """Driver codes 0/1/IDLE (-swing/2, +swing/2, 0 V) in runs, so idle
+    stretches and repeated levels both occur."""
     runs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 6)),
                          min_size=1, max_size=40))
     return [code for code, length in runs for _ in range(length)]
@@ -75,9 +75,9 @@ def test_table_render_is_the_trapezoid_bitwise(codes, prev, nxt, rise, swing):
                                  alphabet[prev], alphabet[nxt])
     got = phy._gather(phy._bit_table(swing, rise), np.array([prev] + codes + [nxt]))
     assert got.tobytes() == want.tobytes()
-    # drive: bits map to the outer levels, the ends are their own neighbours
-    bits = [c // 2 for c in codes if c != 1] or [1]
-    drv = [alphabet[2 * b] for b in bits]
+    # drive: a bit is its own code, the ends are their own neighbours
+    bits = [c for c in codes if c != phy.IDLE] or [1]
+    drv = [alphabet[b] for b in bits]
     want = phy._render_trapezoid(drv, phy.SAMPLES_PER_UI, rise, drv[0], drv[-1])
     got = drive(bits, ChannelConfig(swing=swing, rise_time_ui=rise)).samples
     assert got.tobytes() == want.tobytes()
@@ -182,7 +182,7 @@ def test_pole_map_values_are_pinned():
 
 def test_sample_sign_decisions():
     stream = StreamingNrz(CLEAN)
-    stream.push_levels([0.0] * 40 + [0.22] * 40 + [-0.22] * 300)
+    stream.push_levels([phy.IDLE] * 40 + [1] * 40 + [0] * 300)
     times = np.array([10.5, 60.5, 100.5]) * UI_S
     # 0 V (the idle driver) decides 0, like a negative level
     assert stream.sample_bits(times).tolist() == [0, 1, 0]
@@ -225,6 +225,19 @@ def test_filtered_eye_strictly_smaller_than_swing():
 def test_eye_requires_enough_span():
     with pytest.raises(InsufficientSpan):
         eye_capture(drive([1, 0] * 20, CLEAN), n_ui=150)
+
+
+@pytest.mark.parametrize("ui_s", [0.0, float("nan"), -1.25e-9, 1.0])
+def test_drive_and_eye_capture_reject_a_bad_ui(ui_s):
+    with pytest.raises(ValueError, match=r"ui_s must be finite, in \[5e-11, 5e-07\]"):
+        drive([1, 0] * 100, CLEAN, ui_s=ui_s)
+    wave = drive([1, 0] * 100, CLEAN)
+    if ui_s > wave.dt_s:  # a valid fold period, but the waveform is too short
+        with pytest.raises(InsufficientSpan):
+            eye_capture(wave, ui_s=ui_s)
+    else:
+        with pytest.raises(ValueError, match="ui_s must be finite, >= the sample period"):
+            eye_capture(wave, ui_s=ui_s)
 
 
 def test_eye_counts_matrix_shape():
@@ -338,7 +351,7 @@ def test_streaming_matches_batch_rendering():
 
 def test_streaming_idle_levels_render_as_zero():
     stream = StreamingNrz(CLEAN)
-    stream.push_levels([0.0] * 40 + [0.22] * 300)
+    stream.push_levels([phy.IDLE] * 40 + [1] * 300)
     v = stream.voltage(np.array([10 * UI_S]))
     assert v[0] == 0.0
 
@@ -371,21 +384,21 @@ def test_streaming_time_before_first_sample_reads_it_settled():
     # jitter can put a sample before the line's first rendered sample
     cfg = ChannelConfig(trace_length_cm=2.0, prop_delay_s=0.5e-9)
     stream = StreamingNrz(cfg)
-    stream.push_levels([0.22] * 600)
+    stream.push_levels([1] * 600)
     v = stream.voltage(np.array([-3e-12, 0.0, cfg.prop_delay_s]))
     assert v.tolist() == [stream._tail[0]] * 3
     # once samples are dropped, an earlier time is out of the window
-    stream.push_levels([0.22] * 2000)
+    stream.push_levels([1] * 2000)
     stream.ensure(1500 * UI_S)
     with pytest.raises(OutOfRange):
         stream.voltage(np.array([0.0]))
 
 
-def _np_interp_reference(stream, levels, seed, times):
+def _np_interp_reference(stream, codes, seed, times):
     """What ``stream.voltage(times)`` must return, or None where it must
     raise OutOfRange, read from the stream after the call.
 
-    The waveform is rendered in one piece from the levels the stream has
+    The waveform is rendered in one piece from the codes the stream has
     rendered and sampled with np.interp, under the stream's rules: it
     renders until its frontier passes every time (and sample 0); a time
     before sample 0 reads it settled, unless samples have been dropped;
@@ -396,6 +409,7 @@ def _np_interp_reference(stream, levels, seed, times):
     if stream.frontier_s <= max(times.max(), cfg.prop_delay_s):
         return None  # the levels ran out before the frontier got there
     n = stream._nbits
+    levels = np.take(phy.driver_levels(cfg.swing), codes)
     raw = phy._render_trapezoid(levels[:n], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
                                 0.0, levels[n])
     whole = phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
@@ -429,7 +443,7 @@ def test_streamed_sampling_matches_np_interp_reference(length, delay, noisy, see
     cfg = ChannelConfig(trace_length_cm=length, prop_delay_s=delay,
                         noise_sigma_v=0.01 if noisy else 0.0,
                         rj_sigma_s=5e-12 if noisy else 0.0)
-    levels = np.random.default_rng([seed, 1]).choice([-0.22, 0.0, 0.22], n_levels)
+    codes = np.random.default_rng([seed, 1]).choice([0, 1, phy.IDLE], n_levels)
     dt = UI_S / phy.SAMPLES_PER_UI
     end = np.nextafter(((n_levels - 1) * UI_S - dt) + delay, -np.inf)
     edges = {"first": delay, "before": delay - 3e-12, "last": end}
@@ -440,14 +454,14 @@ def test_streamed_sampling_matches_np_interp_reference(length, delay, noisy, see
 
     def run(call):
         stream = StreamingNrz(cfg, seed=seed)
-        stream.push_levels(levels)
+        stream.push_levels(codes)
         try:
             return stream, call(stream)
         except OutOfRange:
             return stream, None
 
     stream, got = run(lambda s: s.voltage(times))
-    want = _np_interp_reference(stream, levels, seed, times)
+    want = _np_interp_reference(stream, codes, seed, times)
     assert (got is None) == (want is None)
     if want is not None:
         assert got.tobytes() == want.tobytes()
@@ -457,7 +471,7 @@ def test_streamed_sampling_matches_np_interp_reference(length, delay, noisy, see
     if noisy:
         jittered = jittered + np.random.default_rng(seed).normal(0.0, cfg.rj_sigma_s,
                                                                  len(times))
-    want = _np_interp_reference(stream, levels, seed, jittered)
+    want = _np_interp_reference(stream, codes, seed, jittered)
     assert (got is None) == (want is None)
     if want is not None:
         assert got.dtype == np.int8
@@ -468,7 +482,8 @@ def test_window_compaction_keeps_the_newest_samples_bitwise():
     # uneven bursts drive the window through several in-place moves to
     # the front of the stream's buffer, rendering as ensure does
     cfg = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.01, prop_delay_s=0.3e-9)
-    levels = np.random.default_rng(61).choice([-0.22, 0.0, 0.22], 4200)
+    codes = np.random.default_rng(61).choice([0, 1, phy.IDLE], 4200)
+    levels = np.take(phy.driver_levels(cfg.swing), codes)
     stream = StreamingNrz(cfg, seed=5)
     buf = stream._buf
     raw = phy._render_trapezoid(levels[:-1], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
@@ -486,8 +501,8 @@ def test_window_compaction_keeps_the_newest_samples_bitwise():
     spu, keep = phy.SAMPLES_PER_UI, phy._STREAM_KEEP
     pushed = 0
     bursts = itertools.cycle((1, 7, 255, 256, 257))
-    while pushed < len(levels):
-        burst = levels[pushed:pushed + next(bursts)]
+    while pushed < len(codes):
+        burst = codes[pushed:pushed + next(bursts)]
         pushed += len(burst)
         stream.push_levels(burst.tolist() if pushed % 2 else burst)
         stream.ensure((pushed - 2) * UI_S + cfg.prop_delay_s)  # all but one level
@@ -507,10 +522,10 @@ def test_window_compaction_keeps_the_newest_samples_bitwise():
 
 def test_off_alphabet_levels_raise_and_render_nothing():
     stream = StreamingNrz(CLEAN)
-    stream.push_levels([0.22] * 300)
+    stream.push_levels([1] * 300)
     state = (stream._nbits, list(stream._pending), stream._tail.tobytes())
-    for bad in ([0.22, 0.1], np.array([0.22] * 300 + [0.5]), [float("nan")],
-                np.array([-0.22, np.nan]), [0.2200001]):
-        with pytest.raises(ValueError, match="-0.22, 0.0, 0.22"):
+    for bad in ([1, 3], [0, -1], [0.5], [float("nan")], [1, None], [1, [0]],
+                np.array([1] * 300 + [3])):
+        with pytest.raises(ValueError, match=r"0, 1 or IDLE \(2\)"):
             stream.push_levels(bad)
         assert (stream._nbits, list(stream._pending), stream._tail.tobytes()) == state
