@@ -112,7 +112,7 @@ def offset_drift_ui_per_ui(freq_offset):
 
 
 # One call samples at most one render chunk, so a block always fits in
-# the stream's retained window (three chunks).
+# the stream's retained window (phy._STREAM_KEEP, four chunks).
 MAX_BLOCK_BATCHES = phy.STREAM_CHUNK_BITS // BATCH_BITS
 
 

@@ -73,11 +73,15 @@ class TxFramer:
     BitPair, or None while the line is idle.  ``word_source`` is called
     at each data-flit boundary and must return the next 32-bit word.
     ``valid_fn`` reflects the FIFO handshake (data available).
+    ``wire`` is called with each flit's 40 bits, in the order the
+    serializer sends them, when the flit is loaded: before the first
+    ``step_cycle`` that returns one of its pairs.
     """
 
-    def __init__(self, word_source, valid_fn):
+    def __init__(self, word_source, valid_fn, wire):
         self._word_source = word_source
         self._valid_fn = valid_fn
+        self._wire = wire
         self.state = TxState.IDLE
         self.warm_en = False
         self.comm_en = False
@@ -93,7 +97,9 @@ class TxFramer:
             self.rd = Disparity.NEGATIVE  # disparity chain restarts per frame
         word = self._word_source() if action.pop_word else None
         flit, self.rd = codec.encode_flit(action.flit_select, word, self.rd)
-        self._serializer.load(flit.bits())
+        bits = flit.bits()
+        self._serializer.load(bits)
+        self._wire(bits)
         return True
 
     def step_cycle(self):

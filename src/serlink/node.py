@@ -277,16 +277,19 @@ class EventLog:
 
 # rx_digital/tx_digital state while a side's warm_en is set
 _DIGITAL_ON = {"tx": "active", "rx": "warm"}
+_IDLE_PAIR = (phy.IDLE, phy.IDLE)  # the driver's codes for one idle cycle
 
 
 class LinkEngine:
     """The serial data plane between the two nodes.
 
-    The TX side renders eight bits per slow-clock quantum into the
-    streamed channel waveform; the RX side, once warmed up, runs one CDR
-    batch per quantum (lagging two quanta so the waveform frontier always
-    covers its sampling instants) and feeds the recovered pairs through
-    the receive pipeline into the RX FIFO.
+    The TX side steps the serializer eight cycles per slow-clock
+    quantum; the framer hands each flit's 40 bits to the streamed
+    channel waveform when it loads them, and the quantum pushes an idle
+    pair for each cycle without a flit.  The RX side, once warmed up,
+    runs one CDR batch per quantum (lagging two quanta so the waveform
+    frontier always covers its sampling instants) and feeds the
+    recovered pairs through the receive pipeline into the RX FIFO.
     """
 
     def __init__(self, sim, cfg: LinkSimConfig, tx: Node, rx: Node, log: EventLog):
@@ -303,9 +306,10 @@ class LinkEngine:
         tx.dma = DmaChannel("read", self.tx_fifo)
         rx.dma = DmaChannel("write", self.rx_fifo)
 
-        self.framer = control.TxFramer(self._pop_word, self._tx_valid)
         self.stream = phy.StreamingNrz(cfg.channel, tx_ui_s=cfg.tx_ui_s,
                                        seed=cfg.seed)
+        self.framer = control.TxFramer(self._pop_word, self._tx_valid,
+                                       self.stream.push_levels)
         self.pipeline = control.RxPipeline()
         self.loop = None
         self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
@@ -348,13 +352,12 @@ class LinkEngine:
     # -- TX data plane ------------------------------------------------------
 
     def _tx_quantum(self):
-        step_cycle = self.framer.step_cycle
-        idle = (phy.IDLE, phy.IDLE)
-        codes = []
+        # the framer hands each flit's bits to the stream as it loads
+        # them; only the idle pairs are pushed here, each as it is stepped
+        step_cycle, push = self.framer.step_cycle, self.stream.push_levels
         for _ in range(cdr.BATCH_BITS // 2):
-            pair = step_cycle()
-            codes += idle if pair is None else pair  # a bit is its own driver code
-        self.stream.push_levels(codes)
+            if step_cycle() is None:
+                push(_IDLE_PAIR)
         state = self.framer.state
         if state is not self._prev_tx_state:
             self.log("tx", "tx_state", state.value)

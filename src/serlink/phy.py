@@ -50,7 +50,10 @@ EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
 _NOISE_BLOCK = 1 << 16     # noise samples a channel draws per call, added in place
-_STREAM_KEEP = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 3  # samples a stream retains
+# samples a stream retains: four chunks, since the link engine pushes
+# each flit ahead of its pairs and samples a propagation delay behind
+# them; its longest delay grows with this (1.21 us on the default link)
+_STREAM_KEEP = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 4
 _STREAM_BUFFER = 2 * _STREAM_KEEP  # a stream's sample buffer; holds the window
 
 # Two-point calibration of the trace-length -> pole map: (length in cm,
@@ -323,6 +326,8 @@ class StreamingNrz:
     """
 
     def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S, seed=0, bit_source=None):
+        # not UI_RULE: a frequency offset may move the TX UI outside it
+        check("tx_ui_s", "float", ("> 0", lambda v: v > 0), tx_ui_s)
         self.cfg = cfg
         self.tx_ui_s = tx_ui_s
         self.dt_s = tx_ui_s / SAMPLES_PER_UI

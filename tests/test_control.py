@@ -51,7 +51,7 @@ def test_tx_fsm_outputs():
 def collect_frame_flits(words):
     """Wire flit kinds emitted for one framed transfer."""
     queue = list(words)
-    framer = TxFramer(lambda: queue.pop(0), lambda: len(queue) > 0)
+    framer = TxFramer(lambda: queue.pop(0), lambda: len(queue) > 0, [].extend)
     framer.warm_en = True
     framer.comm_en = True
     kinds = []
@@ -159,7 +159,7 @@ def test_detector_matches_find_oracle(noise, splices):
 
 def wire_for_frame(words, *, warmup_pairs=20, shift=0):
     queue = list(words)
-    framer = TxFramer(lambda: queue.pop(0), lambda: len(queue) > 0)
+    framer = TxFramer(lambda: queue.pop(0), lambda: len(queue) > 0, [].extend)
     framer.warm_en = True
     framer.comm_en = True
     bits = []

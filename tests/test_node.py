@@ -4,7 +4,8 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serlink import datapath, energy, node, phy
+from serlink import control, datapath, energy, node, phy
+from serlink.codec import FLIT_BITS
 from serlink.errors import AlignmentError, SimulationError, UnknownRegister
 from serlink.node import (MEMORY_BYTES, DmaChannel, Fifo, LinkSimConfig, Node,
                           Scheduler, dma_step, run_protocol)
@@ -213,6 +214,41 @@ def test_the_stream_gets_the_serializers_bits_as_codes(monkeypatch, scenario, n_
     sent = [code for code in pushed if code != phy.IDLE]
     assert sent == loaded
     assert len(sent) == n_bits
+
+
+@pytest.mark.parametrize("scenario", ["tx_initiated", "rx_initiated"])
+def test_the_wire_keeps_the_step_order(monkeypatch, scenario):
+    # each flit reaches the stream when it is loaded, ahead of its pairs,
+    # and each idle pair as it is stepped; the framer can go idle and load
+    # the next flit within one quantum, so idles held to the quantum's end
+    # would land after that flit
+    stepped, pushes = [], []
+    step, push = control.TxFramer.step_cycle, phy.StreamingNrz.push_levels
+
+    def recording_step(self):
+        pair = step(self)
+        stepped.extend((phy.IDLE, phy.IDLE) if pair is None else pair)
+        return pair
+
+    def recording_push(self, codes):
+        push(self, codes)
+        pushes.append(list(codes))
+
+    monkeypatch.setattr(control.TxFramer, "step_cycle", recording_step)
+    monkeypatch.setattr(phy.StreamingNrz, "push_levels", recording_push)
+    assert run_protocol(LinkSimConfig(payload_bytes=64, scenario=scenario)).ok
+    pushed = [code for codes in pushes for code in codes]
+    assert pushed[:len(stepped)] == stepped
+    assert all(len(codes) == FLIT_BITS for codes in pushes if phy.IDLE not in codes)
+
+
+@pytest.mark.parametrize("scenario", ["tx_initiated", "rx_initiated"])
+def test_a_transfer_completes_behind_a_long_delay(scenario):
+    # the stream learns each flit up to a flit early and renders ahead of
+    # it, so its window must reach back past a 0.9 us propagation delay
+    report = run_protocol(LinkSimConfig(payload_bytes=64, scenario=scenario,
+                                        channel=phy.ChannelConfig(prop_delay_s=0.9e-6)))
+    assert report.ok, report.diagnostic
 
 
 def test_both_scenarios_with_frequency_offsets():

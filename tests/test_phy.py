@@ -520,6 +520,12 @@ def test_window_compaction_keeps_the_newest_samples_bitwise():
     assert stream._buf is buf and np.shares_memory(stream._tail, buf)
 
 
+@pytest.mark.parametrize("tx_ui_s", [float("nan"), float("inf"), 0.0, -1e-9])
+def test_streaming_rejects_a_bad_tx_ui(tx_ui_s):
+    with pytest.raises(ValueError, match=r"^tx_ui_s must be finite, > 0, got "):
+        StreamingNrz(CLEAN, tx_ui_s=tx_ui_s)
+
+
 def test_off_alphabet_levels_raise_and_render_nothing():
     stream = StreamingNrz(CLEAN)
     stream.push_levels([1] * 300)
