@@ -286,7 +286,8 @@ class LinkEngine:
     The TX side steps the serializer eight cycles per slow-clock
     quantum; the framer hands each flit's 40 bits to the streamed
     channel waveform when it loads them, and the quantum pushes an idle
-    pair for each cycle without a flit.  The RX side, once warmed up,
+    pair for each cycle without a flit as it steps it, so the stream
+    gets its codes in step order.  The RX side, once warmed up,
     runs one CDR batch per quantum (lagging two quanta so the waveform
     frontier always covers its sampling instants) and feeds the
     recovered pairs through the receive pipeline into the RX FIFO.
@@ -352,8 +353,6 @@ class LinkEngine:
     # -- TX data plane ------------------------------------------------------
 
     def _tx_quantum(self):
-        # the framer hands each flit's bits to the stream as it loads
-        # them; only the idle pairs are pushed here, each as it is stepped
         step_cycle, push = self.framer.step_cycle, self.stream.push_levels
         for _ in range(cdr.BATCH_BITS // 2):
             if step_cycle() is None:
