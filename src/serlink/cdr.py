@@ -111,8 +111,8 @@ def offset_drift_ui_per_ui(freq_offset):
     return abs(Fraction(freq_offset).limit_denominator(10**9))
 
 
-# One call samples at most one render chunk, so a block always fits in
-# the stream's retained window (phy._STREAM_KEEP, four chunks).
+# One call samples at most one render chunk of RX UI, so a block fits in
+# the stream's retained window (phy._STREAM_KEEP says why) at any offset.
 MAX_BLOCK_BATCHES = phy.STREAM_CHUNK_BITS // BATCH_BITS
 
 
@@ -265,18 +265,20 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
                    seed=0, include_boundary=True, keep_trace=True):
     """Run the closed CDR loop over a transmitted bit sequence.
 
-    Recovers ``n_bits // 8`` whole batches, so ``n_bits`` must be at
-    least BATCH_BITS.  Lock, slips and steps are the loop's own
-    observations (CdrLoop).  Raises ValueError for a link argument outside
-    LINK_RULES, and OutOfRange if sampling runs past the end of ``tx_bits``.
+    ``tx_bits`` holds only 0s and 1s, each its own driver code, and the
+    loop recovers ``n_bits // 8`` whole batches, ``n_bits`` an integer
+    >= BATCH_BITS; ValueError otherwise, or for a link argument outside
+    LINK_RULES.  Lock, slips and steps are the loop's own observations
+    (CdrLoop).  OutOfRange if sampling runs past the end of ``tx_bits``.
     """
     for name, value in (("freq_offset", freq_offset),
                         ("initial_phase_ui", initial_phase_ui), ("ui_s", ui_s)):
         check(name, "float", LINK_RULES[name], value)
-    tx_bits = np.asarray(tx_bits, dtype=np.int8)
+    check("n_bits", "int", (f">= {BATCH_BITS}", lambda v: v >= BATCH_BITS), n_bits)
+    tx_bits = np.asarray(tx_bits)
+    if not np.isin(tx_bits, (0, 1)).all():
+        raise ValueError("tx_bits must hold only 0s and 1s")
     tx_ui = ui_s / (1.0 + freq_offset)
-    if n_bits < BATCH_BITS:
-        raise ValueError(f"n_bits must be at least {BATCH_BITS}")
     cursor = [0]
 
     def pull(count):
@@ -285,7 +287,7 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
         chunk = tx_bits[lo:lo + count]
         if len(chunk) < count:
             raise OutOfRange("transmitted bit sequence exhausted")
-        return chunk
+        return chunk.tolist()
 
     stream = phy.StreamingNrz(cfg, tx_ui_s=tx_ui, seed=seed, bit_source=pull)
     loop = CdrLoop(stream, ui_s=ui_s, n=n, initial_phase_ui=initial_phase_ui,

@@ -199,7 +199,8 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
     ``events`` are (time_s, signal, value) rows; signals are
     ``tx_analog``/``rx_analog`` (0 or 1) and ``tx_digital``/``rx_digital``
     (state names).  Power is piecewise constant between transitions and
-    each analog turn-on adds the power-gating overhead.
+    each analog turn-on adds the power-gating overhead.  Events before 0,
+    or a ``t_end_s`` not finite or before the last event, raise ValueError.
     """
     state = {"tx_analog": 0, "rx_analog": 0,
              "tx_digital": "standby", "rx_digital": "standby"}
@@ -226,5 +227,7 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
             total += profile.pg_overhead_j
         state[signal_name] = value
         t_prev = t
+    last = (f">= {t_prev}, the last event's time", lambda v: v >= t_prev)
+    check("t_end_s", "float", last, t_end_s)
     total += power() * (t_end_s - t_prev)
     return total

@@ -380,7 +380,7 @@ class LinkEngine:
 
     def _schedule_rx_quantum(self, batch_end_s):
         # run two quanta behind the recovered sampling instants so the
-        # transmit side has always rendered the waveform being sampled
+        # transmit side has always pushed the waveform being sampled
         t = batch_end_s + 2 * self.cfg.slow_cycle_s
         self.sim.schedule(max(s_to_ps(t), self.sim.now_ps), self._rx_quantum)
 

@@ -47,12 +47,13 @@ _CODES = {code: code for code in (0, 1, IDLE)}  # push_levels's lookup
 SAMPLES_PER_UI = 32
 DEFAULT_EYE_UIS = 150
 EYE_VOLT_BINS = 64
-STREAM_CHUNK_BITS = 256    # bits rendered per streamed chunk
+STREAM_CHUNK_BITS = 256    # most bits a stream renders at once
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
 _NOISE_BLOCK = 1 << 16     # noise samples a channel draws per call, added in place
-# samples a stream retains: four chunks, since the link engine pushes
-# each flit ahead of its pairs and samples a propagation delay behind
-# them; its longest delay grows with this (1.21 us on the default link)
+# samples a stream retains: four chunks.  Rendered only as sampling needs
+# it, the window spans one sampling call of one chunk of RX UI (two of TX
+# at the largest frequency offset), one chunk rendered past it and a
+# chunk of margin for jitter, whatever the delay
 _STREAM_KEEP = STREAM_CHUNK_BITS * SAMPLES_PER_UI * 4
 _STREAM_BUFFER = 2 * _STREAM_KEEP  # a stream's sample buffer; holds the window
 
@@ -224,8 +225,8 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     Height is the vertical opening (smallest high sample minus largest
     low sample) at the best phase; width is the contiguous phase span
     around it where the opening stays within 0.1% of the best.  ``ui_s``
-    must be finite and at least the sample period, else ValueError
-    (UI_RULE's 50 ps floor serves the event scheduler only).
+    must be finite and at least the sample period (UI_RULE's 50 ps floor
+    serves the event scheduler only), and ``n_ui`` an integer >= 1.
 
     The folded ``(traces, 2*spu)`` matrix is walked in blocks of
     ``_EYE_BLOCK_TRACES`` traces, so temporaries stay small.  Column c
@@ -237,12 +238,13 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     over [0, 2] UI and the whole waveform's voltage range.
     """
     check("ui_s", "float", (f">= the sample period {w.dt_s:g}", lambda v: v >= w.dt_s), ui_s)
+    check("n_ui", "int", (">= 1", lambda v: v >= 1), n_ui)
     spu = int(round(ui_s / w.dt_s))
     span_ui = (len(w.samples) - 1) / spu
     if span_ui < n_ui:
         raise InsufficientSpan(f"waveform spans {span_ui:.1f} UI, need {n_ui}")
     window = 2 * spu
-    n_traces = int(n_ui) // 2
+    n_traces = n_ui // 2
     folded = w.samples[:n_traces * window].reshape(n_traces, window)
 
     pe = np.linspace(0.0, 2.0, window + 1)
@@ -315,14 +317,17 @@ class StreamingNrz:
     """Chunk-rendered TX waveform for long closed-loop runs.
 
     Driver codes are pushed in bursts, one per bit period: the bit
-    itself, or IDLE while the driver is idle.  ``voltage`` evaluates the
-    delayed, filtered, noisy waveform at arbitrary times within the
-    rendered window.  One pending code is always held back so boundary
-    ramps see their next level.
+    itself, or IDLE while the driver is idle.  ``push_levels`` only
+    queues them, a byte each; ``ensure`` alone renders, a chunk at a time
+    when a sample needs it, so the window follows the sampling whatever
+    the delay.  ``voltage`` evaluates the delayed, filtered, noisy
+    waveform at arbitrary times within the window.  One pending code is
+    always held back so boundary ramps see their next level.
 
-    The window is a view into one buffer of ``_STREAM_BUFFER`` samples
-    that each filtered chunk is appended to; only when a chunk no longer
-    fits are the retained samples moved to its front, in place.
+    The window, the newest ``_STREAM_KEEP`` samples, starts at the
+    integer index rendered minus kept, so its time is exact however the
+    codes were chunked.  It is a view into one ``_STREAM_BUFFER``-sample
+    buffer; it moves to the front, in place, only when a chunk won't fit.
     """
 
     def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S, seed=0, bit_source=None):
@@ -341,67 +346,55 @@ class StreamingNrz:
         group = math.log(2.0) / (2.0 * math.pi * pole) if pole is not None else 0.0
         self.reference_delay_s = cfg.prop_delay_s + group
         self._table = _bit_table(cfg.swing, cfg.rise_time_ui)
-        self._pending = []        # codes not yet rendered
+        self._pending = bytearray()  # codes not yet rendered
         self._prev_code = IDLE    # the line starts idle
-        self._nbits = 0           # bits fully rendered
-        self._frontier_s = -self.dt_s + cfg.prop_delay_s  # as 0 bits rendered
-        self._grid_t0 = 0.0       # time of rendered sample 0 (pre-delay)
+        self._nbits = 0           # bits rendered
         self._buf = np.empty(_STREAM_BUFFER)
-        self._end = 0             # the window is _buf[_end - len(_tail):_end]
-        self._tail = self._buf[:0]  # rendered samples kept for interpolation
-
-    def push_bits(self, bits):
-        self.push_levels((np.asarray(bits) > 0).view(np.int8).tolist())
+        self._end = 0             # the window ends at _buf[_end]
 
     def push_levels(self, codes):
         """Queue driver codes for rendering: 0 or 1 sends that bit and IDLE
         the 0 V idle level.  Any other value raises ValueError, and then
         nothing is queued."""
         try:
-            codes = list(map(_CODES.__getitem__, codes))
+            self._pending += bytes(map(_CODES.__getitem__, codes))
         except (KeyError, TypeError):  # TypeError: an unhashable value
             raise ValueError(f"driver codes must be 0, 1 or IDLE ({IDLE})") from None
-        self._pending += codes
-        while len(self._pending) > STREAM_CHUNK_BITS:
-            self._render(STREAM_CHUNK_BITS)
+
+    def _window(self):
+        """The index of the window's first sample, and its samples."""
+        rendered = self._nbits * SAMPLES_PER_UI
+        kept = min(rendered, _STREAM_KEEP)
+        return rendered - kept, self._buf[self._end - kept:self._end]
 
     def _render(self, take):
         """Render the first ``take`` pending codes into the window."""
         pending = self._pending
         # codes are 0..2, so even a row index (at most 26) fits in a byte
-        codes = np.frombuffer(bytes([self._prev_code] + pending[:take + 1]), np.uint8)
+        codes = np.frombuffer(bytes((self._prev_code,)) + pending[:take + 1], np.uint8)
         self._prev_code = pending[take - 1]
         del pending[:take]
         raw = self._channel.apply(_gather(self._table, codes))
-        self._nbits += take
-        self._frontier_s = (self._nbits * self.tx_ui_s - self.dt_s) + self.cfg.prop_delay_s
-        buf, end, kept = self._buf, self._end, len(self._tail)
-        n = len(raw)
-        if end + n > len(buf):  # full: move the window to the front
+        buf, end, kept = self._buf, self._end, len(self._window()[1])
+        if end + len(raw) > len(buf):  # full: move the window to the front
             buf[:kept] = buf[end - kept:end]
             end = kept
-        buf[end:end + n] = raw
-        end += n
-        kept += n
-        if kept > _STREAM_KEEP:
-            drop = kept - _STREAM_KEEP
-            kept = _STREAM_KEEP
-            self._grid_t0 += drop * self.dt_s
-        self._end = end
-        self._tail = buf[end - kept:end]
+        buf[end:end + len(raw)] = raw
+        self._end = end + len(raw)
+        self._nbits += take
 
     @property
     def frontier_s(self):
         """Latest time (post-delay) the waveform is valid for."""
-        return self._frontier_s
+        return (self._nbits * self.tx_ui_s - self.dt_s) + self.cfg.prop_delay_s
 
     def ensure(self, t_s):
-        """Render forward (draining pending codes, then the bit source)."""
+        """Render pending codes, then the bit source's, until ``t_s`` is covered."""
         while self.frontier_s <= t_s:
             if len(self._pending) > 1:
                 self._render(min(STREAM_CHUNK_BITS, len(self._pending) - 1))
             elif self._bit_source is not None:
-                self.push_bits(self._bit_source(STREAM_CHUNK_BITS))
+                self.push_levels(self._bit_source(STREAM_CHUNK_BITS))
             else:
                 raise OutOfRange(f"waveform not rendered up to {t_s * 1e9:.3f} ns")
 
@@ -420,17 +413,18 @@ class StreamingNrz:
         t_min, t_max = float(ends[0]), float(ends[-1])
         # sample 0 sits at the propagation delay: render at least it
         self.ensure(max(t_max, delay))
-        g, tail = self._grid_t0, self._tail
+        first, window = self._window()
+        g = first * dt
         # the sample position is monotone in the time, so the earliest
         # time gives the earliest position by the same operations
-        if g > 0 and (t_min - delay - g) / dt < 0:  # samples have been dropped
+        if first and (t_min - delay - g) / dt < 0:  # samples have been dropped
             raise OutOfRange("sample time before retained waveform window")
         if delay:  # t - 0.0 is t
             times -= delay
         times -= g
         times /= dt
         # before sample 0 np.interp reads it, past the last sample the last
-        return np.interp(times, _sample_positions()[:len(tail)], tail)
+        return np.interp(times, _sample_positions()[:len(window)], window)
 
     def sample_bits(self, times, rng=None):
         """Comparator decisions at the given times (with jitter if set)."""

@@ -206,6 +206,21 @@ def test_recover_stream_rejects_empty_run():
             recover_stream(np.tile([1, 0], 2000), CLEAN, n_bits=n_bits)
 
 
+@pytest.mark.parametrize("n_bits", [800.0, 7, np.nan, "800"])
+def test_recover_stream_rejects_a_bad_bit_count_up_front(n_bits):
+    with pytest.raises(ValueError, match="^n_bits must be an integer, >= 8, got "):
+        recover_stream(np.tile([1, 0], 2000), CLEAN, n_bits=n_bits)
+
+
+@pytest.mark.parametrize("bad", [2, 0.7, -1, np.nan])
+def test_recover_stream_takes_only_bits(bad):
+    # a 2 used to be sent as a 1, and 0.7 cast to 0, each then a bit error
+    tx = np.tile([1.0, 0.0], 2000)
+    tx[1001] = bad
+    with pytest.raises(ValueError, match="^tx_bits must hold only 0s and 1s"):
+        recover_stream(tx, CLEAN, n_bits=800)
+
+
 @pytest.mark.parametrize("name,value", [
     ("freq_offset", np.nan), ("freq_offset", -1.0), ("initial_phase_ui", np.nan),
     ("initial_phase_ui", 2.0), ("ui_s", 0.0), ("ui_s", np.inf)])

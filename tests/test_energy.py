@@ -166,6 +166,16 @@ def test_trace_counts_power_up_overhead_per_edge():
     assert total - base - analog == pytest.approx(3 * 120e-12, rel=1e-6)
 
 
+@pytest.mark.parametrize("t_end_s", [0.5e-6, -1e-6, float("nan"), float("inf")])
+def test_trace_rejects_an_end_before_the_last_event_or_not_finite(t_end_s):
+    # an end before the last event used to integrate a negative span
+    events = [(0.0, "rx_analog", 1), (1e-6, "rx_analog", 0)]
+    with pytest.raises(ValueError, match=r"^t_end_s must be finite, >= 1e-06, the last event's"):
+        energy_trace(events, DEFAULT_PROFILE, t_end_s)
+    assert energy_trace(events, DEFAULT_PROFILE, 1e-6) < energy_trace(
+        events, DEFAULT_PROFILE, 2e-6)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         PowerProfile(rx_analog_w=-1e-3)

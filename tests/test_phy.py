@@ -240,6 +240,13 @@ def test_drive_and_eye_capture_reject_a_bad_ui(ui_s):
             eye_capture(wave, ui_s=ui_s)
 
 
+@pytest.mark.parametrize("n_ui", [float("nan"), -4, 2.5])
+def test_eye_capture_rejects_a_bad_span(n_ui):
+    # -4 used to return an all-zero eye, and nan fail inside numpy
+    with pytest.raises(ValueError, match=r"^n_ui must be an integer, >= 1, got "):
+        eye_capture(drive([1, 0] * 100, CLEAN), n_ui=n_ui)
+
+
 def test_eye_counts_matrix_shape():
     rng = np.random.default_rng(57)
     eye = eye_capture(drive(rng.integers(0, 2, 220), CLEAN), n_ui=150)
@@ -341,7 +348,7 @@ def test_streaming_matches_batch_rendering():
     cfg = ChannelConfig(trace_length_cm=2.0)
     whole = channel_apply(drive(bits, cfg), cfg)
     stream = StreamingNrz(cfg)
-    stream.push_bits(bits)
+    stream.push_levels(bits.tolist())
     # the streamed line starts from idle (0 V); skip the startup settling
     times = np.arange(1000, 60000) * (UI_S / 100)
     got = stream.voltage(times)
@@ -358,7 +365,7 @@ def test_streaming_idle_levels_render_as_zero():
 
 def test_streaming_guards_unrendered_span():
     stream = StreamingNrz(CLEAN)
-    stream.push_bits([1, 0] * 8)
+    stream.push_levels([1, 0] * 8)
     with pytest.raises(OutOfRange):
         stream.voltage(np.array([1.0]))
 
@@ -366,15 +373,19 @@ def test_streaming_guards_unrendered_span():
 def test_streaming_voltage_is_np_interp_bitwise():
     cfg = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.01, prop_delay_s=0.3e-9)
     stream = StreamingNrz(cfg, seed=3)
-    stream.push_bits(np.random.default_rng(59).integers(0, 2, 3000))
-    tail, last = stream._tail, len(stream._tail) - 1
+    stream.push_levels(np.random.default_rng(59).integers(0, 2, 3000).tolist())
+    stream.ensure(2998 * UI_S + cfg.prop_delay_s)  # render all but one level
+    first, tail = stream._window()
+    last, nbits = len(tail) - 1, stream._nbits
     picks = np.concatenate((np.arange(last + 1),
                             np.random.default_rng(60).uniform(0, last, 100_000)))
-    times = cfg.prop_delay_s + stream._grid_t0 + picks * stream.dt_s
-    rel = (times - cfg.prop_delay_s - stream._grid_t0) / stream.dt_s
+    times = cfg.prop_delay_s + first * stream.dt_s + picks * stream.dt_s
+    # the last sample sits at the frontier, where ensure renders on: an ulp short
+    times = np.minimum(times, np.nextafter(stream.frontier_s, -np.inf))
+    rel = (times - cfg.prop_delay_s - first * stream.dt_s) / stream.dt_s
     times, rel = times[rel >= 0], rel[rel >= 0]  # roundoff below sample 0
     got = stream.voltage(times)
-    assert stream._tail is tail  # sampling rendered nothing more
+    assert stream._nbits == nbits  # sampling rendered nothing more
     assert rel.min() < 1e-9 and rel.max() > last - 1e-9  # first and last sample
     want = np.interp(rel, np.arange(last + 1), tail)
     assert got.tobytes() == want.tobytes()
@@ -386,7 +397,7 @@ def test_streaming_time_before_first_sample_reads_it_settled():
     stream = StreamingNrz(cfg)
     stream.push_levels([1] * 600)
     v = stream.voltage(np.array([-3e-12, 0.0, cfg.prop_delay_s]))
-    assert v.tolist() == [stream._tail[0]] * 3
+    assert v.tolist() == [stream._window()[1][0]] * 3
     # once samples are dropped, an earlier time is out of the window
     stream.push_levels([1] * 2000)
     stream.ensure(1500 * UI_S)
@@ -414,9 +425,10 @@ def _np_interp_reference(stream, codes, seed, times):
                                 0.0, levels[n])
     whole = phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
                          np.random.default_rng([seed, 0xC0])).apply(raw)
-    kept = whole[len(whole) - len(stream._tail):]
-    assert stream._tail.tobytes() == kept.tobytes()  # the window is the newest samples
-    rel = (times - cfg.prop_delay_s - stream._grid_t0) / stream.dt_s
+    first, window = stream._window()
+    kept = whole[len(whole) - len(window):]
+    assert window.tobytes() == kept.tobytes()  # the window is the newest samples
+    rel = (times - cfg.prop_delay_s - first * stream.dt_s) / stream.dt_s
     if len(kept) < len(whole) and rel.min() < 0:
         return None
     return np.interp(rel, np.arange(len(kept)), kept)
@@ -508,16 +520,27 @@ def test_window_compaction_keeps_the_newest_samples_bitwise():
         stream.ensure((pushed - 2) * UI_S + cfg.prop_delay_s)  # all but one level
         assert stream._nbits == pushed - 1
         end = stream._nbits * spu
-        assert stream._tail.tobytes() == whole[max(end - keep, 0):end].tobytes()
-        grid_t0, kept = 0.0, 0  # the window's drops, summed chunk by chunk
-        for take in takes:
-            kept += take * spu
-            if kept > keep:
-                grid_t0 += (kept - keep) * stream.dt_s
-                kept = keep
-        assert stream._grid_t0 == grid_t0
+        first, window = stream._window()
+        assert first == max(end - keep, 0)  # the samples dropped, counted exactly
+        assert window.tobytes() == whole[first:end].tobytes()
     assert sum(takes) * spu > 2 * len(buf)  # the window moved to the front thrice or more
-    assert stream._buf is buf and np.shares_memory(stream._tail, buf)
+    assert stream._buf is buf and np.shares_memory(stream._window()[1], buf)
+
+
+def test_streamed_voltages_do_not_depend_on_the_chunking():
+    # however the codes arrive and are rendered, the window's time origin
+    # is exact, so every sampled voltage is bitwise the same
+    cfg = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.01, prop_delay_s=0.3e-9)
+    codes = np.random.default_rng(62).choice([0, 1, phy.IDLE], 6000).tolist()
+    times = np.sort(np.random.default_rng(63).uniform(5000, 5990, 64)) * UI_S
+    sampled = set()
+    for burst in (1, 7, 40, 300, 6000):
+        stream = StreamingNrz(cfg, seed=6)
+        for lo in range(0, len(codes), burst):
+            stream.push_levels(codes[lo:lo + burst])
+            stream.ensure((min(lo + burst, len(codes)) - 2) * UI_S + cfg.prop_delay_s)
+        sampled.add(stream.voltage(times).tobytes())
+    assert len(sampled) == 1
 
 
 @pytest.mark.parametrize("tx_ui_s", [float("nan"), float("inf"), 0.0, -1e-9])
@@ -529,9 +552,9 @@ def test_streaming_rejects_a_bad_tx_ui(tx_ui_s):
 def test_off_alphabet_levels_raise_and_render_nothing():
     stream = StreamingNrz(CLEAN)
     stream.push_levels([1] * 300)
-    state = (stream._nbits, list(stream._pending), stream._tail.tobytes())
+    state = (stream._nbits, list(stream._pending), stream._window()[1].tobytes())
     for bad in ([1, 3], [0, -1], [0.5], [float("nan")], [1, None], [1, [0]],
                 np.array([1] * 300 + [3])):
         with pytest.raises(ValueError, match=r"0, 1 or IDLE \(2\)"):
             stream.push_levels(bad)
-        assert (stream._nbits, list(stream._pending), stream._tail.tobytes()) == state
+        assert (stream._nbits, list(stream._pending), stream._window()[1].tobytes()) == state
