@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import phy
-from .errors import OutOfRange, check
+from .errors import check
 
 PI_CODES = 32
 PI_STEP_UI = Fraction(1, 16)   # one interpolator step, in UI (1/32 of 2 UI)
@@ -265,31 +265,24 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
                    seed=0, include_boundary=True, keep_trace=True):
     """Run the closed CDR loop over a transmitted bit sequence.
 
-    ``tx_bits`` holds only 0s and 1s, each its own driver code, and the
-    loop recovers ``n_bits // 8`` whole batches, ``n_bits`` an integer
-    >= BATCH_BITS; ValueError otherwise, or for a link argument outside
-    LINK_RULES.  Lock, slips and steps are the loop's own observations
-    (CdrLoop).  OutOfRange if sampling runs past the end of ``tx_bits``.
+    ``tx_bits`` is a 1-D sequence of 0s and 1s, each its own driver code,
+    queued on the stream at once, and the loop recovers ``n_bits // 8``
+    whole batches, ``n_bits`` an integer >= BATCH_BITS; ValueError
+    otherwise, or for a link argument outside LINK_RULES.  Lock, slips
+    and steps are the loop's own observations (CdrLoop).  OutOfRange
+    once sampling passes the last bit of ``tx_bits`` but one.
     """
     for name, value in (("freq_offset", freq_offset),
                         ("initial_phase_ui", initial_phase_ui), ("ui_s", ui_s)):
         check(name, "float", LINK_RULES[name], value)
     check("n_bits", "int", (f">= {BATCH_BITS}", lambda v: v >= BATCH_BITS), n_bits)
     tx_bits = np.asarray(tx_bits)
+    if tx_bits.ndim != 1:
+        raise ValueError(f"tx_bits must be 1-D, got shape {tx_bits.shape}")
     if not np.isin(tx_bits, (0, 1)).all():
         raise ValueError("tx_bits must hold only 0s and 1s")
-    tx_ui = ui_s / (1.0 + freq_offset)
-    cursor = [0]
-
-    def pull(count):
-        lo = cursor[0]
-        cursor[0] = lo + count
-        chunk = tx_bits[lo:lo + count]
-        if len(chunk) < count:
-            raise OutOfRange("transmitted bit sequence exhausted")
-        return chunk.tolist()
-
-    stream = phy.StreamingNrz(cfg, tx_ui_s=tx_ui, seed=seed, bit_source=pull)
+    stream = phy.StreamingNrz(cfg, tx_ui_s=ui_s / (1.0 + freq_offset), seed=seed)
+    stream.push_levels(tx_bits.astype(np.uint8).tobytes())
     loop = CdrLoop(stream, ui_s=ui_s, n=n, initial_phase_ui=initial_phase_ui,
                    include_boundary=include_boundary, seed=seed)
 

@@ -74,7 +74,7 @@ def load_config(path=None):
     """Read a sectioned key = value file into a node.LinkSimConfig.
 
     Returns the config and the hash of the file's text (``"defaults"``
-    without a file).  Unknown and out-of-range keys are rejected.
+    without a file).  Unknown, repeated and out-of-range keys are rejected.
     """
     if path is None:
         return node.LinkSimConfig(), "defaults"
@@ -84,7 +84,7 @@ def load_config(path=None):
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}")
     sections = {spec.section for spec in CONFIG_KEYS.values()}
-    values, section = {}, None
+    values, lines, section = {}, {}, None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith(("#", ";")):
@@ -103,6 +103,8 @@ def load_config(path=None):
         spec = CONFIG_KEYS.get(key)
         if spec is None or spec.section != section:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in [{section}]")
+        if lines.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"{path}:{lineno}: {key} already set on line {lines[key]}")
         try:
             values[key] = _PARSERS[_TYPES[key]](raw)
         except (KeyError, ValueError):  # KeyError: not a bool spelling

@@ -131,7 +131,7 @@ def bw_max(profile: PowerProfile, buffer_bytes):
 REFERENCE_CURVES = ("single_spi", "quad_spi_sdr", "quad_spi_ddr",
                     "octal_spi_sdr", "octal_spi_ddr", "hyperbus")
 
-_CURVE_ALIASES = {"spi": "single_spi", "hyper_bus": "hyperbus"}
+_CURVE_ALIASES = {"spi": "single_spi"}
 
 
 def reference_curve(name):

@@ -174,6 +174,7 @@ class _Channel:
     The filter starts settled at its first input sample; its state and
     the noise generator carry over from one ``apply`` to the next.  No
     pole (a 0 cm trace) means no filtering, and a zero sigma no noise.
+    An empty block comes back as it is and changes neither.
     """
 
     def __init__(self, pole_hz, dt_s, noise_sigma_v=0.0, rng=None):
@@ -184,6 +185,8 @@ class _Channel:
         self._rng = rng
 
     def apply(self, samples):
+        if not len(samples):  # no input: lfilter would make up a filter state
+            return samples
         alpha = self._alpha
         if alpha is not None:
             if self._zi is None:
@@ -316,9 +319,10 @@ def _sample_positions():
 class StreamingNrz:
     """Chunk-rendered TX waveform for long closed-loop runs.
 
-    Driver codes are pushed in bursts, one per bit period: the bit
-    itself, or IDLE while the driver is idle.  ``push_levels`` only
-    queues them, a byte each; ``ensure`` alone renders, a chunk at a time
+    Driver codes are pushed, one per bit period: the bit itself, or IDLE
+    while the driver is idle.  ``push_levels``, the one way in, only
+    queues them, a byte each (``cdr.recover_stream`` pushes its whole 1-D
+    0/1 sequence at once).  ``ensure`` alone renders, a chunk at a time
     when a sample needs it, so the window follows the sampling whatever
     the delay.  ``voltage`` evaluates the delayed, filtered, noisy
     waveform at arbitrary times within the window.  One pending code is
@@ -330,13 +334,12 @@ class StreamingNrz:
     buffer; it moves to the front, in place, only when a chunk won't fit.
     """
 
-    def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S, seed=0, bit_source=None):
+    def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S, seed=0):
         # not UI_RULE: a frequency offset may move the TX UI outside it
         check("tx_ui_s", "float", ("> 0", lambda v: v > 0), tx_ui_s)
         self.cfg = cfg
         self.tx_ui_s = tx_ui_s
         self.dt_s = tx_ui_s / SAMPLES_PER_UI
-        self._bit_source = bit_source
         pole = cfg.pole_hz()
         self._channel = _Channel(pole, self.dt_s, cfg.noise_sigma_v,
                                  np.random.default_rng([seed, 0xC0]))
@@ -389,14 +392,12 @@ class StreamingNrz:
         return (self._nbits * self.tx_ui_s - self.dt_s) + self.cfg.prop_delay_s
 
     def ensure(self, t_s):
-        """Render pending codes, then the bit source's, until ``t_s`` is covered."""
+        """Render pushed codes, a chunk at a time, until ``t_s`` is covered;
+        OutOfRange once that needs the held-back last code or a later one."""
         while self.frontier_s <= t_s:
-            if len(self._pending) > 1:
-                self._render(min(STREAM_CHUNK_BITS, len(self._pending) - 1))
-            elif self._bit_source is not None:
-                self.push_levels(self._bit_source(STREAM_CHUNK_BITS))
-            else:
+            if len(self._pending) <= 1:
                 raise OutOfRange(f"waveform not rendered up to {t_s * 1e9:.3f} ns")
+            self._render(min(STREAM_CHUNK_BITS, len(self._pending) - 1))
 
     def voltage(self, times):
         """Linear interpolation of the rendered samples, by np.interp.
@@ -406,6 +407,8 @@ class StreamingNrz:
         one; a time before samples already dropped raises OutOfRange.
         """
         times = np.array(times, dtype=float)  # a copy, worked in place
+        if not times.size:
+            return times
         delay, dt = self.cfg.prop_delay_s, self.dt_s
         # one sort finds both extremes faster than min() and max()
         ends = times.copy()

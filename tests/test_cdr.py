@@ -221,6 +221,23 @@ def test_recover_stream_takes_only_bits(bad):
         recover_stream(tx, CLEAN, n_bits=800)
 
 
+def test_recover_stream_takes_a_1d_sequence():
+    # each row holds valid bits; flattened, they would run on silently
+    with pytest.raises(ValueError, match=r"^tx_bits must be 1-D"):
+        recover_stream(np.tile([1, 0], (2, 1000)), CLEAN, n_bits=800)
+
+
+def test_recover_stream_needs_only_the_bits_it_samples_plus_one():
+    # the stream holds the last bit back for its successor's ramp
+    cfg = phy.ChannelConfig(trace_length_cm=2.0)
+    tx = np.random.default_rng(1).integers(0, 2, 513)
+    res = recover_stream(tx, cfg, n_bits=512, initial_phase_ui=0.25, seed=1)
+    assert len(res.bits) == 512
+    assert res.errors_against(tx) == 0 and res.slips == 0
+    with pytest.raises(OutOfRange):
+        recover_stream(tx[:512], cfg, n_bits=512, initial_phase_ui=0.25, seed=1)
+
+
 @pytest.mark.parametrize("name,value", [
     ("freq_offset", np.nan), ("freq_offset", -1.0), ("initial_phase_ui", np.nan),
     ("initial_phase_ui", 2.0), ("ui_s", 0.0), ("ui_s", np.inf)])
@@ -237,9 +254,8 @@ def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
     Lock and first slip come from the reference's own streak logic; the
     loop's tracker must agree with it under this driving too.
     """
-    chunks = iter(tx_bits.reshape(-1, phy.STREAM_CHUNK_BITS))
-    stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + freq_offset), seed=seed,
-                              bit_source=lambda count: next(chunks))
+    stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + freq_offset), seed=seed)
+    stream.push_levels(tx_bits.tolist())
     loop = CdrLoop(stream, n=n, initial_phase_ui=initial_phase_ui,
                    include_boundary=include_boundary, seed=seed)
     bits, indices, trace = [], [], []
@@ -388,17 +404,8 @@ ORACLE_CHANNELS = {
 def _driven(loop_type, tx, cfg, offset, seed, counts, n_batches, **loop_args):
     """Observations of each call over ``n_batches``, cycling through ``counts``;
     the last entry is the exception type that ended the run, if any."""
-    cursor = [0]
-
-    def pull(count):
-        chunk = tx[cursor[0]:cursor[0] + count]
-        cursor[0] += count
-        if len(chunk) < count:
-            raise OutOfRange("transmitted bit sequence exhausted")
-        return chunk
-
-    stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + offset), seed=seed,
-                              bit_source=pull)
+    stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + offset), seed=seed)
+    stream.push_levels(tx.tolist())
     loop = loop_type(stream, seed=seed, **loop_args)
     seen, done, k = [], 0, 0
     while done < n_batches:

@@ -113,6 +113,16 @@ def test_unknown_section_and_syntax_errors(tmp_path):
         load_config(write(tmp_path, "[link]\ncdr_n = four\n"))
 
 
+def test_a_key_given_twice_is_rejected(tmp_path, capsys):
+    path = write(tmp_path, "[link]\ncdr_n = 4\n\ncdr_n = 8\n")
+    with pytest.raises(ConfigError, match=r":4: cdr_n already set on line 2$"):
+        load_config(path)
+    # also across sections of the same name, and for identical values
+    path = write(tmp_path, "[run]\nseed = 3\n[link]\ncdr_n = 4\n[run]\nseed = 3\n")
+    assert main(["ber", "--config", path, "--bits", "1000"]) == 2
+    assert "seed already set on line 2" in capsys.readouterr().err
+
+
 def test_malformed_config_exits_with_usage_code(tmp_path, capsys):
     path = write(tmp_path, "[link]\nbogus = 1\n")
     rc = main(["run", "--config", path])
@@ -355,7 +365,7 @@ def test_ber_and_lock_size_the_pattern_for_the_offset(tmp_path, capsys, offset):
     path = write(tmp_path, f"[link]\nfreq_offset = {offset}\n")
     for command in ("ber", "lock"):
         main([command, "--config", path, "--bits", "4000", "--out", str(tmp_path)])
-        assert "exhausted" not in capsys.readouterr().err
+        assert "OutOfRange" not in capsys.readouterr().err
     lines = (tmp_path / "lock_trace.csv").read_text().splitlines()
     assert len(lines) == 2 + 4000 // 8
 

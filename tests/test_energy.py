@@ -125,6 +125,12 @@ def test_reference_curves_load_and_bounds():
         reference_curve("floppy_disk")
 
 
+def test_spi_is_the_only_curve_alias():
+    assert reference_curve("spi")[1].tolist() == reference_curve("single_spi")[1].tolist()
+    with pytest.raises(CurveOutOfRange, match="'hyper_bus'"):
+        reference_curve("hyper_bus")
+
+
 def test_energy_sweep_covers_default_grid():
     rows = energy_sweep(DEFAULT_PROFILE)
     assert len(rows) == 40

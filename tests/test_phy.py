@@ -121,6 +121,26 @@ def test_channel_noise_in_blocks_equals_one_draw(length, n, seed):
     assert samples.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("length", [0.0, 2.0])
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_empty_inputs_give_empty_results(length, noise):
+    cfg = ChannelConfig(trace_length_cm=length, noise_sigma_v=noise, rj_sigma_s=3e-12)
+    assert channel_apply(drive([], cfg), cfg).samples.size == 0
+    stream = StreamingNrz(cfg)
+    assert stream.voltage([]).size == 0
+    assert stream.sample_bits([]).size == 0
+    assert stream.sample_bits([], np.random.default_rng(0)).size == 0
+    assert stream._nbits == 0
+    # an empty block touches neither the filter state nor the noise draws
+    dt_s = UI_S / phy.SAMPLES_PER_UI
+    blocks = np.random.default_rng(1).uniform(-0.22, 0.22, (2, 100))
+    outs = []
+    for parts in ((blocks[0], blocks[1]), ([], blocks[0], [], blocks[1], [])):
+        stage = phy._Channel(cfg.pole_hz(), dt_s, noise, np.random.default_rng(2))
+        outs.append(np.concatenate([stage.apply(np.array(p)) for p in parts]).tobytes())
+    assert outs[0] == outs[1]
+
+
 def test_calibrated_eye_heights_hit_targets():
     rng = np.random.default_rng(52)
     bits = rng.integers(0, 2, 220)
