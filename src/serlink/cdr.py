@@ -137,8 +137,7 @@ class CdrLoop:
     """
 
     def __init__(self, stream: phy.StreamingNrz, ui_s=phy.UI_S, n=4,
-                 initial_phase_ui=0.0, include_boundary=True, seed=0,
-                 t_start_s=0.0):
+                 initial_phase_ui=0.0, include_boundary=True, t_start_s=0.0):
         self.stream = stream
         self.ui_s = ui_s
         self.state = CdrState(n=n)
@@ -148,7 +147,6 @@ class CdrLoop:
         self._t0 = t_start_s
         self._sample_index = 0
         self._last_bit = 0
-        self._rng = np.random.default_rng([seed, 0xCD])
         self._last_index = None  # transmitted bit index of the last data sample
         self.pi_steps_applied = 0
         self.slips = 0
@@ -171,15 +169,15 @@ class CdrLoop:
         first = self._sample_index
         n_data = count * BATCH_BITS
         t_data = [t0 + (k + 0.5) * ui_s + phi_s for k in range(first, first + n_data)]
-        # per batch, edges (half a UI earlier) before data: the jitter
-        # draws then come in the same order whatever the count
+        # per batch, edges (half a UI earlier) before data: the stream's
+        # jitter draws then come in the same order whatever the count
         times = []
         for lo in range(0, n_data, BATCH_BITS):
             batch = t_data[lo:lo + BATCH_BITS]
             times += [t - half for t in batch]
             times += batch
         stream = self.stream
-        bits = stream.sample_bits(times, self._rng).tolist()
+        bits = stream.sample_bits(times).tolist()
 
         tx_ui, delay = stream.tx_ui_s, stream.reference_delay_s
         # the transmitted bit each data sample lands on: round() is half
@@ -268,7 +266,8 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
     ``tx_bits`` is a 1-D sequence of 0s and 1s, each its own driver code,
     queued on the stream at once, and the loop recovers ``n_bits // 8``
     whole batches, ``n_bits`` an integer >= BATCH_BITS; ValueError
-    otherwise, or for a link argument outside LINK_RULES.  Lock, slips
+    otherwise, or for a link argument outside LINK_RULES or a ``seed``
+    that the stream rejects (phy.StreamingNrz).  Lock, slips
     and steps are the loop's own observations (CdrLoop).  OutOfRange
     once sampling passes the last bit of ``tx_bits`` but one.
     """
@@ -276,15 +275,11 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
                         ("initial_phase_ui", initial_phase_ui), ("ui_s", ui_s)):
         check(name, "float", LINK_RULES[name], value)
     check("n_bits", "int", (f">= {BATCH_BITS}", lambda v: v >= BATCH_BITS), n_bits)
-    tx_bits = np.asarray(tx_bits)
-    if tx_bits.ndim != 1:
-        raise ValueError(f"tx_bits must be 1-D, got shape {tx_bits.shape}")
-    if not np.isin(tx_bits, (0, 1)).all():
-        raise ValueError("tx_bits must hold only 0s and 1s")
+    tx_bits = phy.check_bits("tx_bits", tx_bits)
     stream = phy.StreamingNrz(cfg, tx_ui_s=ui_s / (1.0 + freq_offset), seed=seed)
     stream.push_levels(tx_bits.astype(np.uint8).tobytes())
     loop = CdrLoop(stream, ui_s=ui_s, n=n, initial_phase_ui=initial_phase_ui,
-                   include_boundary=include_boundary, seed=seed)
+                   include_boundary=include_boundary)
 
     n_batches = n_bits // BATCH_BITS
     bits = np.empty(n_batches * BATCH_BITS, dtype=np.int8)

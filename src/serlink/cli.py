@@ -186,7 +186,7 @@ def cmd_eye(args):
     bits = rng.integers(0, 2, args.ui + 64)
     wave = phy.channel_apply(phy.drive(bits, cfg.channel, ui_s=cfg.ui_s), cfg.channel,
                              rng=np.random.default_rng([cfg.seed, 0xE2]))
-    eye = phy.eye_capture(wave, ui_s=cfg.ui_s, n_ui=args.ui)
+    eye = phy.eye_capture(wave, n_ui=args.ui)
     rows = ["phase_bin,voltage_bin,count"]
     nz = np.argwhere(eye.counts > 0)
     for i, j in nz:

@@ -41,9 +41,7 @@ def D(x, y):
     return (y << 5) | x
 
 
-def K(x, y):
-    """Byte value of control symbol Kx.y."""
-    return (y << 5) | x
+K = D  # control symbol Kx.y has the byte value of Dx.y
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from . import codec, datapath
+from . import codec, datapath, phy
 from .codec import Disparity, FlitKind
 
 
@@ -64,6 +64,7 @@ _TX_ACTIONS = {state: TxAction(state, flit, flit is FlitKind.DATA) for state, fl
     (TxState.DATA_COMM, FlitKind.DATA),
     (TxState.STOP_HEADER, FlitKind.STOP),
 )}
+_IDLE_PAIR = (phy.IDLE, phy.IDLE)  # the driver's codes for one idle cycle
 
 
 class TxFramer:
@@ -73,9 +74,9 @@ class TxFramer:
     BitPair, or None while the line is idle.  ``word_source`` is called
     at each data-flit boundary and must return the next 32-bit word.
     ``valid_fn`` reflects the FIFO handshake (data available).
-    ``wire`` is called with each flit's 40 bits, in the order the
-    serializer sends them, when the flit is loaded: before the first
-    ``step_cycle`` that returns one of its pairs.
+    ``wire`` takes every driver code put on the line, in step order: each
+    flit's 40 bits, in send order, when the flit is loaded (before the
+    first ``step_cycle`` that returns one of its pairs), and idle pairs.
     """
 
     def __init__(self, word_source, valid_fn, wire):
@@ -106,6 +107,7 @@ class TxFramer:
         """Advance one fast-clock cycle; returns a BitPair or None (idle)."""
         serializer = self._serializer
         if serializer.flit_done and not self._load_next_flit():
+            self._wire(_IDLE_PAIR)
             return None
         return serializer.step()[0]
 

@@ -200,7 +200,8 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
     ``tx_analog``/``rx_analog`` (0 or 1) and ``tx_digital``/``rx_digital``
     (state names).  Power is piecewise constant between transitions and
     each analog turn-on adds the power-gating overhead.  Events before 0,
-    or a ``t_end_s`` not finite or before the last event, raise ValueError.
+    an unknown digital state, or a ``t_end_s`` not finite or before the
+    last event, raise ValueError.
     """
     state = {"tx_analog": 0, "rx_analog": 0,
              "tx_digital": "standby", "rx_digital": "standby"}
@@ -222,6 +223,9 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
             continue
         if t < t_prev:
             raise ValueError("events precede the accounting window")
+        if signal_name.endswith("_digital") and (signal_name, value) not in _DIGITAL_POWER:
+            states = [v for sig, v in _DIGITAL_POWER if sig == signal_name]
+            raise ValueError(f"{signal_name} must be one of {states}, got {value!r}")
         total += power() * (t - t_prev)
         if signal_name.endswith("_analog") and not state[signal_name] and value:
             total += profile.pg_overhead_j

@@ -69,15 +69,10 @@ class Scheduler:
         fn()
         return t
 
-    def run(self, until_ps=None, stop=None):
+    def run(self, until_ps=float("inf"), stop=lambda: False):
+        """Dispatch events up to ``until_ps`` while ``stop()`` is false."""
         heap, advance = self._heap, self.advance
-        if until_ps is None:
-            until_ps = float("inf")
-        while heap:
-            if stop is not None and stop():
-                break
-            if heap[0][0] > until_ps:
-                break
+        while heap and heap[0][0] <= until_ps and not stop():
             advance()
 
 
@@ -277,20 +272,18 @@ class EventLog:
 
 # rx_digital/tx_digital state while a side's warm_en is set
 _DIGITAL_ON = {"tx": "active", "rx": "warm"}
-_IDLE_PAIR = (phy.IDLE, phy.IDLE)  # the driver's codes for one idle cycle
 
 
 class LinkEngine:
     """The serial data plane between the two nodes.
 
-    The TX side steps the serializer eight cycles per slow-clock
-    quantum; the framer hands each flit's 40 bits to the streamed
-    channel waveform when it loads them, and the quantum pushes an idle
-    pair for each cycle without a flit as it steps it, so the stream
-    gets its codes in step order.  The RX side, once warmed up,
-    runs one CDR batch per quantum (lagging two quanta so the waveform
-    frontier always covers its sampling instants) and feeds the
-    recovered pairs through the receive pipeline into the RX FIFO.
+    The TX side steps the framer four fast-clock cycles (eight bits)
+    per slow-clock quantum; the framer puts every driver code on the
+    streamed channel waveform itself, in step order.  The RX side, once
+    warmed up, runs one CDR batch per quantum (lagging two quanta so the
+    waveform frontier always covers its sampling instants), sampled with
+    the stream's own jitter, and feeds the recovered pairs through the
+    receive pipeline into the RX FIFO.
     """
 
     def __init__(self, sim, cfg: LinkSimConfig, tx: Node, rx: Node, log: EventLog):
@@ -353,10 +346,8 @@ class LinkEngine:
     # -- TX data plane ------------------------------------------------------
 
     def _tx_quantum(self):
-        step_cycle, push = self.framer.step_cycle, self.stream.push_levels
         for _ in range(cdr.BATCH_BITS // 2):
-            if step_cycle() is None:
-                push(_IDLE_PAIR)
+            self.framer.step_cycle()
         state = self.framer.state
         if state is not self._prev_tx_state:
             self.log("tx", "tx_state", state.value)
@@ -374,8 +365,7 @@ class LinkEngine:
         self.loop = cdr.CdrLoop(
             self.stream, ui_s=self.cfg.ui_s, n=self.rx.regs.cdr_n,
             initial_phase_ui=self.cfg.initial_phase_ui,
-            include_boundary=self.cfg.include_boundary_pd,
-            seed=self.cfg.seed, t_start_s=anchor_s)
+            include_boundary=self.cfg.include_boundary_pd, t_start_s=anchor_s)
         self._schedule_rx_quantum(anchor_s + self.cfg.slow_cycle_s)
 
     def _schedule_rx_quantum(self, batch_end_s):

@@ -11,8 +11,8 @@ calibration map, plus additive Gaussian noise, carrying its state from
 one block of samples to the next.  ``channel_apply`` runs a whole
 waveform (eye folding needs it whole) through a fresh stage;
 ``StreamingNrz`` runs each chunk through the one stage it keeps.
-Comparators return the sign of the (optionally jittered) sampled
-differential voltage.
+Comparators return the sign of the sampled differential voltage, at
+instants the stream jitters itself; an eye folds at its waveform's UI.
 """
 
 from __future__ import annotations
@@ -30,6 +30,16 @@ from .errors import NON_NEGATIVE, InsufficientSpan, OutOfRange, check, check_fie
 def ui_for_clock(mhz):
     """The unit interval of a DDR serdes clock of ``mhz`` MHz: half its period."""
     return 1.0 / (2.0 * mhz * 1e6)
+
+
+def check_bits(name, bits):
+    """``bits`` as an array; ValueError naming ``name`` unless 1-D 0s and 1s."""
+    bits = np.asarray(bits)
+    if bits.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {bits.shape}")
+    if not np.isin(bits, (0, 1)).all():
+        raise ValueError(f"{name} must hold only 0s and 1s")
+    return bits
 
 
 LINE_RATE = 0.8e9          # bits/s at DDR with the nominal 400 MHz clock
@@ -95,9 +105,9 @@ class ChannelConfig:
 
 @dataclass
 class Waveform:
-    """Differential voltage sampled on a regular sub-UI grid."""
+    """Differential voltage on a regular sub-UI grid of a ``ui_s`` link."""
 
-    t0_s: float
+    ui_s: float
     dt_s: float
     samples: np.ndarray
 
@@ -158,14 +168,14 @@ def _gather(table, codes):
 
 
 def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
-    """Render the TX output for a bit sequence (one bit per UI, DDR);
-    ``ui_s`` must satisfy UI_RULE, else ValueError."""
+    """Render the TX output for a 1-D sequence of 0s and 1s (one bit per
+    UI, DDR); ``ui_s`` must satisfy UI_RULE.  ValueError otherwise."""
     check("ui_s", "float", UI_RULE, ui_s)
-    codes = np.asarray(bits) > 0
+    codes = check_bits("bits", bits) > 0
     # the first and last bits are their own outer neighbours
     codes = np.concatenate((codes[:1], codes, codes[-1:]))
     samples = _gather(_bit_table(cfg.swing, cfg.rise_time_ui), codes)
-    return Waveform(0.0, ui_s / SAMPLES_PER_UI, samples)
+    return Waveform(ui_s, ui_s / SAMPLES_PER_UI, samples)
 
 
 class _Channel:
@@ -205,11 +215,11 @@ class _Channel:
 
 
 def channel_apply(w: Waveform, cfg: ChannelConfig, rng=None):
-    """Delay, low-pass and add noise; identity when the trace length is 0."""
+    """Low-pass and add noise; identity when the trace length is 0."""
     if rng is None:
         rng = np.random.default_rng(0)
     stage = _Channel(cfg.pole_hz(), w.dt_s, cfg.noise_sigma_v, rng)
-    return Waveform(w.t0_s + cfg.prop_delay_s, w.dt_s, np.asarray(stage.apply(w.samples)))
+    return Waveform(w.ui_s, w.dt_s, np.asarray(stage.apply(w.samples)))
 
 
 @dataclass
@@ -222,12 +232,12 @@ class EyeDiagram:
     best_phase_ui: float
 
 
-def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
-    """Fold a waveform modulo 2 UI and measure the eye opening.
+def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
+    """Fold a waveform modulo 2 of its own UIs and measure the eye opening.
 
     Height is the vertical opening (smallest high sample minus largest
     low sample) at the best phase; width is the contiguous phase span
-    around it where the opening stays within 0.1% of the best.  ``ui_s``
+    around it where the opening stays within 0.1% of the best.  ``w.ui_s``
     must be finite and at least the sample period (UI_RULE's 50 ps floor
     serves the event scheduler only), and ``n_ui`` an integer >= 1.
 
@@ -240,9 +250,10 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     the counts and edges equal ``np.histogram2d`` of the folded samples
     over [0, 2] UI and the whole waveform's voltage range.
     """
-    check("ui_s", "float", (f">= the sample period {w.dt_s:g}", lambda v: v >= w.dt_s), ui_s)
+    check("ui_s", "float", (f">= the sample period {w.dt_s:g}", lambda v: v >= w.dt_s),
+          w.ui_s)
     check("n_ui", "int", (">= 1", lambda v: v >= 1), n_ui)
-    spu = int(round(ui_s / w.dt_s))
+    spu = int(round(w.ui_s / w.dt_s))
     span_ui = (len(w.samples) - 1) / spu
     if span_ui < n_ui:
         raise InsufficientSpan(f"waveform spans {span_ui:.1f} UI, need {n_ui}")
@@ -275,23 +286,14 @@ def eye_capture(w: Waveform, ui_s=UI_S, n_ui=DEFAULT_EYE_UIS):
     best = int(np.argmax(openings))
     height = float(max(openings[best], 0.0))
 
-    # width: run of near-best opening around the best phase, circular
+    # width: the circular run of near-best opening around the best phase,
+    # its leading Trues (the best phase on) plus its trailing ones
+    width = 0
     if height > 0:
-        ok = openings >= 0.999 * height
-        width = 1
-        i = best
-        while width < window and ok[(i - 1) % window]:
-            i -= 1
-            width += 1
-        j = best
-        while width < window and ok[(j + 1) % window]:
-            j += 1
-            width += 1
-        width_ui = width / spu
-    else:
-        width_ui = 0.0
+        ok = np.roll(openings >= 0.999 * height, -best)  # the best phase first
+        width = window if ok.all() else int(np.argmin(ok) + np.argmin(ok[::-1]))
     counts = counts.reshape(window, EYE_VOLT_BINS).astype(float)
-    return EyeDiagram(counts, pe, ve, height, width_ui, best / spu)
+    return EyeDiagram(counts, pe, ve, height, width / spu, best / spu)
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,8 +327,9 @@ class StreamingNrz:
     0/1 sequence at once).  ``ensure`` alone renders, a chunk at a time
     when a sample needs it, so the window follows the sampling whatever
     the delay.  ``voltage`` evaluates the delayed, filtered, noisy
-    waveform at arbitrary times within the window.  One pending code is
-    always held back so boundary ramps see their next level.
+    waveform at arbitrary times within the window; ``sample_bits``
+    decides there, jittered by the stream's own generator.  One pending
+    code is always held back so boundary ramps see their next level.
 
     The window, the newest ``_STREAM_KEEP`` samples, starts at the
     integer index rendered minus kept, so its time is exact however the
@@ -337,12 +340,14 @@ class StreamingNrz:
     def __init__(self, cfg: ChannelConfig, tx_ui_s=UI_S, seed=0):
         # not UI_RULE: a frequency offset may move the TX UI outside it
         check("tx_ui_s", "float", ("> 0", lambda v: v > 0), tx_ui_s)
+        check("seed", "int", NON_NEGATIVE, seed)
         self.cfg = cfg
         self.tx_ui_s = tx_ui_s
         self.dt_s = tx_ui_s / SAMPLES_PER_UI
         pole = cfg.pole_hz()
         self._channel = _Channel(pole, self.dt_s, cfg.noise_sigma_v,
                                  np.random.default_rng([seed, 0xC0]))
+        self._jitter = np.random.default_rng([seed, 0xCD])  # the comparators' clock
         # where transmitted bit centers effectively sit at the receiver:
         # propagation delay plus the low-pass transition delay (a
         # first-order step crosses zero ln2 time constants after the edge)
@@ -402,18 +407,23 @@ class StreamingNrz:
     def voltage(self, times):
         """Linear interpolation of the rendered samples, by np.interp.
 
+        ``times`` must be a 1-D sequence of finite values, else ValueError.
         A time before the first sample ever rendered reads that (settled)
         sample, and one at or past the last rendered sample reads that
         one; a time before samples already dropped raises OutOfRange.
         """
         times = np.array(times, dtype=float)  # a copy, worked in place
+        if times.ndim != 1:
+            raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
         if not times.size:
             return times
         delay, dt = self.cfg.prop_delay_s, self.dt_s
-        # one sort finds both extremes faster than min() and max()
+        # one sort finds both extremes (a NaN last) faster than min() and max()
         ends = times.copy()
         ends.sort()
         t_min, t_max = float(ends[0]), float(ends[-1])
+        if not (t_min > -math.inf and t_max < math.inf):
+            raise ValueError(f"times must be finite, got {t_min} to {t_max}")
         # sample 0 sits at the propagation delay: render at least it
         self.ensure(max(t_max, delay))
         first, window = self._window()
@@ -429,10 +439,11 @@ class StreamingNrz:
         # before sample 0 np.interp reads it, past the last sample the last
         return np.interp(times, _sample_positions()[:len(window)], window)
 
-    def sample_bits(self, times, rng=None):
-        """Comparator decisions at the given times (with jitter if set)."""
-        if rng is not None and self.cfg.rj_sigma_s > 0:
-            times = np.add(times, rng.normal(0.0, self.cfg.rj_sigma_s, len(times)))
+    def sample_bits(self, times):
+        """Comparator decisions at ``times``, jittered if the channel sets ``rj_sigma_s``."""
+        if self.cfg.rj_sigma_s > 0:
+            times = np.array(times, dtype=float)
+            times += self._jitter.normal(0.0, self.cfg.rj_sigma_s, times.shape)
         # 0 V decides 0, and interpolation roundoff near an exact
         # transition must not turn a 0 V crossing into a 1
         return (self.voltage(times) > 1e-9).view(np.int8)

@@ -247,6 +247,13 @@ def test_recover_stream_rejects_a_bad_link_argument_up_front(name, value):
         recover_stream([], CLEAN, n_bits=BATCH_BITS, **{name: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_recover_stream_names_a_bad_seed(seed):
+    # these used to fail inside numpy, naming no argument
+    with pytest.raises(ValueError, match=r"^seed must be an integer, >= 0, got "):
+        recover_stream([1, 0] * 100, CLEAN, n_bits=BATCH_BITS, seed=seed)
+
+
 def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
                            initial_phase_ui, seed, include_boundary):
     """Reference for recover_stream: one process_batch() call per batch.
@@ -257,7 +264,7 @@ def recover_batch_by_batch(tx_bits, cfg, n_bits, n, freq_offset,
     stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + freq_offset), seed=seed)
     stream.push_levels(tx_bits.tolist())
     loop = CdrLoop(stream, n=n, initial_phase_ui=initial_phase_ui,
-                   include_boundary=include_boundary, seed=seed)
+                   include_boundary=include_boundary)
     bits, indices, trace = [], [], []
     lock_time = first_slip = None
     streak, streak_start, prev_t_end = 0, 0.0, 0.0
@@ -342,7 +349,7 @@ class NumpyBlockLoop(CdrLoop):
         idx = self._sample_index + np.arange(count * BATCH_BITS)
         t_data = self._t0 + (idx + 0.5) * self.ui_s + self.phi_s
         times = t_data.reshape(count, 1, BATCH_BITS) - self._edge_then_data
-        bits = self.stream.sample_bits(times.ravel(), self._rng)
+        bits = self.stream.sample_bits(times.ravel())
         bits = bits.reshape(count, 2, BATCH_BITS)
         edge, data = bits[:, 0], bits[:, 1]
 
@@ -406,7 +413,7 @@ def _driven(loop_type, tx, cfg, offset, seed, counts, n_batches, **loop_args):
     the last entry is the exception type that ended the run, if any."""
     stream = phy.StreamingNrz(cfg, tx_ui_s=phy.UI_S / (1.0 + offset), seed=seed)
     stream.push_levels(tx.tolist())
-    loop = loop_type(stream, seed=seed, **loop_args)
+    loop = loop_type(stream, **loop_args)
     seen, done, k = [], 0, 0
     while done < n_batches:
         try:

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from serlink.codec import FlitKind
+from serlink import phy
+from serlink.codec import FLIT_BITS, FlitKind
 from serlink.control import (RxPipeline, SequenceDetector, TxFramer, TxState,
                              tx_fsm_step)
 from serlink.datapath import BitPair
@@ -62,6 +63,33 @@ def collect_frame_flits(words):
             kinds.append(framer.state)
             prev = framer.state
     return kinds
+
+
+@settings(max_examples=30, deadline=None)
+@given(idle_before=st.integers(1, 7), n_words=st.integers(1, 4),
+       idle_after=st.integers(1, 7))
+def test_framer_wires_two_codes_per_cycle_in_step_order(idle_before, n_words,
+                                                       idle_after):
+    # the framer puts each idle cycle's pair on the wire as well as each
+    # flit's bits, so at a flit boundary N cycles have put 2N codes there
+    queue = list(range(n_words))
+    codes, stepped = [], []
+    framer = TxFramer(lambda: queue.pop(0), lambda: len(queue) > 0, codes.extend)
+
+    def step(cycles):
+        for _ in range(cycles):
+            pair = framer.step_cycle()
+            stepped.append((phy.IDLE, phy.IDLE) if pair is None else tuple(pair))
+
+    step(idle_before)
+    framer.warm_en = framer.comm_en = True
+    while framer.state is not TxState.STOP_HEADER:
+        step(FLIT_BITS // 2)  # one flit, loaded by its first cycle
+    framer.warm_en = framer.comm_en = False
+    step(idle_after)
+    assert len(codes) == 2 * len(stepped)
+    assert codes == [code for pair in stepped for code in pair]
+    assert codes[-2 * idle_after:] == [phy.IDLE] * 2 * idle_after
 
 
 def test_framer_emits_exactly_one_start_and_stop_per_frame():

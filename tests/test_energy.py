@@ -172,6 +172,13 @@ def test_trace_counts_power_up_overhead_per_edge():
     assert total - base - analog == pytest.approx(3 * 120e-12, rel=1e-6)
 
 
+def test_trace_names_an_unknown_digital_state():
+    # this used to raise a bare KeyError: ('tx_digital', 'bogus')
+    with pytest.raises(ValueError, match=r"^tx_digital must be one of "
+                                         r"\['standby', 'active'\], got 'bogus'$"):
+        energy_trace([(0.0, "tx_digital", "bogus")], DEFAULT_PROFILE, 1.0)
+
+
 @pytest.mark.parametrize("t_end_s", [0.5e-6, -1e-6, float("nan"), float("inf")])
 def test_trace_rejects_an_end_before_the_last_event_or_not_finite(t_end_s):
     # an end before the last event used to integrate a negative span

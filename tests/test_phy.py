@@ -83,14 +83,24 @@ def test_table_render_is_the_trapezoid_bitwise(codes, prev, nxt, rise, swing):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("bits,message", [
+    pytest.param([[1, 0], [0, 1]], r"^bits must be 1-D, got shape \(2, 2\)", id="2-D"),
+    pytest.param([0, 2], r"^bits must hold only 0s and 1s", id="two"),
+    pytest.param([1, np.nan], r"^bits must hold only 0s and 1s", id="nan"),
+    pytest.param([0.5, 1], r"^bits must hold only 0s and 1s", id="half")])
+def test_drive_takes_only_a_1d_bit_sequence(bits, message):
+    # a 2-D list used to render flattened, a 2 as a 1 and a NaN as a 0
+    with pytest.raises(ValueError, match=message):
+        drive(bits, CLEAN)
+
+
 # -- channel ---------------------------------------------------------------
 
-def test_zero_trace_is_identity_up_to_delay():
+def test_zero_trace_is_identity():
     cfg = ChannelConfig(trace_length_cm=0.0, prop_delay_s=100e-12)
     w = drive([1, 0, 0, 1, 1, 0] * 8, cfg)
     out = channel_apply(w, cfg)
     assert np.array_equal(out.samples, w.samples)
-    assert out.t0_s == pytest.approx(100e-12)
 
 
 def test_channel_filter_is_linear():
@@ -98,7 +108,7 @@ def test_channel_filter_is_linear():
     rng = np.random.default_rng(51)
     w = drive(rng.integers(0, 2, 64), cfg)
     once = channel_apply(w, cfg).samples
-    scaled = channel_apply(phy.Waveform(w.t0_s, w.dt_s, 2.5 * w.samples), cfg).samples
+    scaled = channel_apply(phy.Waveform(w.ui_s, w.dt_s, 2.5 * w.samples), cfg).samples
     assert np.allclose(scaled, 2.5 * once)
 
 
@@ -129,7 +139,6 @@ def test_empty_inputs_give_empty_results(length, noise):
     stream = StreamingNrz(cfg)
     assert stream.voltage([]).size == 0
     assert stream.sample_bits([]).size == 0
-    assert stream.sample_bits([], np.random.default_rng(0)).size == 0
     assert stream._nbits == 0
     # an empty block touches neither the filter state nor the noise draws
     dt_s = UI_S / phy.SAMPLES_PER_UI
@@ -200,6 +209,47 @@ def test_pole_map_values_are_pinned():
 
 # -- comparator ---------------------------------------------------------------
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_bits_draws_the_comparators_own_jitter(seed):
+    # a jittered channel jitters every call, from the stream's own
+    # generator, in call order
+    cfg = ChannelConfig(trace_length_cm=2.0, rj_sigma_s=0.2 * UI_S)
+    codes = np.random.default_rng([seed, 2]).integers(0, 2, 400).tolist()
+    times = np.random.default_rng([seed, 3]).uniform(20, 300, (2, 150)) * UI_S
+    stream = StreamingNrz(cfg, seed=seed)
+    stream.push_levels(codes)
+    got = [stream.sample_bits(t).tobytes() for t in times]
+    ref = StreamingNrz(cfg, seed=seed)
+    ref.push_levels(codes)
+    jitter = np.random.default_rng([seed, 0xCD]).normal(0.0, cfg.rj_sigma_s, times.shape)
+    want = [(ref.voltage(t) > 1e-9).astype(np.int8).tobytes() for t in times + jitter]
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.nan])
+def test_stream_rejects_a_bad_seed(seed):
+    with pytest.raises(ValueError, match=r"^seed must be an integer, >= 0, got "):
+        StreamingNrz(CLEAN, seed=seed)
+
+
+@pytest.mark.parametrize("times", [
+    pytest.param(1e-9, id="scalar"), pytest.param([[1e-9, 2e-9]], id="2-D"),
+    pytest.param([np.nan], id="nan"), pytest.param([2e-9, np.nan, 1e-9], id="nan-among"),
+    pytest.param([1e-9, -np.inf], id="-inf"), pytest.param([np.inf], id="inf")])
+@pytest.mark.parametrize("rendered", [False, True])
+@pytest.mark.parametrize("rj_sigma_s", [0.0, 3e-12])
+def test_times_must_be_a_1d_sequence_of_finite_values(times, rendered, rj_sigma_s):
+    # a scalar used to raise numpy's AxisError, a 2-D input a TypeError; a
+    # NaN decided 0 once anything was rendered, and -inf read sample 0
+    stream = StreamingNrz(ChannelConfig(rj_sigma_s=rj_sigma_s))
+    stream.push_levels([1, 0] * 300)
+    if rendered:
+        stream.voltage([10 * UI_S])
+    for call in (stream.voltage, stream.sample_bits):
+        with pytest.raises(ValueError, match=r"^times must be (a 1-D sequence|finite), got "):
+            call(times)
+
+
 def test_sample_sign_decisions():
     stream = StreamingNrz(CLEAN)
     stream.push_levels([phy.IDLE] * 40 + [1] * 40 + [0] * 300)
@@ -251,13 +301,14 @@ def test_eye_requires_enough_span():
 def test_drive_and_eye_capture_reject_a_bad_ui(ui_s):
     with pytest.raises(ValueError, match=r"ui_s must be finite, in \[5e-11, 5e-07\]"):
         drive([1, 0] * 100, CLEAN, ui_s=ui_s)
-    wave = drive([1, 0] * 100, CLEAN)
+    driven = drive([1, 0] * 100, CLEAN)
+    wave = phy.Waveform(ui_s, driven.dt_s, driven.samples)
     if ui_s > wave.dt_s:  # a valid fold period, but the waveform is too short
         with pytest.raises(InsufficientSpan):
-            eye_capture(wave, ui_s=ui_s)
+            eye_capture(wave)
     else:
         with pytest.raises(ValueError, match="ui_s must be finite, >= the sample period"):
-            eye_capture(wave, ui_s=ui_s)
+            eye_capture(wave)
 
 
 @pytest.mark.parametrize("n_ui", [float("nan"), -4, 2.5])
@@ -265,6 +316,21 @@ def test_eye_capture_rejects_a_bad_span(n_ui):
     # -4 used to return an all-zero eye, and nan fail inside numpy
     with pytest.raises(ValueError, match=r"^n_ui must be an integer, >= 1, got "):
         eye_capture(drive([1, 0] * 100, CLEAN), n_ui=n_ui)
+
+
+@pytest.mark.parametrize("ui_s", [phy.ui_for_clock(300), 1e-9])
+def test_eye_capture_folds_at_the_waveforms_own_ui(ui_s):
+    # folded at the default 1.25 ns UI, a 2 cm eye driven at 1 ns read
+    # 0.278 V instead of its 0.394 V
+    cfg = ChannelConfig(trace_length_cm=2.0)
+    bits = np.random.default_rng(58).integers(0, 2, 220)
+    wave = channel_apply(drive(bits, cfg, ui_s=ui_s), cfg)
+    assert wave.ui_s == ui_s
+    got = eye_capture(wave, n_ui=150)
+    want = _reference_eye(wave, ui_s, 150)
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert (got.eye_height_v, got.eye_width_ui, got.best_phase_ui) == \
+        (want.eye_height_v, want.eye_width_ui, want.best_phase_ui)
 
 
 def test_eye_counts_matrix_shape():
@@ -348,9 +414,9 @@ def test_eye_capture_equals_column_loop_and_histogram2d(seed, spu, n_ui, extra, 
         spots = rng.integers(folded_end if tail_extremes else 0, n, 2)
         samples[spots] = vmin, vmax
     dt_s = 1e-11
-    wave = phy.Waveform(0.0, dt_s, samples)
     ui_s = spu * dt_s
-    got = eye_capture(wave, ui_s=ui_s, n_ui=n_ui)
+    wave = phy.Waveform(ui_s, dt_s, samples)
+    got = eye_capture(wave, n_ui=n_ui)
     want = _reference_eye(wave, ui_s, n_ui)
     assert got.counts.dtype == want.counts.dtype
     assert got.counts.tobytes() == want.counts.tobytes()
@@ -498,11 +564,11 @@ def test_streamed_sampling_matches_np_interp_reference(length, delay, noisy, see
     if want is not None:
         assert got.tobytes() == want.tobytes()
 
-    stream, got = run(lambda s: s.sample_bits(times, np.random.default_rng(seed)))
+    stream, got = run(lambda s: s.sample_bits(times))
     jittered = np.asarray(times, dtype=float)
     if noisy:
-        jittered = jittered + np.random.default_rng(seed).normal(0.0, cfg.rj_sigma_s,
-                                                                 len(times))
+        jittered = jittered + np.random.default_rng([seed, 0xCD]).normal(
+            0.0, cfg.rj_sigma_s, len(times))
     want = _np_interp_reference(stream, codes, seed, jittered)
     assert (got is None) == (want is None)
     if want is not None:
