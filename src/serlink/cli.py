@@ -309,7 +309,7 @@ def build_parser():
     common(p)
     # two 2-UI traces are the fewest that can show an opening; the upper
     # bounds here and below keep each command's peak memory under about
-    # 1 GB (about 0.5 KB per eye UI, 20 B per ber bit, 50 B per lock bit)
+    # 1 GB (about 0.27 KB per eye UI, 20 B per ber bit, 50 B per lock bit)
     p.add_argument("--ui", type=_count(4, 10**6), default=phy.DEFAULT_EYE_UIS,
                    help="unit intervals to superimpose, 4 to 1000000")
     p.set_defaults(fn=cmd_eye)

@@ -200,8 +200,8 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
     ``tx_analog``/``rx_analog`` (0 or 1) and ``tx_digital``/``rx_digital``
     (state names).  Power is piecewise constant between transitions and
     each analog turn-on adds the power-gating overhead.  Events before 0,
-    an unknown digital state, or a ``t_end_s`` not finite or before the
-    last event, raise ValueError.
+    an analog value other than 0 or 1, an unknown digital state, or a
+    ``t_end_s`` not finite or before the last event, raise ValueError.
     """
     state = {"tx_analog": 0, "rx_analog": 0,
              "tx_digital": "standby", "rx_digital": "standby"}
@@ -226,6 +226,8 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
         if signal_name.endswith("_digital") and (signal_name, value) not in _DIGITAL_POWER:
             states = [v for sig, v in _DIGITAL_POWER if sig == signal_name]
             raise ValueError(f"{signal_name} must be one of {states}, got {value!r}")
+        if signal_name.endswith("_analog") and value not in (0, 1):
+            raise ValueError(f"{signal_name} must be 0 or 1, got {value!r}")
         total += power() * (t - t_prev)
         if signal_name.endswith("_analog") and not state[signal_name] and value:
             total += profile.pg_overhead_j

@@ -8,8 +8,10 @@ bit's samples from its row for the (previous, current, next) codes.
 The channel is a pure delay plus one stage, ``_Channel``: a first-order
 low-pass whose pole is derived from the trace length by a two-point
 calibration map, plus additive Gaussian noise, carrying its state from
-one block of samples to the next.  ``channel_apply`` runs a whole
-waveform (eye folding needs it whole) through a fresh stage;
+one block of samples to the next.  ``drive`` returns bit-table rows,
+rendered only when read; ``channel_apply`` fills the whole filtered
+waveform (eye folding needs it whole) block by block through a fresh
+stage, so the driven waveform is never held whole beside it;
 ``StreamingNrz`` runs each chunk through the one stage it keeps.
 Comparators return the sign of the sampled differential voltage, at
 instants the stream jitters itself; an eye folds at its waveform's UI.
@@ -59,7 +61,7 @@ DEFAULT_EYE_UIS = 150
 EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # most bits a stream renders at once
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
-_NOISE_BLOCK = 1 << 16     # noise samples a channel draws per call, added in place
+_NOISE_BLOCK = 1 << 16     # samples channel_apply renders and filters per block
 # samples a stream retains: four chunks.  Rendered only as sampling needs
 # it, the window spans one sampling call of one chunk of RX UI (two of TX
 # at the largest frequency offset), one chunk rendered past it and a
@@ -110,6 +112,46 @@ class Waveform:
     ui_s: float
     dt_s: float
     samples: np.ndarray
+
+    def __len__(self):
+        return len(self.samples)
+
+    def _blocks(self):
+        """The samples in consecutive blocks of ``_NOISE_BLOCK``."""
+        for lo in range(0, len(self), _NOISE_BLOCK):
+            yield self.samples[lo:lo + _NOISE_BLOCK]
+
+
+class _DrivenWaveform(Waveform):
+    """A driven waveform held as bit-table rows, one ``uint8`` per UI.
+
+    ``samples`` renders every row on first read; from then on, and once
+    ``samples`` is replaced, those samples are the waveform.  Until then
+    ``_blocks`` gathers only ``_NOISE_BLOCK`` samples at a time, so a
+    filtered eye never holds the driven waveform whole.
+    """
+
+    def __init__(self, ui_s, table, rows):
+        self.ui_s, self.dt_s = ui_s, ui_s / SAMPLES_PER_UI
+        self._table, self._rows = table, rows
+
+    @functools.cached_property
+    def samples(self):
+        return self._table.take(self._rows, axis=0).ravel()
+
+    def _rendered(self):
+        return "samples" in vars(self)  # read or replaced
+
+    def __len__(self):
+        return super().__len__() if self._rendered() else len(self._rows) * SAMPLES_PER_UI
+
+    def _blocks(self):
+        if self._rendered():
+            yield from super()._blocks()
+            return
+        per_block = _NOISE_BLOCK // SAMPLES_PER_UI
+        for lo in range(0, len(self._rows), per_block):
+            yield self._table.take(self._rows[lo:lo + per_block], axis=0).ravel()
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,20 +204,26 @@ def _bit_table(swing, rise_ui):
     return table
 
 
+def _table_rows(codes):
+    """The bit-table row of each of ``codes[1:-1]``, between its neighbours
+    in ``codes``; codes are 0..2, so ``uint8`` codes give ``uint8`` rows."""
+    return 9 * codes[:-2] + 3 * codes[1:-1] + codes[2:]
+
+
 def _gather(table, codes):
     """Samples of ``codes[1:-1]``, each between its neighbours in ``codes``."""
-    return table.take(9 * codes[:-2] + 3 * codes[1:-1] + codes[2:], axis=0).ravel()
+    return table.take(_table_rows(codes), axis=0).ravel()
 
 
 def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
-    """Render the TX output for a 1-D sequence of 0s and 1s (one bit per
-    UI, DDR); ``ui_s`` must satisfy UI_RULE.  ValueError otherwise."""
+    """The TX output for a 1-D sequence of 0s and 1s (one bit per UI,
+    DDR), as bit-table rows rendered only when read; ``ui_s`` must
+    satisfy UI_RULE.  ValueError otherwise."""
     check("ui_s", "float", UI_RULE, ui_s)
-    codes = check_bits("bits", bits) > 0
+    codes = (check_bits("bits", bits) > 0).view(np.uint8)
     # the first and last bits are their own outer neighbours
     codes = np.concatenate((codes[:1], codes, codes[-1:]))
-    samples = _gather(_bit_table(cfg.swing, cfg.rise_time_ui), codes)
-    return Waveform(ui_s, ui_s / SAMPLES_PER_UI, samples)
+    return _DrivenWaveform(ui_s, _bit_table(cfg.swing, cfg.rise_time_ui), _table_rows(codes))
 
 
 class _Channel:
@@ -206,20 +254,28 @@ class _Channel:
         if self._sigma > 0:
             if alpha is None:  # unfiltered, so still the caller's samples
                 samples = np.array(samples, dtype=float)
-            # drawn block by block, the noise equals one draw of the whole
-            # length, and no waveform-sized noise array is ever held
-            for lo in range(0, len(samples), _NOISE_BLOCK):
-                block = samples[lo:lo + _NOISE_BLOCK]
-                block += self._rng.normal(0.0, self._sigma, len(block))
+            samples += self._rng.normal(0.0, self._sigma, len(samples))
         return samples
 
 
 def channel_apply(w: Waveform, cfg: ChannelConfig, rng=None):
-    """Low-pass and add noise; identity when the trace length is 0."""
+    """Low-pass and add noise; identity when the trace length is 0.
+
+    The output is allocated once and filled a block at a time: each
+    block of ``w``'s samples runs through the same fresh stage, whose
+    carried filter state and noise generator make that equal one pass
+    over the whole waveform, bit for bit.  A driven waveform is thus
+    rendered only a block at a time, and ``w``'s samples are never written.
+    """
     if rng is None:
         rng = np.random.default_rng(0)
     stage = _Channel(cfg.pole_hz(), w.dt_s, cfg.noise_sigma_v, rng)
-    return Waveform(w.ui_s, w.dt_s, np.asarray(stage.apply(w.samples)))
+    out = np.empty(len(w))
+    lo = 0
+    for block in w._blocks():
+        out[lo:lo + len(block)] = stage.apply(block)
+        lo += len(block)
+    return Waveform(w.ui_s, w.dt_s, out)
 
 
 @dataclass
@@ -318,6 +374,23 @@ def _sample_positions():
     return np.arange(_STREAM_KEEP, dtype=float)
 
 
+def _checked_times(times):
+    """``times`` as a new float array, with its earliest and latest value
+    (None if empty); ValueError unless 1-D and finite."""
+    times = np.array(times, dtype=float)  # a copy, worked in place
+    if times.ndim != 1:
+        raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
+    if not times.size:
+        return times, None, None
+    # one sort finds both extremes (a NaN last) faster than min() and max()
+    ends = times.copy()
+    ends.sort()
+    t_min, t_max = float(ends[0]), float(ends[-1])
+    if not (t_min > -math.inf and t_max < math.inf):
+        raise ValueError(f"times must be finite, got {t_min} to {t_max}")
+    return times, t_min, t_max
+
+
 class StreamingNrz:
     """Chunk-rendered TX waveform for long closed-loop runs.
 
@@ -378,7 +451,6 @@ class StreamingNrz:
     def _render(self, take):
         """Render the first ``take`` pending codes into the window."""
         pending = self._pending
-        # codes are 0..2, so even a row index (at most 26) fits in a byte
         codes = np.frombuffer(bytes((self._prev_code,)) + pending[:take + 1], np.uint8)
         self._prev_code = pending[take - 1]
         del pending[:take]
@@ -412,18 +484,10 @@ class StreamingNrz:
         sample, and one at or past the last rendered sample reads that
         one; a time before samples already dropped raises OutOfRange.
         """
-        times = np.array(times, dtype=float)  # a copy, worked in place
-        if times.ndim != 1:
-            raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
+        times, t_min, t_max = _checked_times(times)
         if not times.size:
             return times
         delay, dt = self.cfg.prop_delay_s, self.dt_s
-        # one sort finds both extremes (a NaN last) faster than min() and max()
-        ends = times.copy()
-        ends.sort()
-        t_min, t_max = float(ends[0]), float(ends[-1])
-        if not (t_min > -math.inf and t_max < math.inf):
-            raise ValueError(f"times must be finite, got {t_min} to {t_max}")
         # sample 0 sits at the propagation delay: render at least it
         self.ensure(max(t_max, delay))
         first, window = self._window()
@@ -442,7 +506,7 @@ class StreamingNrz:
     def sample_bits(self, times):
         """Comparator decisions at ``times``, jittered if the channel sets ``rj_sigma_s``."""
         if self.cfg.rj_sigma_s > 0:
-            times = np.array(times, dtype=float)
+            times = _checked_times(times)[0]  # first, so a rejected call draws nothing
             times += self._jitter.normal(0.0, self.cfg.rj_sigma_s, times.shape)
         # 0 V decides 0, and interpolation roundoff near an exact
         # transition must not turn a 0 V crossing into a 1

@@ -179,6 +179,16 @@ def test_trace_names_an_unknown_digital_state():
         energy_trace([(0.0, "tx_digital", "bogus")], DEFAULT_PROFILE, 1.0)
 
 
+@pytest.mark.parametrize("signal_name", ["tx_analog", "rx_analog"])
+@pytest.mark.parametrize("value", ["bogus", 2, -1, 0.5, float("nan"), None])
+def test_trace_takes_only_0_or_1_for_an_analog_signal(signal_name, value):
+    # any truthy value used to turn the block on, as 1 does
+    with pytest.raises(ValueError, match=rf"^{signal_name} must be 0 or 1, got "):
+        energy_trace([(0.0, signal_name, value)], DEFAULT_PROFILE, 1.0)
+    on = energy_trace([(0.0, signal_name, 1)], DEFAULT_PROFILE, 1.0)
+    assert energy_trace([(0.0, signal_name, True)], DEFAULT_PROFILE, 1.0) == on
+
+
 @pytest.mark.parametrize("t_end_s", [0.5e-6, -1e-6, float("nan"), float("inf")])
 def test_trace_rejects_an_end_before_the_last_event_or_not_finite(t_end_s):
     # an end before the last event used to integrate a negative span

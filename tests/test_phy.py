@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,59 @@ def test_channel_noise_in_blocks_equals_one_draw(length, n, seed):
     assert samples.tobytes() == before.tobytes()
 
 
+_BLOCK_UIS = phy._NOISE_BLOCK // phy.SAMPLES_PER_UI
+
+
+@pytest.mark.parametrize("length", [0.0, 2.0])
+@pytest.mark.parametrize("noise", [0.0, 0.02])
+@pytest.mark.parametrize("n_ui", [k * _BLOCK_UIS + d for k in (1, 2) for d in (-1, 0, 1)])
+def test_channel_apply_in_blocks_equals_one_pass(length, noise, n_ui):
+    # a driven waveform and one built from its samples both fill the
+    # output block by block; each equals one stage run over the whole
+    # waveform with the same generator, and the samples are never written
+    cfg = ChannelConfig(trace_length_cm=length, noise_sigma_v=noise)
+    bits = np.random.default_rng(n_ui).integers(0, 2, n_ui)
+    driven = drive(bits, cfg)
+    samples = drive(bits, cfg).samples
+    before = samples.copy()
+    want = phy._Channel(cfg.pole_hz(), driven.dt_s, noise,
+                        np.random.default_rng(9)).apply(samples.copy())
+    for wave in (driven, phy.Waveform(driven.ui_s, driven.dt_s, samples)):
+        got = channel_apply(wave, cfg, rng=np.random.default_rng(9))
+        assert (got.ui_s, got.dt_s) == (driven.ui_s, driven.dt_s)
+        assert got.samples.tobytes() == want.tobytes()
+    assert samples.tobytes() == before.tobytes()
+
+
+def test_driven_samples_once_read_or_replaced_are_the_waveform():
+    cfg = ChannelConfig(trace_length_cm=2.0)
+    bits = np.random.default_rng(64).integers(0, 2, _BLOCK_UIS + 5)
+    driven = drive(bits, cfg)
+    assert driven.samples.tobytes() == drive(bits, cfg).samples.tobytes()
+    assert len(driven) == len(driven.samples) == len(bits) * phy.SAMPLES_PER_UI
+    scaled = drive(bits, cfg)
+    scaled.samples = 2.5 * scaled.samples[:-7]
+    assert len(scaled) == len(driven.samples) - 7
+    want = channel_apply(phy.Waveform(scaled.ui_s, scaled.dt_s, scaled.samples), cfg)
+    assert channel_apply(scaled, cfg).samples.tobytes() == want.samples.tobytes()
+
+
+def test_noisy_eye_waveform_is_built_without_a_second_waveform():
+    # the driven waveform is rendered a block at a time into the filtered
+    # output, so the peak is that output plus a few blocks (it was twice
+    # the output when drive rendered every sample first)
+    cfg = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.02)
+    bits = np.random.default_rng(65).integers(0, 2, 100_000)
+    tracemalloc.start()
+    try:
+        wave = channel_apply(drive(bits, cfg), cfg, np.random.default_rng(66))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wave.samples.nbytes == 100_000 * phy.SAMPLES_PER_UI * 8
+    assert peak <= 1.25 * wave.samples.nbytes
+
+
 @pytest.mark.parametrize("length", [0.0, 2.0])
 @pytest.mark.parametrize("noise", [0.0, 0.01])
 def test_empty_inputs_give_empty_results(length, noise):
@@ -248,6 +302,24 @@ def test_times_must_be_a_1d_sequence_of_finite_values(times, rendered, rj_sigma_
     for call in (stream.voltage, stream.sample_bits):
         with pytest.raises(ValueError, match=r"^times must be (a 1-D sequence|finite), got "):
             call(times)
+
+
+@pytest.mark.parametrize("bad", [[1e-9, np.nan], [[1e-9, 2e-9]], 1e-9, [np.inf]])
+def test_a_rejected_sample_call_draws_no_jitter(bad):
+    # the jitter used to be drawn before the times were checked, so a
+    # rejected call moved every later decision of the stream
+    cfg = ChannelConfig(trace_length_cm=2.0, rj_sigma_s=0.2 * UI_S)
+    codes = np.random.default_rng(67).integers(0, 2, 400).tolist()
+    times = np.random.default_rng(68).uniform(20, 300, 100) * UI_S
+    decided = []
+    for reject_first in (True, False):
+        stream = StreamingNrz(cfg, seed=4)
+        stream.push_levels(codes)
+        if reject_first:
+            with pytest.raises(ValueError, match=r"^times must be (a 1-D sequence|finite)"):
+                stream.sample_bits(bad)
+        decided.append(stream.sample_bits(times).tobytes())
+    assert decided[0] == decided[1]
 
 
 def test_sample_sign_decisions():
