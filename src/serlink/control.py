@@ -1,20 +1,19 @@
 """Link controllers: TX framing FSM, RX sequence detector, RX pipeline.
 
 The TX controller walks Idle -> Warm-up -> Start-header -> Data-comm ->
-Stop-header and selects the flit the serializer sends next, once the
-serializer reports the current flit done.  The RX sequence detector
-keeps the last eight raw comparator bits as one byte and compares it
-with the fixed start marker, then with the stop marker, at either bit
-alignment, and reports the capture shift.  The RX pipeline watches the
-wire only while communication is enabled and is receiving from a start
-marker to the following stop marker; only then do the deserializer and
-decoders run.
+Stop-header; each state sends one flit kind, loaded once the serializer
+reports the current flit done.  The RX sequence detector keeps the last
+eight raw comparator bits as one byte, compares it with the fixed start
+marker, then the stop marker, at either bit alignment, and returns the
+kind of marker a pair completes.  The RX pipeline watches the wire only
+while communication is enabled and is receiving from a start marker to
+the following stop marker; only then do the deserializer and decoders
+run.  It logs its own framing rows, as the framer wires its own codes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from . import codec, datapath, phy
 from .codec import Disparity, FlitKind
@@ -28,42 +27,28 @@ class TxState(enum.Enum):
     STOP_HEADER = "stop_header"
 
 
-@dataclass(frozen=True)
-class TxAction:
-    state: TxState
-    flit_select: FlitKind | None  # flit to load for the next period
-    pop_word: bool  # consume one word from the TX FIFO
-
-
 def tx_fsm_step(state, valid, warm_en, comm_en):
-    """One TX controller decision at a flit boundary."""
+    """One TX controller decision at a flit boundary: the next state."""
     if state is TxState.IDLE:
-        nxt = TxState.WARM_UP if warm_en else TxState.IDLE
-    elif state is TxState.WARM_UP:
+        return TxState.WARM_UP if warm_en else TxState.IDLE
+    if state is TxState.WARM_UP:
         if not warm_en:
-            nxt = TxState.IDLE
-        elif comm_en and valid:
-            nxt = TxState.START_HEADER
-        else:
-            nxt = TxState.WARM_UP
-    elif state is TxState.START_HEADER:
-        nxt = TxState.DATA_COMM if valid else TxState.STOP_HEADER
-    elif state is TxState.DATA_COMM:
-        nxt = TxState.DATA_COMM if valid else TxState.STOP_HEADER
-    else:  # STOP_HEADER
-        nxt = TxState.IDLE
-    return _TX_ACTIONS[nxt]
+            return TxState.IDLE
+        return TxState.START_HEADER if comm_en and valid else TxState.WARM_UP
+    if state is TxState.STOP_HEADER:
+        return TxState.IDLE
+    # START_HEADER or DATA_COMM
+    return TxState.DATA_COMM if valid else TxState.STOP_HEADER
 
 
-# the action that enters each state: the flit it selects, and whether
-# that flit pops a word
-_TX_ACTIONS = {state: TxAction(state, flit, flit is FlitKind.DATA) for state, flit in (
-    (TxState.IDLE, None),
-    (TxState.WARM_UP, FlitKind.TRAINING),
-    (TxState.START_HEADER, FlitKind.START),
-    (TxState.DATA_COMM, FlitKind.DATA),
-    (TxState.STOP_HEADER, FlitKind.STOP),
-)}
+# the flit each state sends; a data flit pops one word from the TX FIFO
+TX_FLITS = {
+    TxState.IDLE: None,
+    TxState.WARM_UP: FlitKind.TRAINING,
+    TxState.START_HEADER: FlitKind.START,
+    TxState.DATA_COMM: FlitKind.DATA,
+    TxState.STOP_HEADER: FlitKind.STOP,
+}
 _IDLE_PAIR = (phy.IDLE, phy.IDLE)  # the driver's codes for one idle cycle
 
 
@@ -90,14 +75,14 @@ class TxFramer:
         self._serializer = datapath.Serializer()
 
     def _load_next_flit(self):
-        action = tx_fsm_step(self.state, self._valid_fn(), self.warm_en, self.comm_en)
-        self.state = action.state
-        if action.flit_select is None:
+        self.state = tx_fsm_step(self.state, self._valid_fn(), self.warm_en, self.comm_en)
+        kind = TX_FLITS[self.state]
+        if kind is None:
             return False
-        if action.state is TxState.START_HEADER:
+        if kind is FlitKind.START:
             self.rd = Disparity.NEGATIVE  # disparity chain restarts per frame
-        word = self._word_source() if action.pop_word else None
-        flit, self.rd = codec.encode_flit(action.flit_select, word, self.rd)
+        word = self._word_source() if kind is FlitKind.DATA else None
+        flit, self.rd = codec.encode_flit(kind, word, self.rd)
         bits = flit.bits()
         self._serializer.load(bits)
         self._wire(bits)
@@ -112,16 +97,6 @@ class TxFramer:
         return serializer.step()[0]
 
 
-@dataclass(frozen=True)
-class DetectorEvents:
-    start_detected: bool = False
-    stop_detected: bool = False
-    shift: bool = False
-
-
-_NO_EVENTS = DetectorEvents()  # shared by every pair that ends no marker
-
-
 class SequenceDetector:
     """Watches raw bit pairs for the start marker, then the stop marker.
 
@@ -131,7 +106,7 @@ class SequenceDetector:
     arrived after the search last switched marker.  A marker ending on
     the second bit of a pair was even-aligned; odd alignment completes
     one bit into the following pair (the extra check-4 step) and raises
-    the shift flag.  Bits are Python ints.
+    the shift flag, kept until the next start.  Bits are Python ints.
     """
 
     def __init__(self):
@@ -140,8 +115,10 @@ class SequenceDetector:
         self._window = 0  # last eight wire bits, oldest in bit 0
         self._fresh = 0   # bits seen since the search last switched marker
 
-    def push_pair(self, pair) -> DetectorEvents:
-        events = _NO_EVENTS
+    def push_pair(self, pair):
+        """The FlitKind (START or STOP) of the marker this pair completes,
+        or None."""
+        found = None
         window, fresh = self._window, self._fresh
         # after a marker the next one needs eight fresh bits, so the
         # marker sought cannot change within a pair
@@ -153,14 +130,13 @@ class SequenceDetector:
                 continue
             fresh = 0
             if self.in_data_comm:
-                self.in_data_comm = False
-                events = DetectorEvents(stop_detected=True, shift=self.shift)
+                found = FlitKind.STOP
             else:
-                self.in_data_comm = True
+                found = FlitKind.START
                 self.shift = k == 0  # ended on a pair's first bit: started odd
-                events = DetectorEvents(start_detected=True, shift=self.shift)
+            self.in_data_comm = not self.in_data_comm
         self._window, self._fresh = window, fresh
-        return events
+        return found
 
 
 # Pairs between the end of the start marker and the first payload pair:
@@ -169,19 +145,22 @@ START_SKIP_PAIRS = 16
 
 
 class RxPipeline:
-    """Realigner, deserializer and flit decoder behind the detector events.
+    """Realigner, deserializer and flit decoder behind the sequence detector.
 
     ``push_pair`` consumes one raw (even, odd) comparator pair and returns
     a tuple of decoded 32-bit words (usually empty).  ``warm_en``/``comm_en``
     are the RX enable registers as seen past the clock-domain crossing;
     only ``comm_en`` gates the wire, which is ignored while it is off.
     ``receiving`` is set at a start marker and cleared at the stop marker
-    or at the first pair after ``comm_en`` drops.  Framing events are
-    exposed on ``detector`` / ``last_events``; decode failures raise with
-    lane index.
+    or at the first pair after ``comm_en`` drops.  ``log(signal, value)``
+    takes the framing rows: ``start_detected``, ``shift`` and
+    ``rx_digital`` at a start marker, ``stop_detected`` and ``rx_digital``
+    at a stop marker, and ``rx_receiving`` whenever that flag changes.
+    Decode failures raise with lane index.
     """
 
-    def __init__(self):
+    def __init__(self, log):
+        self._log = log
         self.detector = SequenceDetector()
         self._realigner = datapath.ShiftRealigner()
         self._deserializer = datapath.Deserializer()
@@ -190,25 +169,33 @@ class RxPipeline:
         self.comm_en = False
         self.receiving = False
         self._skip = 0
-        self.last_events = _NO_EVENTS
         self.frames_received = 0
+
+    def _receive(self, receiving):
+        if receiving != self.receiving:
+            self.receiving = receiving
+            self._log("rx_receiving", int(receiving))
 
     def push_pair(self, pair):
         if not self.comm_en:
-            self.receiving = False
-            self.last_events = _NO_EVENTS
+            self._receive(False)
             return ()
-        events = self.detector.push_pair(pair)
-        self.last_events = events
-        if events is not _NO_EVENTS:
+        marker = self.detector.push_pair(pair)
+        if marker is not None:
+            log = self._log
             self._deserializer.reset()
-            self.receiving = events.start_detected
-            if events.start_detected:
-                self._realigner.shift = events.shift
+            if marker is FlitKind.START:
+                self._realigner.shift = shift = self.detector.shift
                 self.rd = Disparity.NEGATIVE
                 self._skip = START_SKIP_PAIRS
+                log("start_detected", 1)
+                log("shift", int(shift))
+                log("rx_digital", "data")
             else:
                 self.frames_received += 1
+                log("stop_detected", 1)
+                log("rx_digital", "warm" if self.warm_en else "standby")
+            self._receive(marker is FlitKind.START)
             return ()
         aligned = self._realigner.push(pair)
         if not self.receiving:

@@ -197,6 +197,8 @@ class Node:
             text, test = cdr.LINK_RULES["cdr_n"]
             if not test(value):
                 raise AlignmentError(f"cdr_n must be {text}")
+        elif name in ("warm_en", "comm_en") and value not in (0, 1):
+            raise AlignmentError(f"{name} must be 0 or 1, got {value!r}")
         setattr(self.regs, name, int(value))
         self.log(self.name, name, int(value))
         if starts and value:  # a tick is pending exactly while words remain
@@ -304,7 +306,7 @@ class LinkEngine:
                                        seed=cfg.seed)
         self.framer = control.TxFramer(self._pop_word, self._tx_valid,
                                        self.stream.push_levels)
-        self.pipeline = control.RxPipeline()
+        self.pipeline = control.RxPipeline(functools.partial(log, "rx"))
         self.loop = None
         self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
         self.decode_errors = 0
@@ -385,28 +387,17 @@ class LinkEngine:
             self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
 
         bits = rec.data_bits
-        pipeline, log = self.pipeline, self.log
-        was_receiving = pipeline.receiving
+        pipeline = self.pipeline
         for pair in zip(bits[0::2], bits[1::2]):  # (even, odd) comparator pairs
             try:
                 words = pipeline.push_pair(pair)
             except CodecError as exc:
                 self.decode_errors += 1
-                log("rx", "decode_error", str(exc))
+                self.log("rx", "decode_error", str(exc))
                 self.abort(f"decode failure during transfer: {exc}")
                 return
-            events = pipeline.last_events
-            if events.start_detected:
-                log("rx", "start_detected", 1)
-                log("rx", "shift", int(events.shift))
-                log("rx", "rx_digital", "data")
-            if events.stop_detected:
-                log("rx", "stop_detected", 1)
-                log("rx", "rx_digital", "warm" if pipeline.warm_en else "standby")
             for word in words:
                 self.rx_fifo.push(self.sim.now_ps, word)
-        if was_receiving != pipeline.receiving:
-            log("rx", "rx_receiving", int(pipeline.receiving))
         self._schedule_rx_quantum(rec.t_end_s[-1] + self.cfg.slow_cycle_s)
 
     def abort(self, reason):

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from serlink import phy
 from serlink.codec import FLIT_BITS, FlitKind
-from serlink.control import (RxPipeline, SequenceDetector, TxFramer, TxState,
-                             tx_fsm_step)
+from serlink.control import (TX_FLITS, RxPipeline, SequenceDetector, TxFramer,
+                             TxState, tx_fsm_step)
 from serlink.datapath import BitPair
 
 START_BITS = [1, 1, 0, 1, 1, 1, 1, 1]
@@ -27,26 +27,24 @@ TX_EDGES = {
 def test_tx_fsm_edge_set_is_exhaustive():
     for state in TxState:
         for valid, warm, comm in itertools.product((False, True), repeat=3):
-            action = tx_fsm_step(state, valid, warm, comm)
-            assert action.state in TX_EDGES[state], (state, valid, warm, comm)
+            nxt = tx_fsm_step(state, valid, warm, comm)
+            assert nxt in TX_EDGES[state], (state, valid, warm, comm)
 
 
 def test_tx_fsm_spec_transitions():
-    assert tx_fsm_step(TxState.IDLE, False, True, False).state is TxState.WARM_UP
-    a = tx_fsm_step(TxState.WARM_UP, True, True, True)
-    assert a.state is TxState.START_HEADER and a.flit_select is FlitKind.START
-    a = tx_fsm_step(TxState.DATA_COMM, False, True, True)
-    assert a.state is TxState.STOP_HEADER and a.flit_select is FlitKind.STOP
-    assert tx_fsm_step(TxState.STOP_HEADER, False, False, False).state is TxState.IDLE
+    assert tx_fsm_step(TxState.IDLE, False, True, False) is TxState.WARM_UP
+    assert tx_fsm_step(TxState.WARM_UP, True, True, True) is TxState.START_HEADER
+    assert tx_fsm_step(TxState.DATA_COMM, False, True, True) is TxState.STOP_HEADER
+    assert tx_fsm_step(TxState.STOP_HEADER, False, False, False) is TxState.IDLE
 
 
 def test_tx_fsm_outputs():
-    idle = tx_fsm_step(TxState.IDLE, False, False, False)
-    assert idle.flit_select is None and not idle.pop_word
-    warm = tx_fsm_step(TxState.IDLE, False, True, False)
-    assert warm.flit_select is FlitKind.TRAINING and not warm.pop_word
-    data = tx_fsm_step(TxState.START_HEADER, True, True, True)
-    assert data.flit_select is FlitKind.DATA and data.pop_word
+    # each state sends one flit kind
+    assert TX_FLITS == {TxState.IDLE: None,
+                        TxState.WARM_UP: FlitKind.TRAINING,
+                        TxState.START_HEADER: FlitKind.START,
+                        TxState.DATA_COMM: FlitKind.DATA,
+                        TxState.STOP_HEADER: FlitKind.STOP}
 
 
 def collect_frame_flits(words):
@@ -101,48 +99,43 @@ def test_framer_emits_exactly_one_start_and_stop_per_frame():
 # -- sequence detector -------------------------------------------------------
 
 def feed_pairs(detector, bits):
-    events = []
-    for i in range(0, len(bits) - 1, 2):
-        ev = detector.push_pair(BitPair(bits[i], bits[i + 1]))
-        events.append(ev)
-    return events
+    """The marker kind (or None) each pair of ``bits`` completes."""
+    return [detector.push_pair(BitPair(bits[i], bits[i + 1]))
+            for i in range(0, len(bits) - 1, 2)]
 
 
 def test_detector_even_alignment_no_shift():
     det = SequenceDetector()
     bits = [1, 0] * 10 + START_BITS + [0, 0]
-    events = feed_pairs(det, bits)
-    fired = [i for i, ev in enumerate(events) if ev.start_detected]
-    assert fired == [13]  # pattern completes on its fourth pair
-    assert not events[13].shift
+    kinds = feed_pairs(det, bits)
+    assert [i for i, kind in enumerate(kinds) if kind] == [13]  # its fourth pair
+    assert kinds[13] is FlitKind.START
+    assert not det.shift
     assert det.in_data_comm
 
 
 def test_detector_odd_alignment_sets_shift_after_extra_pair():
     det = SequenceDetector()
     bits = [0, 1, 1, 0, 1, 1, 1, 1, 1, 0]  # x1 10 11 11 1x
-    events = feed_pairs(det, bits)
-    fired = [i for i, ev in enumerate(events) if ev.start_detected]
-    assert fired == [4]  # needs the extra check pair
-    assert events[4].shift
+    kinds = feed_pairs(det, bits)
+    assert kinds == [None] * 4 + [FlitKind.START]  # needs the extra check pair
+    assert det.shift
 
 
 def test_detector_all_zeros_never_fires():
     det = SequenceDetector()
-    events = feed_pairs(det, [0] * 1000)
-    assert not any(ev.start_detected for ev in events)
+    assert feed_pairs(det, [0] * 1000) == [None] * 500
     assert not det.in_data_comm
 
 
 def test_detector_stop_only_searched_in_data_phase():
     det = SequenceDetector()
-    stop_bits = [1, 0, 1, 1, 1, 1, 1, 1]
-    events = feed_pairs(det, stop_bits + [0, 0])
-    assert not any(ev.stop_detected for ev in events)  # not in data phase yet
+    kinds = feed_pairs(det, STOP_BITS + [0, 0])
+    assert FlitKind.STOP not in kinds  # not in data phase yet
     feed_pairs(det, [0, 0] + START_BITS)
     assert det.in_data_comm
-    events = feed_pairs(det, [0, 0] + stop_bits + [0, 0])
-    assert any(ev.stop_detected for ev in events)
+    kinds = feed_pairs(det, [0, 0] + STOP_BITS + [0, 0])
+    assert kinds == [None] * 4 + [FlitKind.STOP, None]
     assert not det.in_data_comm
 
 
@@ -174,10 +167,11 @@ def test_detector_matches_find_oracle(noise, splices):
     bits += [0] * (len(bits) % 2)
     det = SequenceDetector()
     got = []
-    for k, ev in enumerate(feed_pairs(det, bits)):
-        assert not (ev.start_detected and ev.stop_detected)
-        if ev.start_detected or ev.stop_detected:
-            got.append((k, ev.start_detected, ev.shift))
+    for k in range(len(bits) // 2):
+        kind = det.push_pair(BitPair(bits[2 * k], bits[2 * k + 1]))
+        assert kind in (None, FlitKind.START, FlitKind.STOP)
+        if kind is not None:  # a stop reports the shift of its frame's start
+            got.append((k, kind is FlitKind.START, det.shift))
     want = _find_oracle(bits)
     assert got == want
     assert det.in_data_comm == (len(want) % 2 == 1)
@@ -197,30 +191,37 @@ def wire_for_frame(words, *, warmup_pairs=20, shift=0):
     return [0] * shift + bits
 
 
+def make_pipeline(warm_en=True, comm_en=True):
+    """An RxPipeline and the (signal, value) rows it logs."""
+    rows = []
+    pipe = RxPipeline(lambda signal, value: rows.append((signal, value)))
+    pipe.warm_en, pipe.comm_en = warm_en, comm_en
+    return pipe, rows
+
+
+def push_bits(pipe, bits):
+    """Push ``bits`` as pairs; the decoded words."""
+    got = []
+    for i in range(0, len(bits) - 1, 2):
+        got.extend(pipe.push_pair(BitPair(bits[i], bits[i + 1])))
+    return got
+
+
 def test_pipeline_recovers_frames_at_both_alignments():
     rng = np.random.default_rng(32)
     words = [int(w) for w in rng.integers(0, 2**32, 64, dtype=np.uint64)]
     for shift in (0, 1):
-        pipe = RxPipeline()
-        pipe.warm_en = True
-        pipe.comm_en = True
-        wire = wire_for_frame(words, shift=shift)
-        got = []
-        for i in range(0, len(wire) - 1, 2):
-            got.extend(pipe.push_pair(BitPair(wire[i], wire[i + 1])))
-        assert got == words
+        pipe, _ = make_pipeline()
+        assert push_bits(pipe, wire_for_frame(words, shift=shift)) == words
         assert pipe.detector.shift == bool(shift)
         assert pipe.frames_received == 1
 
 
 def test_pipeline_ignores_wire_until_armed():
-    pipe = RxPipeline()
-    pipe.warm_en = True  # clock recovery only; detector not yet enabled
-    wire = wire_for_frame([0xABCD1234])
-    got = []
-    for i in range(0, len(wire) - 1, 2):
-        got.extend(pipe.push_pair(BitPair(wire[i], wire[i + 1])))
-    assert got == [] and pipe.frames_received == 0
+    # clock recovery only; detector not yet enabled
+    pipe, rows = make_pipeline(comm_en=False)
+    assert push_bits(pipe, wire_for_frame([0xABCD1234])) == []
+    assert pipe.frames_received == 0 and rows == []
 
 
 def test_framing_frames_word_count_invariant():
@@ -228,13 +229,9 @@ def test_framing_frames_word_count_invariant():
     rng = np.random.default_rng(33)
     for n_words in (1, 2, 7, 33):
         words = [int(w) for w in rng.integers(0, 2**32, n_words, dtype=np.uint64)]
-        pipe = RxPipeline()
-        pipe.warm_en = pipe.comm_en = True
-        wire = wire_for_frame(words)
-        got = []
-        for i in range(0, len(wire) - 1, 2):
-            got.extend(pipe.push_pair(BitPair(wire[i], wire[i + 1])))
-        assert got == words and pipe.frames_received == 1
+        pipe, _ = make_pipeline()
+        assert push_bits(pipe, wire_for_frame(words)) == words
+        assert pipe.frames_received == 1
 
 
 def test_pipeline_receiving_follows_markers_and_comm_en():
@@ -242,20 +239,19 @@ def test_pipeline_receiving_follows_markers_and_comm_en():
     wire = wire_for_frame(words)
     pairs = [BitPair(wire[i], wire[i + 1]) for i in range(0, len(wire) - 1, 2)]
 
-    pipe = RxPipeline()
-    pipe.comm_en = True
+    pipe, rows = make_pipeline(warm_en=False)
     seen = []
     for pair in pairs:
+        logged = len(rows)
         pipe.push_pair(pair)
-        events = pipe.last_events
-        if events.start_detected or events.stop_detected:
-            seen.append((events.start_detected, pipe.receiving))
-    assert seen == [(True, True), (False, False)]  # set at start, cleared at stop
+        seen += [(signal, pipe.receiving) for signal, _ in rows[logged:]
+                 if signal in ("start_detected", "stop_detected")]
+    # set at start, cleared at stop
+    assert seen == [("start_detected", True), ("stop_detected", False)]
     assert pipe.frames_received == 1
 
     # comm_en dropping mid-frame clears the flag and stops all capture
-    pipe = RxPipeline()
-    pipe.comm_en = True
+    pipe, _ = make_pipeline(warm_en=False)
     k = 0
     while not pipe.receiving:
         pipe.push_pair(pairs[k])
@@ -268,27 +264,45 @@ def test_pipeline_receiving_follows_markers_and_comm_en():
     assert got == [] and pipe.frames_received == 0
 
 
-def test_last_events_clear_while_comm_en_is_off():
-    pipe = RxPipeline()
-    pipe.comm_en = True
-    for i in range(0, 8, 2):
-        pipe.push_pair(BitPair(START_BITS[i], START_BITS[i + 1]))
-    assert pipe.last_events.start_detected
+def test_pairs_pushed_while_comm_en_is_off_log_only_the_receiving_drop():
+    # one rx_receiving 0 if a frame was being received, else nothing
+    for receiving in (False, True):
+        pipe, rows = make_pipeline()
+        if receiving:
+            push_bits(pipe, START_BITS)
+            assert pipe.receiving
+        rows.clear()
+        pipe.comm_en = False
+        push_bits(pipe, [1, 1] + STOP_BITS + START_BITS + STOP_BITS)
+        assert rows == ([("rx_receiving", 0)] if receiving else [])
+        assert not pipe.receiving and pipe.frames_received == 0
+
+
+def test_stop_after_comm_en_returns_mid_frame_logs_no_receiving_row():
+    # the detector kept its frame while comm_en was off, so a stop found
+    # after comm_en returns ends it without a receiving change
+    pipe, rows = make_pipeline()
+    push_bits(pipe, START_BITS)
     pipe.comm_en = False
-    pipe.push_pair(BitPair(1, 1))
-    assert not pipe.last_events.start_detected and not pipe.last_events.stop_detected
+    push_bits(pipe, [0, 0])
+    pipe.comm_en = True
+    rows.clear()
+    push_bits(pipe, STOP_BITS)
+    assert rows == [("stop_detected", 1), ("rx_digital", "warm")]
+    assert not pipe.receiving and pipe.frames_received == 1
 
 
 @settings(max_examples=25, deadline=None)
 @given(words=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12),
-       shift=st.sampled_from((0, 1)))
-@example(words=[1, 0xB5B5B5B5, 2], shift=1)  # the training flit's wire bits
-def test_any_framed_word_list_comes_back_in_one_frame(words, shift):
-    # the stop marker never fires inside coded payload, at either alignment
-    pipe = RxPipeline()
-    pipe.warm_en = pipe.comm_en = True
-    wire = wire_for_frame(words, shift=shift)
-    got = []
-    for i in range(0, len(wire) - 1, 2):
-        got.extend(pipe.push_pair(BitPair(wire[i], wire[i + 1])))
-    assert got == words and pipe.frames_received == 1
+       shift=st.sampled_from((0, 1)), warm_en=st.booleans())
+@example(words=[1, 0xB5B5B5B5, 2], shift=1, warm_en=True)  # the training flit's wire bits
+def test_any_framed_word_list_comes_back_in_one_frame(words, shift, warm_en):
+    # the stop marker never fires inside coded payload, at either alignment,
+    # and the frame's rows are logged once each, in order
+    pipe, rows = make_pipeline(warm_en=warm_en)
+    assert push_bits(pipe, wire_for_frame(words, shift=shift)) == words
+    assert pipe.frames_received == 1
+    assert rows == [("start_detected", 1), ("shift", shift), ("rx_digital", "data"),
+                    ("rx_receiving", 1), ("stop_detected", 1),
+                    ("rx_digital", "warm" if warm_en else "standby"),
+                    ("rx_receiving", 0)]

@@ -98,6 +98,21 @@ def test_size_register_must_fit_in_memory_from_its_address():
     assert (n.regs.tx_data_size, n.regs.rx_data_size) == (0, MEMORY_BYTES - 64)
 
 
+@pytest.mark.parametrize("name", ["warm_en", "comm_en"])
+def test_enable_registers_take_only_zero_or_one(name):
+    # run_protocol reads t_*_warm_en/t_*_comm_en from rows whose value is
+    # 1, so a write of any other non-zero value would drop those times
+    rows = []
+    n = Node("n0", Scheduler(), lambda *row: rows.append(row), LinkSimConfig())
+    for bad in (7, -3, 2):
+        with pytest.raises(AlignmentError, match=f"{name} must be 0 or 1"):
+            n.write_register(name, bad)
+    assert getattr(n.regs, name) == 0 and rows == []
+    n.write_register(name, 1)
+    n.write_register(name, 0)
+    assert rows == [("n0", name, 1), ("n0", name, 0)]
+
+
 def test_size_write_while_its_dma_moves_is_rejected():
     n, sim = make_node()
     n.dma = DmaChannel("read", Fifo(depth=1 << 20))
@@ -409,6 +424,16 @@ _PINNED_TRANSFERS = {
     "loss_of_lock": (
         LinkSimConfig(payload_bytes=1024, freq_offset=0.02),
         "24bc37ab5c77edf7797338130f3841da28b200c3b4753bfeea6e377cfc35f881"),
+    "tx_256_odd_alignment": (  # shift_used: a "shift 1" row
+        LinkSimConfig(payload_bytes=256, freq_offset=0.002),
+        "f27ef163a7a5a3792cbf1bbe991deec73792839acde1892f626b63fb9197e180"),
+    "decode_failure": (  # a decode_error row ends the transfer
+        LinkSimConfig(payload_bytes=64, seed=1,
+                      channel=phy.ChannelConfig(noise_sigma_v=0.08)),
+        "b95fe3fdd460768e4ae32e8118657535c94a56f9c327c0527d5939f316aec92b"),
+    "rx_256_peer_release": (  # the forced gpio0 release
+        LinkSimConfig(payload_bytes=256, scenario="rx_initiated"),
+        "bb9f5f6f5926cd80b6096800dceebc0b6a23f3dc37d619f5d251f562ecfd9035"),
 }
 
 
