@@ -311,7 +311,8 @@ def build_parser():
     # bounds here and below keep each command's peak memory under about
     # 1 GB (about 0.27 KB per eye UI, 20 B per ber bit, 50 B per lock bit)
     p.add_argument("--ui", type=_count(4, 10**6), default=phy.DEFAULT_EYE_UIS,
-                   help="unit intervals to superimpose, 4 to 1000000")
+                   help="unit intervals to superimpose, 4 to 1000000; "
+                        "folded in 2-UI traces, so an odd count folds one UI fewer")
     p.set_defaults(fn=cmd_eye)
 
     p = sub.add_parser("energy", help="emit duty-cycle energy curves")

@@ -8,11 +8,11 @@ bit's samples from its row for the (previous, current, next) codes.
 The channel is a pure delay plus one stage, ``_Channel``: a first-order
 low-pass whose pole is derived from the trace length by a two-point
 calibration map, plus additive Gaussian noise, carrying its state from
-one block of samples to the next.  ``drive`` returns bit-table rows,
-rendered only when read; ``channel_apply`` fills the whole filtered
-waveform (eye folding needs it whole) block by block through a fresh
-stage, so the driven waveform is never held whole beside it;
-``StreamingNrz`` runs each chunk through the one stage it keeps.
+one block of samples to the next.  ``drive`` returns only bit-table
+rows; ``channel_apply`` takes only those and fills the whole filtered
+waveform (eye folding needs it whole), rendering and filtering a block
+of rows at a time, so the driven waveform is never held whole beside
+it; ``StreamingNrz`` runs each chunk through the one stage it keeps.
 Comparators return the sign of the sampled differential voltage, at
 instants the stream jitters itself; an eye folds at its waveform's UI.
 """
@@ -113,46 +113,6 @@ class Waveform:
     dt_s: float
     samples: np.ndarray
 
-    def __len__(self):
-        return len(self.samples)
-
-    def _blocks(self):
-        """The samples in consecutive blocks of ``_NOISE_BLOCK``."""
-        for lo in range(0, len(self), _NOISE_BLOCK):
-            yield self.samples[lo:lo + _NOISE_BLOCK]
-
-
-class _DrivenWaveform(Waveform):
-    """A driven waveform held as bit-table rows, one ``uint8`` per UI.
-
-    ``samples`` renders every row on first read; from then on, and once
-    ``samples`` is replaced, those samples are the waveform.  Until then
-    ``_blocks`` gathers only ``_NOISE_BLOCK`` samples at a time, so a
-    filtered eye never holds the driven waveform whole.
-    """
-
-    def __init__(self, ui_s, table, rows):
-        self.ui_s, self.dt_s = ui_s, ui_s / SAMPLES_PER_UI
-        self._table, self._rows = table, rows
-
-    @functools.cached_property
-    def samples(self):
-        return self._table.take(self._rows, axis=0).ravel()
-
-    def _rendered(self):
-        return "samples" in vars(self)  # read or replaced
-
-    def __len__(self):
-        return super().__len__() if self._rendered() else len(self._rows) * SAMPLES_PER_UI
-
-    def _blocks(self):
-        if self._rendered():
-            yield from super()._blocks()
-            return
-        per_block = _NOISE_BLOCK // SAMPLES_PER_UI
-        for lo in range(0, len(self._rows), per_block):
-            yield self._table.take(self._rows[lo:lo + per_block], axis=0).ravel()
-
 
 @functools.lru_cache(maxsize=None)
 def _ramps(spu, rise_ui):
@@ -210,14 +170,36 @@ def _table_rows(codes):
     return 9 * codes[:-2] + 3 * codes[1:-1] + codes[2:]
 
 
-def _gather(table, codes):
-    """Samples of ``codes[1:-1]``, each between its neighbours in ``codes``."""
-    return table.take(_table_rows(codes), axis=0).ravel()
+def _render_rows(table, rows):
+    """The samples of bit-table ``rows``, one row per UI, in one array."""
+    return table.take(rows, axis=0).ravel()
+
+
+class _DrivenWaveform:
+    """What ``drive`` returns: its bit-table rows, one ``uint8`` per UI.
+    ``samples`` renders every row on each read and ``_blocks`` a block at
+    a time, so a filtered eye never holds the driven waveform whole."""
+
+    def __init__(self, ui_s, table, rows):
+        self.ui_s, self.dt_s = ui_s, ui_s / SAMPLES_PER_UI
+        self._table, self._rows = table, rows
+
+    @property
+    def samples(self):
+        return _render_rows(self._table, self._rows)
+
+    def __len__(self):
+        return len(self._rows) * SAMPLES_PER_UI
+
+    def _blocks(self):
+        per_block = _NOISE_BLOCK // SAMPLES_PER_UI
+        for lo in range(0, len(self._rows), per_block):
+            yield _render_rows(self._table, self._rows[lo:lo + per_block])
 
 
 def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
     """The TX output for a 1-D sequence of 0s and 1s (one bit per UI,
-    DDR), as bit-table rows rendered only when read; ``ui_s`` must
+    DDR), as its bit-table rows, for ``channel_apply``; ``ui_s`` must
     satisfy UI_RULE.  ValueError otherwise."""
     check("ui_s", "float", UI_RULE, ui_s)
     codes = (check_bits("bits", bits) > 0).view(np.uint8)
@@ -258,15 +240,17 @@ class _Channel:
         return samples
 
 
-def channel_apply(w: Waveform, cfg: ChannelConfig, rng=None):
-    """Low-pass and add noise; identity when the trace length is 0.
+def channel_apply(w: _DrivenWaveform, cfg: ChannelConfig, rng=None):
+    """Low-pass and add noise to the waveform ``drive`` returns, TypeError
+    for anything else; identity when the trace length is 0.
 
     The output is allocated once and filled a block at a time: each
-    block of ``w``'s samples runs through the same fresh stage, whose
-    carried filter state and noise generator make that equal one pass
-    over the whole waveform, bit for bit.  A driven waveform is thus
-    rendered only a block at a time, and ``w``'s samples are never written.
+    block of ``w``'s rows is rendered and run through the same fresh
+    stage, whose carried filter state and noise generator make that
+    equal one pass over the whole waveform, bit for bit.
     """
+    if not isinstance(w, _DrivenWaveform):
+        raise TypeError(f"channel_apply takes the waveform drive returns, got {type(w).__name__}")
     if rng is None:
         rng = np.random.default_rng(0)
     stage = _Channel(cfg.pole_hz(), w.dt_s, cfg.noise_sigma_v, rng)
@@ -295,7 +279,9 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     low sample) at the best phase; width is the contiguous phase span
     around it where the opening stays within 0.1% of the best.  ``w.ui_s``
     must be finite and at least the sample period (UI_RULE's 50 ps floor
-    serves the event scheduler only), and ``n_ui`` an integer >= 1.
+    serves the event scheduler only), and ``n_ui`` an integer >= 1.  The
+    first ``n_ui // 2`` two-UI traces are folded, so an odd ``n_ui``
+    folds one UI fewer than it names.
 
     The folded ``(traces, 2*spu)`` matrix is walked in blocks of
     ``_EYE_BLOCK_TRACES`` traces, so temporaries stay small.  Column c
@@ -310,16 +296,17 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
           w.ui_s)
     check("n_ui", "int", (">= 1", lambda v: v >= 1), n_ui)
     spu = int(round(w.ui_s / w.dt_s))
-    span_ui = (len(w.samples) - 1) / spu
+    samples = w.samples  # a driven waveform renders on each read
+    span_ui = (len(samples) - 1) / spu
     if span_ui < n_ui:
         raise InsufficientSpan(f"waveform spans {span_ui:.1f} UI, need {n_ui}")
     window = 2 * spu
     n_traces = n_ui // 2
-    folded = w.samples[:n_traces * window].reshape(n_traces, window)
+    folded = samples[:n_traces * window].reshape(n_traces, window)
 
     pe = np.linspace(0.0, 2.0, window + 1)
-    vmin = float(w.samples.min())
-    vmax = max(float(w.samples.max()), vmin + 1e-12)
+    vmin = float(samples.min())
+    vmax = max(float(samples.max()), vmin + 1e-12)
     ve = np.histogram_bin_edges([], EYE_VOLT_BINS, (vmin, vmax))
     pbin = np.searchsorted(pe, np.arange(window) / spu, side="right") - 1
     norm = EYE_VOLT_BINS / (ve[-1] - ve[0])
@@ -374,14 +361,19 @@ def _sample_positions():
     return np.arange(_STREAM_KEEP, dtype=float)
 
 
-def _checked_times(times):
-    """``times`` as a new float array, with its earliest and latest value
-    (None if empty); ValueError unless 1-D and finite."""
+def _checked_times(times, jitter=None, sigma=0.0):
+    """``times`` as a new float array, each moved by a draw from
+    ``jitter.normal(0, sigma)`` if a generator is given, with its earliest
+    and latest value (None if empty); ValueError unless 1-D and finite,
+    and then nothing is drawn."""
     times = np.array(times, dtype=float)  # a copy, worked in place
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
     if not times.size:
         return times, None, None
+    # a rejected call draws nothing; count_nonzero beats all() on short arrays
+    if jitter is not None and np.count_nonzero(np.isfinite(times)) == len(times):
+        times += jitter.normal(0.0, sigma, times.shape)
     # one sort finds both extremes (a NaN last) faster than min() and max()
     ends = times.copy()
     ends.sort()
@@ -454,7 +446,7 @@ class StreamingNrz:
         codes = np.frombuffer(bytes((self._prev_code,)) + pending[:take + 1], np.uint8)
         self._prev_code = pending[take - 1]
         del pending[:take]
-        raw = self._channel.apply(_gather(self._table, codes))
+        raw = self._channel.apply(_render_rows(self._table, _table_rows(codes)))
         buf, end, kept = self._buf, self._end, len(self._window()[1])
         if end + len(raw) > len(buf):  # full: move the window to the front
             buf[:kept] = buf[end - kept:end]
@@ -484,7 +476,11 @@ class StreamingNrz:
         sample, and one at or past the last rendered sample reads that
         one; a time before samples already dropped raises OutOfRange.
         """
-        times, t_min, t_max = _checked_times(times)
+        return self._voltage(*_checked_times(times))
+
+    def _voltage(self, times, t_min, t_max):
+        """``voltage`` at checked ``times``, a new array worked in place,
+        whose earliest and latest values are ``t_min`` and ``t_max``."""
         if not times.size:
             return times
         delay, dt = self.cfg.prop_delay_s, self.dt_s
@@ -505,9 +501,11 @@ class StreamingNrz:
 
     def sample_bits(self, times):
         """Comparator decisions at ``times``, jittered if the channel sets ``rj_sigma_s``."""
-        if self.cfg.rj_sigma_s > 0:
-            times = _checked_times(times)[0]  # first, so a rejected call draws nothing
-            times += self._jitter.normal(0.0, self.cfg.rj_sigma_s, times.shape)
+        sigma = self.cfg.rj_sigma_s
+        if sigma > 0:  # drawn inside the one check of the times
+            volts = self._voltage(*_checked_times(times, self._jitter, sigma))
+        else:
+            volts = self.voltage(times)
         # 0 V decides 0, and interpolation roundoff near an exact
         # transition must not turn a 0 V crossing into a 1
-        return (self.voltage(times) > 1e-9).view(np.int8)
+        return (volts > 1e-9).view(np.int8)

@@ -74,7 +74,8 @@ def test_table_render_is_the_trapezoid_bitwise(codes, prev, nxt, rise, swing):
     levels = [alphabet[c] for c in codes]
     want = phy._render_trapezoid(levels, phy.SAMPLES_PER_UI, rise,
                                  alphabet[prev], alphabet[nxt])
-    got = phy._gather(phy._bit_table(swing, rise), np.array([prev] + codes + [nxt]))
+    rows = phy._table_rows(np.array([prev] + codes + [nxt]))
+    got = phy._render_rows(phy._bit_table(swing, rise), rows)
     assert got.tobytes() == want.tobytes()
     # drive: a bit is its own code, the ends are their own neighbours
     bits = [c for c in codes if c != phy.IDLE] or [1]
@@ -105,11 +106,10 @@ def test_zero_trace_is_identity():
 
 
 def test_channel_filter_is_linear():
-    cfg = ChannelConfig(trace_length_cm=3.0)
-    rng = np.random.default_rng(51)
-    w = drive(rng.integers(0, 2, 64), cfg)
-    once = channel_apply(w, cfg).samples
-    scaled = channel_apply(phy.Waveform(w.ui_s, w.dt_s, 2.5 * w.samples), cfg).samples
+    bits = np.random.default_rng(51).integers(0, 2, 64)
+    once, scaled = (channel_apply(drive(bits, cfg), cfg).samples
+                    for cfg in (ChannelConfig(trace_length_cm=3.0, swing=swing)
+                                for swing in (0.44, 1.1)))
     assert np.allclose(scaled, 2.5 * once)
 
 
@@ -139,34 +139,43 @@ _BLOCK_UIS = phy._NOISE_BLOCK // phy.SAMPLES_PER_UI
 @pytest.mark.parametrize("noise", [0.0, 0.02])
 @pytest.mark.parametrize("n_ui", [k * _BLOCK_UIS + d for k in (1, 2) for d in (-1, 0, 1)])
 def test_channel_apply_in_blocks_equals_one_pass(length, noise, n_ui):
-    # a driven waveform and one built from its samples both fill the
-    # output block by block; each equals one stage run over the whole
-    # waveform with the same generator, and the samples are never written
+    # a driven waveform fills the output block by block, equal to one
+    # stage run over the whole waveform with the same generator
     cfg = ChannelConfig(trace_length_cm=length, noise_sigma_v=noise)
     bits = np.random.default_rng(n_ui).integers(0, 2, n_ui)
     driven = drive(bits, cfg)
-    samples = drive(bits, cfg).samples
-    before = samples.copy()
     want = phy._Channel(cfg.pole_hz(), driven.dt_s, noise,
-                        np.random.default_rng(9)).apply(samples.copy())
-    for wave in (driven, phy.Waveform(driven.ui_s, driven.dt_s, samples)):
-        got = channel_apply(wave, cfg, rng=np.random.default_rng(9))
-        assert (got.ui_s, got.dt_s) == (driven.ui_s, driven.dt_s)
-        assert got.samples.tobytes() == want.tobytes()
-    assert samples.tobytes() == before.tobytes()
+                        np.random.default_rng(9)).apply(driven.samples)
+    got = channel_apply(driven, cfg, rng=np.random.default_rng(9))
+    assert (got.ui_s, got.dt_s) == (driven.ui_s, driven.dt_s)
+    assert got.samples.tobytes() == want.tobytes()
 
 
-def test_driven_samples_once_read_or_replaced_are_the_waveform():
+def test_a_driven_waveform_is_its_rows(monkeypatch):
+    # its samples are rendered from its rows on every read and are never
+    # replaced, and channel_apply takes nothing else
     cfg = ChannelConfig(trace_length_cm=2.0)
     bits = np.random.default_rng(64).integers(0, 2, _BLOCK_UIS + 5)
     driven = drive(bits, cfg)
-    assert driven.samples.tobytes() == drive(bits, cfg).samples.tobytes()
-    assert len(driven) == len(driven.samples) == len(bits) * phy.SAMPLES_PER_UI
-    scaled = drive(bits, cfg)
-    scaled.samples = 2.5 * scaled.samples[:-7]
-    assert len(scaled) == len(driven.samples) - 7
-    want = channel_apply(phy.Waveform(scaled.ui_s, scaled.dt_s, scaled.samples), cfg)
-    assert channel_apply(scaled, cfg).samples.tobytes() == want.samples.tobytes()
+    levels = np.where(bits > 0, cfg.swing / 2, -cfg.swing / 2)
+    whole = phy._render_trapezoid(levels, phy.SAMPLES_PER_UI, cfg.rise_time_ui,
+                                  levels[0], levels[-1])
+    first, second = driven.samples, driven.samples
+    assert first is not second
+    assert first.tobytes() == second.tobytes() == whole.tobytes()
+    with pytest.raises(AttributeError):
+        driven.samples = 2.5 * first
+    with pytest.raises(TypeError, match="^channel_apply takes the waveform drive returns"):
+        channel_apply(phy.Waveform(driven.ui_s, driven.dt_s, first), cfg)
+    reads = []
+    render = phy._DrivenWaveform.samples.fget
+    monkeypatch.setattr(phy._DrivenWaveform, "samples",
+                        property(lambda w: reads.append(w) or render(w)))
+    eye = eye_capture(driven, n_ui=_BLOCK_UIS)
+    assert len(reads) == 1
+    want = eye_capture(phy.Waveform(driven.ui_s, driven.dt_s, whole), n_ui=_BLOCK_UIS)
+    for field, value in vars(want).items():
+        assert np.array_equal(getattr(eye, field), value), field
 
 
 def test_noisy_eye_waveform_is_built_without_a_second_waveform():
@@ -241,7 +250,8 @@ def _calibration_eye_height(tau_s):
     rng = np.random.default_rng(20210906)
     bits = rng.integers(0, 2, 480)
     w = drive(bits, ChannelConfig(swing=0.44))
-    w.samples = phy._Channel(1.0 / (2.0 * math.pi * tau_s), w.dt_s).apply(w.samples)
+    stage = phy._Channel(1.0 / (2.0 * math.pi * tau_s), w.dt_s)
+    w = phy.Waveform(w.ui_s, w.dt_s, stage.apply(w.samples))
     return eye_capture(w, n_ui=400).eye_height_v
 
 
@@ -320,6 +330,20 @@ def test_a_rejected_sample_call_draws_no_jitter(bad):
                 stream.sample_bits(bad)
         decided.append(stream.sample_bits(times).tobytes())
     assert decided[0] == decided[1]
+
+
+@pytest.mark.parametrize("rj_sigma_s", [0.0, 0.2 * UI_S])
+def test_sample_bits_checks_its_times_once(rj_sigma_s, monkeypatch):
+    # a jittered call used to convert, copy and sort its times twice:
+    # once before the jitter draw and again inside voltage
+    calls = []
+    checked = phy._checked_times
+    monkeypatch.setattr(phy, "_checked_times", lambda *a: calls.append(a) or checked(*a))
+    stream = StreamingNrz(ChannelConfig(rj_sigma_s=rj_sigma_s))
+    stream.push_levels([1, 0] * 300)
+    for n in (1, 16, 64):
+        stream.sample_bits(np.linspace(20, 200, n) * UI_S)
+    assert len(calls) == 3
 
 
 def test_sample_sign_decisions():
