@@ -307,11 +307,10 @@ def build_parser():
 
     p = sub.add_parser("eye", help="capture an eye diagram")
     common(p)
-    # two 2-UI traces are the fewest that can show an opening; the upper
-    # bounds here and below keep each command's peak memory under about
-    # 1 GB (about 0.27 KB per eye UI, 20 B per ber bit, 50 B per lock bit)
-    p.add_argument("--ui", type=_count(4, 10**6), default=phy.DEFAULT_EYE_UIS,
-                   help="unit intervals to superimpose, 4 to 1000000; "
+    # the upper bounds here and below keep each command's peak memory under
+    # about 1 GB (about 0.27 KB per eye UI, 20 B per ber bit, 50 B per lock bit)
+    p.add_argument("--ui", type=_count(phy.EYE_MIN_UIS, 10**6), default=phy.DEFAULT_EYE_UIS,
+                   help=f"unit intervals to superimpose, {phy.EYE_MIN_UIS} to 1000000; "
                         "folded in 2-UI traces, so an odd count folds one UI fewer")
     p.set_defaults(fn=cmd_eye)
 

@@ -116,7 +116,9 @@ class GpioWire:
         level = int(bool(level))
         if level != self.level:
             self.level = level
-            self._log(node.name, self.name, level, forced=node is not self.owner)
+            self._log(node.name, self.name, level)
+            if node is not self.owner:  # flag the forced drive in its own row
+                self._log(node.name, f"{self.name}_forced", 1)
 
 
 @dataclass
@@ -266,10 +268,8 @@ class EventLog:
         self.sim = sim
         self.rows = []
 
-    def __call__(self, node, signal_name, value, forced=False):
+    def __call__(self, node, signal_name, value):
         self.rows.append((self.sim.now_s, node, signal_name, value))
-        if forced:
-            self.rows.append((self.sim.now_s, node, f"{signal_name}_forced", 1))
 
 
 # rx_digital/tx_digital state while a side's warm_en is set

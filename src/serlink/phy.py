@@ -9,10 +9,11 @@ The channel is a pure delay plus one stage, ``_Channel``: a first-order
 low-pass whose pole is derived from the trace length by a two-point
 calibration map, plus additive Gaussian noise, carrying its state from
 one block of samples to the next.  ``drive`` returns only bit-table
-rows; ``channel_apply`` takes only those and fills the whole filtered
-waveform (eye folding needs it whole), rendering and filtering a block
-of rows at a time, so the driven waveform is never held whole beside
-it; ``StreamingNrz`` runs each chunk through the one stage it keeps.
+rows.  One loop, ``_filter_rows``, renders and filters rows a block at
+a time for both paths: ``channel_apply`` takes only ``drive``'s rows
+and fills the whole filtered waveform (eye folding needs it whole), so
+the driven waveform is never held whole beside it, and ``StreamingNrz``
+fills its window a chunk at a time through the one stage it keeps.
 Comparators return the sign of the sampled differential voltage, at
 instants the stream jitters itself; an eye folds at its waveform's UI.
 """
@@ -58,10 +59,11 @@ IDLE = 2                   # the 0 V idle level's driver code; a bit is its own 
 _CODES = {code: code for code in (0, 1, IDLE)}  # push_levels's lookup
 SAMPLES_PER_UI = 32
 DEFAULT_EYE_UIS = 150
+EYE_MIN_UIS = 4            # two 2-UI traces are the fewest that can show an opening
 EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # most bits a stream renders at once
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
-_NOISE_BLOCK = 1 << 16     # samples channel_apply renders and filters per block
+_NOISE_BLOCK = 1 << 16     # samples _filter_rows renders and filters per block
 # samples a stream retains: four chunks.  Rendered only as sampling needs
 # it, the window spans one sampling call of one chunk of RX UI (two of TX
 # at the largest frequency offset), one chunk rendered past it and a
@@ -114,18 +116,6 @@ class Waveform:
     samples: np.ndarray
 
 
-@functools.lru_cache(maxsize=None)
-def _ramps(spu, rise_ui):
-    """Ramp geometry of one bit: leading and trailing sample counts and
-    the fraction of the step each of those samples has reached.  Every
-    render shares the cached arrays, so nothing may write to them."""
-    half = rise_ui / 2.0
-    offs = np.arange(spu) / float(spu)  # sample offset within each bit, in UI
-    lead = offs[offs < half]            # still ramping from the previous level
-    tail = offs[offs > 1.0 - half]      # ramping toward the next level
-    return len(lead), lead / rise_ui + 0.5, len(tail), (tail - 1.0) / rise_ui + 0.5
-
-
 def _render_trapezoid(levels, spu, rise_ui, prev_level, next_level):
     """NRZ trapezoid on the sample grid; ramps centered on bit boundaries."""
     levels = np.asarray(levels, dtype=float)
@@ -133,14 +123,19 @@ def _render_trapezoid(levels, spu, rise_ui, prev_level, next_level):
     out = np.repeat(levels, spu)
     if rise_ui <= 0 or n == 0:
         return out
-    n_lead, lead_frac, n_tail, tail_frac = _ramps(spu, rise_ui)
+    half = rise_ui / 2.0
+    offs = np.arange(spu) / float(spu)  # sample offset within each bit, in UI
+    # the fraction of the step reached by each sample still ramping from
+    # the previous level, and by each ramping toward the next level
+    lead = offs[offs < half] / rise_ui + 0.5
+    tail = (offs[offs > 1.0 - half] - 1.0) / rise_ui + 0.5
     bits = out.reshape(n, spu)
-    if n_lead:
+    if len(lead):
         prevs = np.concatenate(([prev_level], levels[:-1]))
-        bits[:, :n_lead] = prevs[:, None] + (levels - prevs)[:, None] * lead_frac
-    if n_tail:
+        bits[:, :len(lead)] = prevs[:, None] + (levels - prevs)[:, None] * lead
+    if len(tail):
         nexts = np.concatenate((levels[1:], [next_level]))
-        bits[:, spu - n_tail:] = levels[:, None] + (nexts - levels)[:, None] * tail_frac
+        bits[:, spu - len(tail):] = levels[:, None] + (nexts - levels)[:, None] * tail
     return out
 
 
@@ -177,8 +172,9 @@ def _render_rows(table, rows):
 
 class _DrivenWaveform:
     """What ``drive`` returns: its bit-table rows, one ``uint8`` per UI.
-    ``samples`` renders every row on each read and ``_blocks`` a block at
-    a time, so a filtered eye never holds the driven waveform whole."""
+    ``samples`` renders every row on each read; ``channel_apply`` renders
+    them through ``_filter_rows``, so a filtered eye never holds the
+    driven waveform whole."""
 
     def __init__(self, ui_s, table, rows):
         self.ui_s, self.dt_s = ui_s, ui_s / SAMPLES_PER_UI
@@ -187,14 +183,6 @@ class _DrivenWaveform:
     @property
     def samples(self):
         return _render_rows(self._table, self._rows)
-
-    def __len__(self):
-        return len(self._rows) * SAMPLES_PER_UI
-
-    def _blocks(self):
-        per_block = _NOISE_BLOCK // SAMPLES_PER_UI
-        for lo in range(0, len(self._rows), per_block):
-            yield _render_rows(self._table, self._rows[lo:lo + per_block])
 
 
 def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
@@ -240,25 +228,30 @@ class _Channel:
         return samples
 
 
-def channel_apply(w: _DrivenWaveform, cfg: ChannelConfig, rng=None):
-    """Low-pass and add noise to the waveform ``drive`` returns, TypeError
-    for anything else; identity when the trace length is 0.
+def _filter_rows(stage, table, rows, out):
+    """Render bit-table ``rows`` through ``stage`` into ``out``, which
+    holds ``SAMPLES_PER_UI`` samples per row, ``_NOISE_BLOCK`` samples at
+    a time: the stage carries its filter state and noise generator from
+    block to block, so that equals one pass over every row, bit for bit."""
+    per_block = _NOISE_BLOCK // SAMPLES_PER_UI
+    for lo in range(0, len(rows), per_block):
+        block = stage.apply(_render_rows(table, rows[lo:lo + per_block]))
+        out[lo * SAMPLES_PER_UI:lo * SAMPLES_PER_UI + len(block)] = block
 
-    The output is allocated once and filled a block at a time: each
-    block of ``w``'s rows is rendered and run through the same fresh
-    stage, whose carried filter state and noise generator make that
-    equal one pass over the whole waveform, bit for bit.
-    """
+
+def channel_apply(w: _DrivenWaveform, cfg: ChannelConfig, rng=None):
+    """Low-pass and add noise to the waveform ``drive`` returns, drawing
+    from ``rng`` (a ``np.random.Generator``, seeded 0 if None); TypeError
+    for anything else.  Identity when the trace length is 0.  The output
+    is allocated once and filled by ``_filter_rows``."""
     if not isinstance(w, _DrivenWaveform):
         raise TypeError(f"channel_apply takes the waveform drive returns, got {type(w).__name__}")
     if rng is None:
         rng = np.random.default_rng(0)
-    stage = _Channel(cfg.pole_hz(), w.dt_s, cfg.noise_sigma_v, rng)
-    out = np.empty(len(w))
-    lo = 0
-    for block in w._blocks():
-        out[lo:lo + len(block)] = stage.apply(block)
-        lo += len(block)
+    elif not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy Generator or None, got {type(rng).__name__}")
+    out = np.empty(len(w._rows) * SAMPLES_PER_UI)
+    _filter_rows(_Channel(cfg.pole_hz(), w.dt_s, cfg.noise_sigma_v, rng), w._table, w._rows, out)
     return Waveform(w.ui_s, w.dt_s, out)
 
 
@@ -279,9 +272,9 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     low sample) at the best phase; width is the contiguous phase span
     around it where the opening stays within 0.1% of the best.  ``w.ui_s``
     must be finite and at least the sample period (UI_RULE's 50 ps floor
-    serves the event scheduler only), and ``n_ui`` an integer >= 1.  The
-    first ``n_ui // 2`` two-UI traces are folded, so an odd ``n_ui``
-    folds one UI fewer than it names.
+    serves the event scheduler only), and ``n_ui`` an integer >=
+    ``EYE_MIN_UIS``.  The first ``n_ui // 2`` two-UI traces are folded,
+    so an odd ``n_ui`` folds one UI fewer than it names.
 
     The folded ``(traces, 2*spu)`` matrix is walked in blocks of
     ``_EYE_BLOCK_TRACES`` traces, so temporaries stay small.  Column c
@@ -294,7 +287,7 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     """
     check("ui_s", "float", (f">= the sample period {w.dt_s:g}", lambda v: v >= w.dt_s),
           w.ui_s)
-    check("n_ui", "int", (">= 1", lambda v: v >= 1), n_ui)
+    check("n_ui", "int", (f">= {EYE_MIN_UIS}", lambda v: v >= EYE_MIN_UIS), n_ui)
     spu = int(round(w.ui_s / w.dt_s))
     samples = w.samples  # a driven waveform renders on each read
     span_ui = (len(samples) - 1) / spu
@@ -391,10 +384,11 @@ class StreamingNrz:
     queues them, a byte each (``cdr.recover_stream`` pushes its whole 1-D
     0/1 sequence at once).  ``ensure`` alone renders, a chunk at a time
     when a sample needs it, so the window follows the sampling whatever
-    the delay.  ``voltage`` evaluates the delayed, filtered, noisy
-    waveform at arbitrary times within the window; ``sample_bits``
-    decides there, jittered by the stream's own generator.  One pending
-    code is always held back so boundary ramps see their next level.
+    the delay.  ``sample_bits`` decides at arbitrary times within the
+    window, jittered by the stream's own generator, on the delayed,
+    filtered, noisy waveform that ``_voltage`` interpolates there.  One
+    pending code is always held back so boundary ramps see their next
+    level.
 
     The window, the newest ``_STREAM_KEEP`` samples, starts at the
     integer index rendered minus kept, so its time is exact however the
@@ -446,13 +440,13 @@ class StreamingNrz:
         codes = np.frombuffer(bytes((self._prev_code,)) + pending[:take + 1], np.uint8)
         self._prev_code = pending[take - 1]
         del pending[:take]
-        raw = self._channel.apply(_render_rows(self._table, _table_rows(codes)))
         buf, end, kept = self._buf, self._end, len(self._window()[1])
-        if end + len(raw) > len(buf):  # full: move the window to the front
+        n = take * SAMPLES_PER_UI  # at most one _filter_rows block
+        if end + n > len(buf):  # full: move the window to the front
             buf[:kept] = buf[end - kept:end]
             end = kept
-        buf[end:end + len(raw)] = raw
-        self._end = end + len(raw)
+        _filter_rows(self._channel, self._table, _table_rows(codes), buf[end:end + n])
+        self._end = end + n
         self._nbits += take
 
     @property
@@ -468,19 +462,17 @@ class StreamingNrz:
                 raise OutOfRange(f"waveform not rendered up to {t_s * 1e9:.3f} ns")
             self._render(min(STREAM_CHUNK_BITS, len(self._pending) - 1))
 
-    def voltage(self, times):
-        """Linear interpolation of the rendered samples, by np.interp.
+    def _voltage(self, times, jitter=None):
+        """Linear interpolation of the rendered samples, by np.interp, at
+        ``times``, each moved by a ``rj_sigma_s`` draw from ``jitter`` if
+        a generator is given.
 
         ``times`` must be a 1-D sequence of finite values, else ValueError.
         A time before the first sample ever rendered reads that (settled)
         sample, and one at or past the last rendered sample reads that
         one; a time before samples already dropped raises OutOfRange.
         """
-        return self._voltage(*_checked_times(times))
-
-    def _voltage(self, times, t_min, t_max):
-        """``voltage`` at checked ``times``, a new array worked in place,
-        whose earliest and latest values are ``t_min`` and ``t_max``."""
+        times, t_min, t_max = _checked_times(times, jitter, self.cfg.rj_sigma_s)
         if not times.size:
             return times
         delay, dt = self.cfg.prop_delay_s, self.dt_s
@@ -501,11 +493,7 @@ class StreamingNrz:
 
     def sample_bits(self, times):
         """Comparator decisions at ``times``, jittered if the channel sets ``rj_sigma_s``."""
-        sigma = self.cfg.rj_sigma_s
-        if sigma > 0:  # drawn inside the one check of the times
-            volts = self._voltage(*_checked_times(times, self._jitter, sigma))
-        else:
-            volts = self.voltage(times)
+        jitter = self._jitter if self.cfg.rj_sigma_s > 0 else None
         # 0 V decides 0, and interpolation roundoff near an exact
         # transition must not turn a 0 V crossing into a 1
-        return (volts > 1e-9).view(np.int8)
+        return (self._voltage(times, jitter) > 1e-9).view(np.int8)

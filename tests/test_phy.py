@@ -151,6 +151,16 @@ def test_channel_apply_in_blocks_equals_one_pass(length, noise, n_ui):
     assert got.samples.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+@pytest.mark.parametrize("rng", [5, np.random.RandomState(0), "0"])
+def test_channel_apply_rejects_a_bad_rng(noise, rng):
+    # a noisy channel used to fail with a bare AttributeError on .normal,
+    # and a noiseless one ignored the bad generator
+    cfg = ChannelConfig(noise_sigma_v=noise)
+    with pytest.raises(TypeError, match=r"^rng must be a numpy Generator or None, got "):
+        channel_apply(drive([1, 0] * 8, cfg), cfg, rng=rng)
+
+
 def test_a_driven_waveform_is_its_rows(monkeypatch):
     # its samples are rendered from its rows on every read and are never
     # replaced, and channel_apply takes nothing else
@@ -200,7 +210,7 @@ def test_empty_inputs_give_empty_results(length, noise):
     cfg = ChannelConfig(trace_length_cm=length, noise_sigma_v=noise, rj_sigma_s=3e-12)
     assert channel_apply(drive([], cfg), cfg).samples.size == 0
     stream = StreamingNrz(cfg)
-    assert stream.voltage([]).size == 0
+    assert stream._voltage([]).size == 0
     assert stream.sample_bits([]).size == 0
     assert stream._nbits == 0
     # an empty block touches neither the filter state nor the noise draws
@@ -286,7 +296,7 @@ def test_sample_bits_draws_the_comparators_own_jitter(seed):
     ref = StreamingNrz(cfg, seed=seed)
     ref.push_levels(codes)
     jitter = np.random.default_rng([seed, 0xCD]).normal(0.0, cfg.rj_sigma_s, times.shape)
-    want = [(ref.voltage(t) > 1e-9).astype(np.int8).tobytes() for t in times + jitter]
+    want = [(ref._voltage(t) > 1e-9).astype(np.int8).tobytes() for t in times + jitter]
     assert got == want
 
 
@@ -308,8 +318,8 @@ def test_times_must_be_a_1d_sequence_of_finite_values(times, rendered, rj_sigma_
     stream = StreamingNrz(ChannelConfig(rj_sigma_s=rj_sigma_s))
     stream.push_levels([1, 0] * 300)
     if rendered:
-        stream.voltage([10 * UI_S])
-    for call in (stream.voltage, stream.sample_bits):
+        stream._voltage([10 * UI_S])
+    for call in (stream._voltage, stream.sample_bits):
         with pytest.raises(ValueError, match=r"^times must be (a 1-D sequence|finite), got "):
             call(times)
 
@@ -344,6 +354,17 @@ def test_sample_bits_checks_its_times_once(rj_sigma_s, monkeypatch):
     for n in (1, 16, 64):
         stream.sample_bits(np.linspace(20, 200, n) * UI_S)
     assert len(calls) == 3
+
+
+def test_an_unjittered_sample_call_draws_nothing():
+    # sample_bits hands the shared sampling body the channel's rj_sigma_s
+    # either way, so only its choice of generator keeps a 0 s channel
+    # from drawing
+    stream = StreamingNrz(ChannelConfig(trace_length_cm=2.0))
+    stream.push_levels([1, 0] * 300)
+    before = stream._jitter.bit_generator.state
+    stream.sample_bits(np.linspace(20, 200, 64) * UI_S)
+    assert stream._jitter.bit_generator.state == before
 
 
 def test_sample_sign_decisions():
@@ -407,10 +428,11 @@ def test_drive_and_eye_capture_reject_a_bad_ui(ui_s):
             eye_capture(wave)
 
 
-@pytest.mark.parametrize("n_ui", [float("nan"), -4, 2.5])
+@pytest.mark.parametrize("n_ui", [float("nan"), -4, 2.5, 1, 2, 3])
 def test_eye_capture_rejects_a_bad_span(n_ui):
-    # -4 used to return an all-zero eye, and nan fail inside numpy
-    with pytest.raises(ValueError, match=r"^n_ui must be an integer, >= 1, got "):
+    # -4 and 1 used to return an all-zero eye, 2 and 3 an eye of height
+    # and width 0, and nan fail inside numpy
+    with pytest.raises(ValueError, match=r"^n_ui must be an integer, >= 4, got "):
         eye_capture(drive([1, 0] * 100, CLEAN), n_ui=n_ui)
 
 
@@ -479,7 +501,7 @@ _BLOCK_UI = 2 * phy._EYE_BLOCK_TRACES
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), spu=st.sampled_from([2, 3, 7, 32, 33]),
-       n_ui=st.one_of(st.integers(1, 41), st.integers(_BLOCK_UI + 1, _BLOCK_UI + 9)),
+       n_ui=st.one_of(st.integers(4, 41), st.integers(_BLOCK_UI + 1, _BLOCK_UI + 9)),
        extra=st.integers(1, 70), flat=st.booleans(), tail_extremes=st.booleans())
 @example(seed=1, spu=32, n_ui=_BLOCK_UI + 3, extra=5, flat=False, tail_extremes=True)
 @example(seed=2, spu=7, n_ui=151, extra=1, flat=True, tail_extremes=False)
@@ -533,7 +555,7 @@ def test_streaming_matches_batch_rendering():
     stream.push_levels(bits.tolist())
     # the streamed line starts from idle (0 V); skip the startup settling
     times = np.arange(1000, 60000) * (UI_S / 100)
-    got = stream.voltage(times)
+    got = stream._voltage(times)
     want = np.interp(times / whole.dt_s, np.arange(len(whole.samples)), whole.samples)
     assert np.allclose(got, want, atol=1e-9)
 
@@ -541,7 +563,7 @@ def test_streaming_matches_batch_rendering():
 def test_streaming_idle_levels_render_as_zero():
     stream = StreamingNrz(CLEAN)
     stream.push_levels([phy.IDLE] * 40 + [1] * 300)
-    v = stream.voltage(np.array([10 * UI_S]))
+    v = stream._voltage(np.array([10 * UI_S]))
     assert v[0] == 0.0
 
 
@@ -549,7 +571,7 @@ def test_streaming_guards_unrendered_span():
     stream = StreamingNrz(CLEAN)
     stream.push_levels([1, 0] * 8)
     with pytest.raises(OutOfRange):
-        stream.voltage(np.array([1.0]))
+        stream._voltage(np.array([1.0]))
 
 
 def test_streaming_voltage_is_np_interp_bitwise():
@@ -566,7 +588,7 @@ def test_streaming_voltage_is_np_interp_bitwise():
     times = np.minimum(times, np.nextafter(stream.frontier_s, -np.inf))
     rel = (times - cfg.prop_delay_s - first * stream.dt_s) / stream.dt_s
     times, rel = times[rel >= 0], rel[rel >= 0]  # roundoff below sample 0
-    got = stream.voltage(times)
+    got = stream._voltage(times)
     assert stream._nbits == nbits  # sampling rendered nothing more
     assert rel.min() < 1e-9 and rel.max() > last - 1e-9  # first and last sample
     want = np.interp(rel, np.arange(last + 1), tail)
@@ -578,17 +600,17 @@ def test_streaming_time_before_first_sample_reads_it_settled():
     cfg = ChannelConfig(trace_length_cm=2.0, prop_delay_s=0.5e-9)
     stream = StreamingNrz(cfg)
     stream.push_levels([1] * 600)
-    v = stream.voltage(np.array([-3e-12, 0.0, cfg.prop_delay_s]))
+    v = stream._voltage(np.array([-3e-12, 0.0, cfg.prop_delay_s]))
     assert v.tolist() == [stream._window()[1][0]] * 3
     # once samples are dropped, an earlier time is out of the window
     stream.push_levels([1] * 2000)
     stream.ensure(1500 * UI_S)
     with pytest.raises(OutOfRange):
-        stream.voltage(np.array([0.0]))
+        stream._voltage(np.array([0.0]))
 
 
 def _np_interp_reference(stream, codes, seed, times):
-    """What ``stream.voltage(times)`` must return, or None where it must
+    """What ``stream._voltage(times)`` must return, or None where it must
     raise OutOfRange, read from the stream after the call.
 
     The waveform is rendered in one piece from the codes the stream has
@@ -654,7 +676,7 @@ def test_streamed_sampling_matches_np_interp_reference(length, delay, noisy, see
         except OutOfRange:
             return stream, None
 
-    stream, got = run(lambda s: s.voltage(times))
+    stream, got = run(lambda s: s._voltage(times))
     want = _np_interp_reference(stream, codes, seed, times)
     assert (got is None) == (want is None)
     if want is not None:
@@ -721,7 +743,7 @@ def test_streamed_voltages_do_not_depend_on_the_chunking():
         for lo in range(0, len(codes), burst):
             stream.push_levels(codes[lo:lo + burst])
             stream.ensure((min(lo + burst, len(codes)) - 2) * UI_S + cfg.prop_delay_s)
-        sampled.add(stream.voltage(times).tobytes())
+        sampled.add(stream._voltage(times).tobytes())
     assert len(sampled) == 1
 
 
