@@ -10,7 +10,7 @@ from serlink import energy, node
 
 
 def show(report):
-    print(f"  delivered {report.delivered_bytes}/{report.expected_bytes} bytes, "
+    print(f"  delivered {report.delivered_bytes}/{report.config.payload_bytes} bytes, "
           f"mismatches {report.mismatches}, capture shift {report.shift_used}")
     print(f"  programming latency {report.programming_latency_s * 1e6:.2f} us, "
           f"energy {report.energy_j * 1e6:.3f} uJ")

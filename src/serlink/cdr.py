@@ -36,6 +36,12 @@ LINK_RULES = {
 }
 
 
+def tx_ui_for(ui_s, freq_offset):
+    """The transmitter's unit interval when its serdes clock runs
+    ``freq_offset`` (fractional) fast against the receiver's ``ui_s``."""
+    return ui_s / (1.0 + freq_offset)
+
+
 class PdDecision(enum.Enum):
     EARLY = 1
     LATE = -1
@@ -276,7 +282,7 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
         check(name, "float", LINK_RULES[name], value)
     check("n_bits", "int", (f">= {BATCH_BITS}", lambda v: v >= BATCH_BITS), n_bits)
     tx_bits = phy.check_bits("tx_bits", tx_bits)
-    stream = phy.StreamingNrz(cfg, tx_ui_s=ui_s / (1.0 + freq_offset), seed=seed)
+    stream = phy.StreamingNrz(cfg, tx_ui_s=tx_ui_for(ui_s, freq_offset), seed=seed)
     stream.push_levels(tx_bits.astype(np.uint8).tobytes())
     loop = CdrLoop(stream, ui_s=ui_s, n=n, initial_phase_ui=initial_phase_ui,
                    include_boundary=include_boundary)

@@ -279,15 +279,6 @@ def _count(minimum, maximum):
     return count
 
 
-def _curve(name):
-    """argparse type: a reference curve name that energy.reference_curve knows."""
-    try:
-        energy.reference_curve(name)
-    except CurveOutOfRange as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return name
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="serlink",
@@ -316,8 +307,8 @@ def build_parser():
 
     p = sub.add_parser("energy", help="emit duty-cycle energy curves")
     common(p)
-    p.add_argument("--compare", metavar="CURVE", type=_curve,
-                   help=f"reference curve: one of {', '.join(energy.REFERENCE_CURVES)} (or 'spi')")
+    p.add_argument("--compare", metavar="CURVE", choices=energy.CURVE_NAMES,
+                   help=f"reference curve: one of {', '.join(energy.CURVE_NAMES)}")
     p.set_defaults(fn=cmd_energy)
 
     p = sub.add_parser("ber", help="closed-loop bit error rate")

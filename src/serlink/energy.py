@@ -132,6 +132,7 @@ REFERENCE_CURVES = ("single_spi", "quad_spi_sdr", "quad_spi_ddr",
                     "octal_spi_sdr", "octal_spi_ddr", "hyperbus")
 
 _CURVE_ALIASES = {"spi": "single_spi"}
+CURVE_NAMES = REFERENCE_CURVES + tuple(_CURVE_ALIASES)  # every name reference_curve takes
 
 
 def reference_curve(name):

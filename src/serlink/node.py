@@ -309,7 +309,6 @@ class LinkEngine:
         self.pipeline = control.RxPipeline(functools.partial(log, "rx"))
         self.loop = None
         self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
-        self.decode_errors = 0
         self.first_data_bit_s = None
         self._tx_quanta = 0
         self._prev_tx_state = control.TxState.IDLE
@@ -392,7 +391,6 @@ class LinkEngine:
             try:
                 words = pipeline.push_pair(pair)
             except CodecError as exc:
-                self.decode_errors += 1
                 self.log("rx", "decode_error", str(exc))
                 self.abort(f"decode failure during transfer: {exc}")
                 return
@@ -407,10 +405,9 @@ class LinkEngine:
 
 @dataclass
 class TransferReport:
-    scenario: str
+    config: LinkSimConfig
     ok: bool
     delivered_bytes: int
-    expected_bytes: int
     mismatches: int
     loss_of_lock: bool
     decode_errors: int
@@ -421,14 +418,13 @@ class TransferReport:
     gpio_edges: list
     events: list
     energy_j: float
-    seed: int
 
     def to_text(self):
         lines = [
-            f"scenario: {self.scenario}",
+            f"scenario: {self.config.scenario}",
             f"ok: {self.ok}",
             f"delivered_bytes: {self.delivered_bytes}",
-            f"expected_bytes: {self.expected_bytes}",
+            f"expected_bytes: {self.config.payload_bytes}",
             f"mismatches: {self.mismatches}",
             f"loss_of_lock: {self.loss_of_lock}",
             f"decode_errors: {self.decode_errors}",
@@ -436,7 +432,7 @@ class TransferReport:
             f"shift_used: {self.shift_used}",
             f"programming_latency_us: {self.programming_latency_s * 1e6:.6f}",
             f"energy_uj: {self.energy_j * 1e6:.6f}",
-            f"seed: {self.seed}",
+            f"seed: {self.config.seed}",
         ]
         for key in sorted(self.timestamps):
             lines.append(f"t_{key}_us: {self.timestamps[key] * 1e6:.6f}")
@@ -575,7 +571,7 @@ class LinkSimConfig:
 
     @property
     def tx_ui_s(self):
-        return self.ui_s / (1.0 + self.freq_offset)
+        return cdr.tx_ui_for(self.ui_s, self.freq_offset)
 
 
 def run_protocol(cfg: LinkSimConfig) -> TransferReport:
@@ -660,19 +656,18 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     if setup_cycles is None:
         setup_cycles = tx.program_cycles + rx.program_cycles
     return TransferReport(
-        scenario=cfg.scenario,
+        config=cfg,
         ok=not diagnostic,
         delivered_bytes=delivered,
-        expected_bytes=cfg.payload_bytes,
         mismatches=mismatches,
-        loss_of_lock=engine.aborted is not None and "LossOfLock" in engine.aborted,
-        decode_errors=engine.decode_errors,
+        # logged just before the LossOfLock abort, and the first abort ends the run
+        loss_of_lock=any(sig == "loss_of_lock" for _, _, sig, _ in log.rows),
+        decode_errors=sum(sig == "decode_error" for _, _, sig, _ in log.rows),
         diagnostic=diagnostic,
         shift_used=engine.pipeline.detector.shift,
         programming_latency_s=setup_cycles * MCU_PERIOD_PS / PS_PER_S,
         timestamps=timestamps,
         gpio_edges=gpio_edges,
-        events=list(log.rows),
+        events=log.rows,
         energy_j=energy_j,
-        seed=cfg.seed,
     )

@@ -8,9 +8,10 @@ from serlink import phy
 from serlink.cdr import (BATCH_BITS, LOCK_BATCHES, LOCK_TOL_UI,
                          MAX_BLOCK_BATCHES, PI_CODES, PI_STEP_UI,
                          VALID_DIVIDERS, BatchRecord, CdrLoop, CdrState,
-                         PdDecision, alexander_pd, loop_filter_update,
-                         offset_drift_ui_per_ui, pd_batch, pi_apply,
-                         recover_stream, slew_capacity_ui_per_ui)
+                         PdDecision, RecoveryResult, alexander_pd,
+                         loop_filter_update, offset_drift_ui_per_ui,
+                         pd_batch, pi_apply, recover_stream,
+                         slew_capacity_ui_per_ui)
 from serlink.errors import OutOfRange
 
 
@@ -187,6 +188,12 @@ def test_tracks_offset_without_errors():
                              initial_phase_ui=0.5, keep_trace=False)
         assert res.slips == 0
         assert res.errors_against(tx) == 0
+
+
+def test_errors_against_counts_an_error_at_bit_index_0():
+    res = RecoveryResult(bits=np.array([1, 0, 1]), bit_indices=np.array([0, 1, 2]),
+                         lock_time_s=None, slips=0, first_slip_s=None, pi_steps=0)
+    assert res.errors_against([0, 0, 1]) == 1
 
 
 def test_trace_is_deterministic():

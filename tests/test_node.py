@@ -365,21 +365,33 @@ def test_gpio_single_driver_enforced():
         wire.set(0, b)
 
 
+def _assert_outcome_is_the_log(report, cfg):
+    # the report keeps the config it ran and reads its outcome from the log
+    signals = [sig for (_, _, sig, _) in report.events]
+    assert report.loss_of_lock == ("loss_of_lock" in signals)
+    assert report.decode_errors == signals.count("decode_error")
+    assert report.config is cfg
+
+
 def test_large_offset_reports_loss_of_lock():
-    report = run_protocol(LinkSimConfig(payload_bytes=1024, freq_offset=0.02))
+    cfg = LinkSimConfig(payload_bytes=1024, freq_offset=0.02)
+    report = run_protocol(cfg)
     assert not report.ok
     assert report.loss_of_lock
     assert "LossOfLock" in report.diagnostic
+    _assert_outcome_is_the_log(report, cfg)
 
 
 def test_decode_failure_aborts_the_transfer():
-    report = run_protocol(LinkSimConfig(payload_bytes=64, seed=1,
-                                        channel=phy.ChannelConfig(noise_sigma_v=0.08)))
+    cfg = LinkSimConfig(payload_bytes=64, seed=1,
+                        channel=phy.ChannelConfig(noise_sigma_v=0.08))
+    report = run_protocol(cfg)
     assert not report.ok and not report.loss_of_lock
     assert report.decode_errors == 1
     assert report.diagnostic == ("decode failure during transfer: lane 3: "
                                  "0b0010101011 is not legal at POSITIVE disparity")
     assert [sig for (_, _, sig, _) in report.events].count("decode_error") == 1
+    _assert_outcome_is_the_log(report, cfg)
 
 
 @pytest.mark.parametrize("channel", [phy.ChannelConfig(rj_sigma_s=10e-9)])

@@ -161,6 +161,14 @@ def test_channel_apply_rejects_a_bad_rng(noise, rng):
         channel_apply(drive([1, 0] * 8, cfg), cfg, rng=rng)
 
 
+def test_channel_apply_without_a_generator_draws_from_seed_0():
+    cfg = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.01)
+    driven = drive(np.random.default_rng(300).integers(0, 2, 300), cfg)
+    got = channel_apply(driven, cfg)
+    want = channel_apply(driven, cfg, rng=np.random.default_rng(0))
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
 def test_a_driven_waveform_is_its_rows(monkeypatch):
     # its samples are rendered from its rows on every read and are never
     # replaced, and channel_apply takes nothing else
