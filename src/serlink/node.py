@@ -225,29 +225,31 @@ class Node:
         (the line cost, IRQ_ENTRY_CYCLES or n), a line then runs its fn, and
         line and irq cycles count toward the programming latency."""
 
-        def advance(i):
-            if i == len(steps):
-                if on_done is not None:
-                    on_done()
-                return
-            kind, _, *arg = steps[i]
-            nxt = i + 1
-            if kind == "wait":
-                if arg[0]():
-                    return advance(nxt)
-                cycles, nxt = 1, i  # poll again one MCU period later
-            else:
-                cycles = self.step_cycles(steps[i])
-                if kind != "wait_cycles":
-                    self.program_cycles += cycles
+        self._advance(steps, 0, on_done)
 
-            def fire():
-                if kind == "line":
-                    arg[0]()
-                advance(nxt)
-            self.sim.schedule(self.sim.now_ps + cycles * MCU_PERIOD_PS, fire)
+    def _advance(self, steps, i, on_done):
+        # a method, not a closure that calls itself, so a program leaves no
+        # reference cycle once its last event has run
+        if i == len(steps):
+            if on_done is not None:
+                on_done()
+            return
+        kind, _, *arg = steps[i]
+        nxt = i + 1
+        if kind == "wait":
+            if arg[0]():
+                return self._advance(steps, nxt, on_done)
+            cycles, nxt = 1, i  # poll again one MCU period later
+        else:
+            cycles = self.step_cycles(steps[i])
+            if kind != "wait_cycles":
+                self.program_cycles += cycles
 
-        advance(0)
+        def fire():
+            if kind == "line":
+                arg[0]()
+            self._advance(steps, nxt, on_done)
+        self.sim.schedule(self.sim.now_ps + cycles * MCU_PERIOD_PS, fire)
 
     def step_cycles(self, step):
         """The MCU cycles ``run_program`` spends on a step other than a wait."""
@@ -291,20 +293,23 @@ class LinkEngine:
     def __init__(self, sim, cfg: LinkSimConfig, tx: Node, rx: Node, log: EventLog):
         self.sim = sim
         self.cfg = cfg
-        self.rx = rx
+        self._rx_regs = rx.regs  # not the RX node: its register hook holds this engine
         self.log = log
         self.aborted = None
 
         self._cdc_ps = s_to_ps(CDC_SLOW_CYCLES * cfg.slow_cycle_s)
-        self.tx_fifo = Fifo(latency_ps=self._cdc_ps)
+        tx_fifo = Fifo(latency_ps=self._cdc_ps)
         self.rx_fifo = Fifo(latency_ps=self._cdc_ps + s_to_ps(
             DECODER_LATENCY_SLOW * cfg.slow_cycle_s))
-        tx.dma = DmaChannel("read", self.tx_fifo)
+        tx.dma = DmaChannel("read", tx_fifo)
         rx.dma = DmaChannel("write", self.rx_fifo)
 
         self.stream = phy.StreamingNrz(cfg.channel, tx_ui_s=cfg.tx_ui_s,
                                        seed=cfg.seed)
-        self.framer = control.TxFramer(self._pop_word, self._tx_valid,
+        # the framer's word source and handshake read the FIFO and the clock,
+        # not this engine, so the framer holds no reference back to it
+        self.framer = control.TxFramer(lambda: tx_fifo.pop(sim.now_ps),
+                                       lambda: tx_fifo.ready(sim.now_ps),
                                        self.stream.push_levels)
         self.pipeline = control.RxPipeline(functools.partial(log, "rx"))
         self.loop = None
@@ -318,12 +323,6 @@ class LinkEngine:
         sim.schedule(0, self._tx_quantum)
 
     # -- handshake plumbing ----------------------------------------------
-
-    def _tx_valid(self):
-        return self.tx_fifo.ready(self.sim.now_ps)
-
-    def _pop_word(self):
-        return self.tx_fifo.pop(self.sim.now_ps)
 
     def _enable_write(self, side, target, name, value):
         """Hand a warm_en/comm_en write to ``target`` (the TX framer or the
@@ -364,7 +363,7 @@ class LinkEngine:
     def _activate_rx(self):
         anchor_s = self.sim.now_s
         self.loop = cdr.CdrLoop(
-            self.stream, ui_s=self.cfg.ui_s, n=self.rx.regs.cdr_n,
+            self.stream, ui_s=self.cfg.ui_s, n=self._rx_regs.cdr_n,
             initial_phase_ui=self.cfg.initial_phase_ui,
             include_boundary=self.cfg.include_boundary_pd, t_start_s=anchor_s)
         self._schedule_rx_quantum(anchor_s + self.cfg.slow_cycle_s)
@@ -574,6 +573,14 @@ class LinkSimConfig:
         return cdr.tx_ui_for(self.ui_s, self.freq_offset)
 
 
+def _repeat(sim, period_ps, fn):
+    """Call ``fn`` now and every ``period_ps`` after.  Unlike a closure that
+    reschedules itself by name, this leaves no reference cycle once the
+    queue is dropped."""
+    fn()
+    sim.schedule(sim.now_ps + period_ps, functools.partial(_repeat, sim, period_ps, fn))
+
+
 def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     """Run one complete transfer between two simulated chips; every failure
     is reported, not raised."""
@@ -614,9 +621,8 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
                 side.run_program([
                     ("line", f"{reg}_off", functools.partial(side.write_register, reg, 0))
                     for reg in ("comm_en", "warm_en")])
-        sim.schedule(sim.now_ps + 10 * MCU_PERIOD_PS, teardown_poll)
 
-    sim.schedule(0, teardown_poll)
+    sim.schedule(0, functools.partial(_repeat, sim, 10 * MCU_PERIOD_PS, teardown_poll))
 
     # the payload's line time, both setup programs' timed steps at the
     # cycles run_program charges, and 5 us of slack
@@ -627,6 +633,9 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
                   + program_cycles * MCU_PERIOD_PS / PS_PER_S + 5e-6)
     sim.run(until_ps=s_to_ps(WATCHDOG_FACTOR * expected_s),
             stop=lambda: engine.aborted is not None or transfer_complete())
+    # the run is never resumed; its queued events hold the engine and the
+    # nodes, so dropping them lets the simulation go when this call returns
+    sim._heap.clear()
 
     delivered = rx.dma.cursor
     received = bytes(rx.memory[0:cfg.payload_bytes])

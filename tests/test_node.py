@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 
 import pytest
@@ -400,6 +401,44 @@ def test_sampling_outside_the_waveform_is_reported_not_raised(channel):
     report = run_protocol(LinkSimConfig(payload_bytes=256, channel=channel))
     assert not report.ok and not report.loss_of_lock
     assert report.diagnostic.startswith("OutOfRange: ")
+
+
+@pytest.mark.parametrize("cfg,watchdog,diagnostic", [
+    (LinkSimConfig(payload_bytes=64), node.WATCHDOG_FACTOR, ""),
+    (LinkSimConfig(payload_bytes=64, scenario="rx_initiated", rx_release_pin="peer"),
+     node.WATCHDOG_FACTOR, ""),
+    (LinkSimConfig(payload_bytes=64, scenario="rx_initiated", rx_release_pin="own"),
+     node.WATCHDOG_FACTOR, ""),
+    (LinkSimConfig(payload_bytes=1024, freq_offset=0.02), node.WATCHDOG_FACTOR,
+     "LossOfLock: "),
+    (LinkSimConfig(payload_bytes=64, seed=1, channel=phy.ChannelConfig(noise_sigma_v=0.08)),
+     node.WATCHDOG_FACTOR, "decode failure during transfer: "),
+    (LinkSimConfig(payload_bytes=256, channel=phy.ChannelConfig(rj_sigma_s=10e-9)),
+     node.WATCHDOG_FACTOR, "OutOfRange: "),
+    (LinkSimConfig(payload_bytes=4), 0.1, "ProtocolDeadlock: "),
+], ids=["tx_initiated", "rx_peer_release", "rx_own_release", "loss_of_lock",
+        "decode_failure", "out_of_waveform", "watchdog"])
+def test_a_returned_transfer_leaves_no_reference_cycles(monkeypatch, cfg, watchdog,
+                                                        diagnostic):
+    # reference counting alone frees the simulation (scheduler, nodes and
+    # their memories, the streamed waveform) when run_protocol returns, so
+    # a sweep of transfers holds one simulation at a time
+    monkeypatch.setattr(node, "WATCHDOG_FACTOR", watchdog)
+    gc.collect()
+    gc.disable()
+    try:
+        report = run_protocol(cfg)
+    finally:
+        gc.enable()
+    assert report.ok == (not diagnostic) and report.diagnostic.startswith(diagnostic)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        found = gc.collect()
+        kinds = sorted({type(obj).__name__ for obj in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert found == 0, f"{found} objects left in reference cycles: {kinds}"
 
 
 @pytest.mark.parametrize("payload", [0, 6, MEMORY_BYTES + 4])
