@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import phy
-from .errors import check
+from .errors import TRUE_OR_FALSE, check
 
 PI_CODES = 32
 PI_STEP_UI = Fraction(1, 16)   # one interpolator step, in UI (1/32 of 2 UI)
@@ -162,13 +162,17 @@ class CdrLoop:
         self._streak_start_s = t_start_s
 
     def process_batch(self, count=1):
-        """Sample ``count`` consecutive 8-bit batches and run the loop.
+        """Sample ``count`` consecutive 8-bit batches and run the loop;
+        ValueError unless ``count`` is an integer >= 1.
 
         The phase only moves at a filter evaluation, so one call never
         goes past the next one (nor past MAX_BLOCK_BATCHES batches); the
         record says how many batches it covered.  One sampling call per
         call, then one pass of Python scalars per batch.
         """
+        # not errors.check: this runs once per RX quantum
+        if not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise ValueError(f"count must be an integer, >= 1, got {count!r}")
         state = self.state
         count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
         t0, ui_s, phi_s, half = self._t0, self.ui_s, self.phi_s, self._half_ui_s
@@ -272,14 +276,17 @@ def recover_stream(tx_bits, cfg: phy.ChannelConfig, n_bits, n=4,
     ``tx_bits`` is a 1-D sequence of 0s and 1s, each its own driver code,
     queued on the stream at once, and the loop recovers ``n_bits // 8``
     whole batches, ``n_bits`` an integer >= BATCH_BITS; ValueError
-    otherwise, or for a link argument outside LINK_RULES or a ``seed``
-    that the stream rejects (phy.StreamingNrz).  Lock, slips
+    otherwise, or for a link argument outside LINK_RULES, an
+    ``include_boundary`` or ``keep_trace`` that is not True or False, or
+    a ``seed`` that the stream rejects (phy.StreamingNrz).  Lock, slips
     and steps are the loop's own observations (CdrLoop).  OutOfRange
     once sampling passes the last bit of ``tx_bits`` but one.
     """
     for name, value in (("freq_offset", freq_offset),
                         ("initial_phase_ui", initial_phase_ui), ("ui_s", ui_s)):
         check(name, "float", LINK_RULES[name], value)
+    for name, value in (("include_boundary", include_boundary), ("keep_trace", keep_trace)):
+        check(name, "bool", TRUE_OR_FALSE, value)
     check("n_bits", "int", (f">= {BATCH_BITS}", lambda v: v >= BATCH_BITS), n_bits)
     tx_bits = phy.check_bits("tx_bits", tx_bits)
     stream = phy.StreamingNrz(cfg, tx_ui_s=tx_ui_for(ui_s, freq_offset), seed=seed)

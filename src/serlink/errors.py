@@ -5,6 +5,7 @@ import numbers
 from dataclasses import fields
 
 NON_NEGATIVE = (">= 0", lambda v: v >= 0)
+TRUE_OR_FALSE = ("true or false", lambda v: v in (True, False))
 # what a value must be besides its rule, by field annotation, and the words
 _KINDS = {"float": ("finite, ", lambda v: isinstance(v, numbers.Real) and math.isfinite(v)),
           "int": ("an integer, ", lambda v: isinstance(v, numbers.Integral))}

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import cdr, control, energy, phy
-from .errors import (NON_NEGATIVE, AlignmentError, CodecError, OutOfRange,
-                     SimulationError, UnknownRegister, check_fields)
+from .errors import (NON_NEGATIVE, TRUE_OR_FALSE, AlignmentError, CodecError,
+                     OutOfRange, SimulationError, UnknownRegister, check_fields)
 
 PS_PER_S = 1e12
 MEMORY_BYTES = 1 << 17  # 128 KiB on-chip memory per node
@@ -556,7 +556,7 @@ class LinkSimConfig:
         "scenario": (" or ".join(SCENARIOS), lambda v: v in SCENARIOS),
         "payload_bytes": (f"a positive multiple of 4 no larger than the {MEMORY_BYTES}-byte "
                           "node memory", lambda v: 0 < v <= MEMORY_BYTES and v % 4 == 0),
-        "include_boundary_pd": ("true or false", lambda v: v in (True, False)),
+        "include_boundary_pd": TRUE_OR_FALSE,
         "seed": NON_NEGATIVE,
         "line_cost_cycles": ("in [0, 1000]", lambda v: 0 <= v <= 1000),
         "rx_release_pin": (" or ".join(RELEASE_PINS), lambda v: v in RELEASE_PINS)}

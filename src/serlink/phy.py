@@ -9,11 +9,12 @@ The channel is a pure delay plus one stage, ``_Channel``: a first-order
 low-pass whose pole is derived from the trace length by a two-point
 calibration map, plus additive Gaussian noise, carrying its state from
 one block of samples to the next.  ``drive`` returns only bit-table
-rows.  One loop, ``_filter_rows``, renders and filters rows a block at
-a time for both paths: ``channel_apply`` takes only ``drive``'s rows
-and fills the whole filtered waveform (eye folding needs it whole), so
-the driven waveform is never held whole beside it, and ``StreamingNrz``
-fills its window a chunk at a time through the one stage it keeps.
+rows.  One loop, ``_filter_rows``, gathers rows a block at a time into
+its caller's output and filters them there, in place, for both paths:
+``channel_apply`` takes only ``drive``'s rows and fills the whole
+filtered waveform (eye folding needs it whole), so the driven waveform
+is never held whole beside it, and ``StreamingNrz`` fills its window a
+chunk at a time through the one stage it keeps.
 Comparators return the sign of the sampled differential voltage, at
 instants the stream jitters itself; an eye folds at its waveform's UI.
 """
@@ -165,24 +166,14 @@ def _table_rows(codes):
     return 9 * codes[:-2] + 3 * codes[1:-1] + codes[2:]
 
 
-def _render_rows(table, rows):
-    """The samples of bit-table ``rows``, one row per UI, in one array."""
-    return table.take(rows, axis=0).ravel()
-
-
 class _DrivenWaveform:
     """What ``drive`` returns: its bit-table rows, one ``uint8`` per UI.
-    ``samples`` renders every row on each read; ``channel_apply`` renders
-    them through ``_filter_rows``, so a filtered eye never holds the
-    driven waveform whole."""
+    Only ``channel_apply`` renders them, through ``_filter_rows``, so a
+    filtered eye never holds the driven waveform whole."""
 
     def __init__(self, ui_s, table, rows):
         self.ui_s, self.dt_s = ui_s, ui_s / SAMPLES_PER_UI
         self._table, self._rows = table, rows
-
-    @property
-    def samples(self):
-        return _render_rows(self._table, self._rows)
 
 
 def drive(bits, cfg: ChannelConfig, ui_s=UI_S):
@@ -202,7 +193,6 @@ class _Channel:
     The filter starts settled at its first input sample; its state and
     the noise generator carry over from one ``apply`` to the next.  No
     pole (a 0 cm trace) means no filtering, and a zero sigma no noise.
-    An empty block comes back as it is and changes neither.
     """
 
     def __init__(self, pole_hz, dt_s, noise_sigma_v=0.0, rng=None):
@@ -212,38 +202,41 @@ class _Channel:
         self._sigma = noise_sigma_v
         self._rng = rng
 
-    def apply(self, samples):
-        if not len(samples):  # no input: lfilter would make up a filter state
-            return samples
+    def apply(self, block):
+        """Filter ``block``, a non-empty 1-D float array, and add noise to
+        it, in place."""
         alpha = self._alpha
         if alpha is not None:
             if self._zi is None:
-                self._zi = np.array([(1.0 - alpha) * samples[0]])
-            samples, self._zi = signal.lfilter([alpha], [1.0, alpha - 1.0], samples,
-                                               zi=self._zi)
+                self._zi = np.array([(1.0 - alpha) * block[0]])
+            block[:], self._zi = signal.lfilter([alpha], [1.0, alpha - 1.0], block,
+                                                zi=self._zi)
         if self._sigma > 0:
-            if alpha is None:  # unfiltered, so still the caller's samples
-                samples = np.array(samples, dtype=float)
-            samples += self._rng.normal(0.0, self._sigma, len(samples))
-        return samples
+            block += self._rng.normal(0.0, self._sigma, len(block))
 
 
 def _filter_rows(stage, table, rows, out):
-    """Render bit-table ``rows`` through ``stage`` into ``out``, which
-    holds ``SAMPLES_PER_UI`` samples per row, ``_NOISE_BLOCK`` samples at
-    a time: the stage carries its filter state and noise generator from
-    block to block, so that equals one pass over every row, bit for bit."""
+    """Gather bit-table ``rows`` into ``out``, which holds
+    ``SAMPLES_PER_UI`` samples per row, and run ``stage`` over it in
+    place, ``_NOISE_BLOCK`` samples at a time: the stage carries its
+    filter state and noise generator from block to block, so that equals
+    one pass over every row, bit for bit."""
+    grid = out.view()
+    grid.shape = (len(rows), SAMPLES_PER_UI)  # a view: raises unless out fits rows
     per_block = _NOISE_BLOCK // SAMPLES_PER_UI
     for lo in range(0, len(rows), per_block):
-        block = stage.apply(_render_rows(table, rows[lo:lo + per_block]))
-        out[lo * SAMPLES_PER_UI:lo * SAMPLES_PER_UI + len(block)] = block
+        # rows are 0..26, so "clip" never clips; "raise" would gather
+        # through a temporary block
+        table.take(rows[lo:lo + per_block], axis=0, out=grid[lo:lo + per_block],
+                   mode="clip")
+        stage.apply(out[lo * SAMPLES_PER_UI:(lo + per_block) * SAMPLES_PER_UI])
 
 
 def channel_apply(w: _DrivenWaveform, cfg: ChannelConfig, rng=None):
     """Low-pass and add noise to the waveform ``drive`` returns, drawing
     from ``rng`` (a ``np.random.Generator``, seeded 0 if None); TypeError
     for anything else.  Identity when the trace length is 0.  The output
-    is allocated once and filled by ``_filter_rows``."""
+    is allocated once and filled in place by ``_filter_rows``."""
     if not isinstance(w, _DrivenWaveform):
         raise TypeError(f"channel_apply takes the waveform drive returns, got {type(w).__name__}")
     if rng is None:
@@ -268,13 +261,15 @@ class EyeDiagram:
 def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     """Fold a waveform modulo 2 of its own UIs and measure the eye opening.
 
-    Height is the vertical opening (smallest high sample minus largest
-    low sample) at the best phase; width is the contiguous phase span
-    around it where the opening stays within 0.1% of the best.  ``w.ui_s``
-    must be finite and at least the sample period (UI_RULE's 50 ps floor
-    serves the event scheduler only), and ``n_ui`` an integer >=
-    ``EYE_MIN_UIS``.  The first ``n_ui // 2`` two-UI traces are folded,
-    so an odd ``n_ui`` folds one UI fewer than it names.
+    ``w`` must be a ``Waveform``, such as ``channel_apply`` returns, else
+    TypeError.  Height is the vertical opening (smallest high sample
+    minus largest low sample) at the best phase; width is the contiguous
+    phase span around it where the opening stays within 0.1% of the
+    best.  ``w.ui_s`` must be finite and at least the sample period
+    (UI_RULE's 50 ps floor serves the event scheduler only), and
+    ``n_ui`` an integer >= ``EYE_MIN_UIS``.  The first ``n_ui // 2``
+    two-UI traces are folded, so an odd ``n_ui`` folds one UI fewer than
+    it names.
 
     The folded ``(traces, 2*spu)`` matrix is walked in blocks of
     ``_EYE_BLOCK_TRACES`` traces, so temporaries stay small.  Column c
@@ -285,11 +280,13 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     the counts and edges equal ``np.histogram2d`` of the folded samples
     over [0, 2] UI and the whole waveform's voltage range.
     """
+    if not isinstance(w, Waveform):
+        raise TypeError(f"eye_capture takes a phy.Waveform, got {type(w).__name__}")
     check("ui_s", "float", (f">= the sample period {w.dt_s:g}", lambda v: v >= w.dt_s),
           w.ui_s)
     check("n_ui", "int", (f">= {EYE_MIN_UIS}", lambda v: v >= EYE_MIN_UIS), n_ui)
     spu = int(round(w.ui_s / w.dt_s))
-    samples = w.samples  # a driven waveform renders on each read
+    samples = w.samples
     span_ui = (len(samples) - 1) / spu
     if span_ui < n_ui:
         raise InsufficientSpan(f"waveform spans {span_ui:.1f} UI, need {n_ui}")

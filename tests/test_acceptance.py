@@ -220,7 +220,7 @@ def test_criterion_7_eye_diagrams():
         assert all(a >= b - 1e-12 for a, b in zip(by_noise, by_noise[1:]))
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, capsys):
     with criterion(8, "determinism", budget_s=30.0):
         cfg = node.LinkSimConfig(payload_bytes=512, seed=11,
                                  channel=phy.ChannelConfig(
@@ -246,3 +246,4 @@ def test_criterion_8_determinism(tmp_path):
             assert cli.main(args + ["--out", str(d2)]) == 0
             for name in outs:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        capsys.readouterr()  # the commands' summaries: a report shows only the verdict

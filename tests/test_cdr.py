@@ -12,7 +12,8 @@ from serlink.cdr import (BATCH_BITS, LOCK_BATCHES, LOCK_TOL_UI,
                          loop_filter_update, offset_drift_ui_per_ui,
                          pd_batch, pi_apply, recover_stream,
                          slew_capacity_ui_per_ui)
-from serlink.errors import OutOfRange
+from serlink.errors import AlignmentError, OutOfRange
+from serlink.node import LinkSimConfig, Node, Scheduler
 
 
 # -- phase detector -----------------------------------------------------------
@@ -124,9 +125,22 @@ def test_pi_step_resolution_is_78_ps():
 
 
 def test_divider_validation():
-    with pytest.raises(ValueError):
-        CdrState(n=3)
-    CdrState(n=128)
+    # every divider setting takes the powers of two up to 128 and nothing
+    # else; the set is stated here, not read from VALID_DIVIDERS, so a
+    # changed entry fails by behaviour and not only in the README's table
+    node = Node("n0", Scheduler(), lambda *a, **k: None, LinkSimConfig())
+    for n in (1, 2, 4, 8, 16, 32, 64, 128):
+        assert CdrState(n=n).n == n
+        assert LinkSimConfig(cdr_n=n).cdr_n == n
+        node.write_register("cdr_n", n)
+        assert node.regs.cdr_n == n
+    for n in (0, 3, 17, 65, 256):
+        with pytest.raises(ValueError, match=r"^n must be an integer, one of "):
+            CdrState(n=n)
+        with pytest.raises(ValueError, match=r"^cdr_n must be an integer, one of "):
+            LinkSimConfig(cdr_n=n)
+        with pytest.raises(AlignmentError, match=r"^cdr_n must be one of "):
+            node.write_register("cdr_n", n)
 
 
 # -- slew capacity arithmetic --------------------------------------------------
@@ -252,6 +266,28 @@ def test_recover_stream_rejects_a_bad_link_argument_up_front(name, value):
     # with no bits to send, a run that got past the check would raise OutOfRange
     with pytest.raises(ValueError, match=f"^{name} must be "):
         recover_stream([], CLEAN, n_bits=BATCH_BITS, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["include_boundary", "keep_trace"])
+@pytest.mark.parametrize("value", ["no", None, 2, 0.5])
+def test_recover_stream_takes_only_true_or_false_flags(name, value):
+    # include_boundary="no" used to run with the boundary detector on
+    with pytest.raises(ValueError, match=f"^{name} must be true or false, got "):
+        recover_stream([1, 0] * 100, CLEAN, n_bits=BATCH_BITS, **{name: value})
+
+
+@pytest.mark.parametrize("count", [0, -3, 2.5, "1", None])
+def test_process_batch_rejects_a_bad_count(count):
+    # 0 and -3 used to raise UnboundLocalError on step, 2.5 a TypeError
+    # from range; a rejected call samples nothing
+    loops = []
+    for _ in range(2):
+        stream = phy.StreamingNrz(CLEAN)
+        stream.push_levels([1, 0] * 200)
+        loops.append(CdrLoop(stream))
+    with pytest.raises(ValueError, match=r"^count must be an integer, >= 1, got "):
+        loops[0].process_batch(count)
+    assert loops[0].process_batch(2) == loops[1].process_batch(np.int64(2))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])

@@ -295,6 +295,7 @@ def test_eye_outputs(tmp_path, capsys):
     assert height == pytest.approx(0.418, rel=0.05)
     assert (tmp_path / "eye.csv").read_text().splitlines()[1] == \
         "phase_bin,voltage_bin,count"
+    assert capsys.readouterr().out.startswith("eye_height_v=")
 
 
 def test_energy_outputs_and_comparison(tmp_path, capsys):
@@ -306,6 +307,7 @@ def test_energy_outputs_and_comparison(tmp_path, capsys):
     ratios = (tmp_path / "energy_ratios.csv").read_text()
     best = float(ratios.splitlines()[2].split(",")[2])
     assert best == pytest.approx(8.46, rel=0.01)
+    assert capsys.readouterr().out.startswith("continuous: ")
 
 
 def test_ber_rejects_nonpositive_bits(tmp_path, capsys):
@@ -345,10 +347,11 @@ def test_run_that_samples_outside_the_waveform_is_a_domain_failure(tmp_path, cap
 
 
 @pytest.mark.parametrize("seed", ["2", "4"])
-def test_ber_jitter_before_the_first_sample(tmp_path, seed):
+def test_ber_jitter_before_the_first_sample(tmp_path, capsys, seed):
     # the first edge sample sits at t = 0; jitter moves it before the waveform
     path = write(tmp_path, "[link]\ninitial_phase_ui = 0\n[channel]\nrj_sigma_ps = 3\n")
     assert main(["ber", "--config", path, "--bits", "2000", "--seed", seed]) == 0
+    assert capsys.readouterr().out.startswith("bits=2000 ")
 
 
 def test_ber_counts_only_the_bits_it_recovered(capsys):
@@ -447,7 +450,7 @@ def test_command_outputs_are_pinned(tmp_path, capsys):
     assert moved == []
 
 
-def test_outputs_are_byte_identical_across_reruns(tmp_path):
+def test_outputs_are_byte_identical_across_reruns(tmp_path, capsys):
     path = write(tmp_path, "[protocol]\npayload_bytes = 512\n[run]\nseed = 4\n")
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["run", "--config", path, "--out", str(out1)]) == 0
@@ -457,6 +460,7 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path):
     assert main(["eye", "--config", path, "--out", str(out1)]) == 0
     assert main(["eye", "--config", path, "--out", str(out2)]) == 0
     assert (out1 / "eye.csv").read_bytes() == (out2 / "eye.csv").read_bytes()
+    capsys.readouterr()  # the commands' summaries
 
 
 @pytest.mark.parametrize("argv", [["run"], ["eye"], ["energy", "--compare", "spi"]])
@@ -471,6 +475,7 @@ def test_single_file_commands_accept_a_file_out(tmp_path, capsys):
     assert main(["lock", "--bits", "2000", "--out", str(tmp_path / "trace.csv")]) == 0
     assert main(["energy", "--out", str(tmp_path / "curves.csv")]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.csv", "trace.csv"]
+    capsys.readouterr()  # the commands' summaries
 
 
 def test_unwritable_out_exits_with_usage_code(tmp_path, capsys):

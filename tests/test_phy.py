@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -15,19 +16,34 @@ from serlink.phy import (ChannelConfig, StreamingNrz, UI_S, channel_apply,
 CLEAN = ChannelConfig(trace_length_cm=0.0)
 
 
+def _driven(bits, cfg=CLEAN, **kwargs):
+    """What ``drive`` sends for ``bits``, read through a 0 cm noiseless
+    channel, which passes it bit for bit."""
+    cfg = dataclasses.replace(cfg, trace_length_cm=0.0, noise_sigma_v=0.0)
+    return channel_apply(drive(bits, cfg, **kwargs), cfg)
+
+
+def _sent(bits, cfg):
+    """What ``drive`` sends for ``bits``, rendered in one piece by the
+    trapezoid renderer that the bit table is built from."""
+    levels = np.take(phy.driver_levels(cfg.swing), bits)
+    return phy._render_trapezoid(levels, phy.SAMPLES_PER_UI, cfg.rise_time_ui,
+                                 levels[0], levels[-1])
+
+
 # -- driver ---------------------------------------------------------------
 
 def test_constant_ones_drive_flat_half_swing():
     # differential levels sit at +/- swing/2 so the ideal eye opening
     # equals the configured swing
-    w = drive([1] * 32, CLEAN)
+    w = _driven([1] * 32)
     assert np.allclose(w.samples, 0.22)
-    w = drive([0] * 32, CLEAN)
+    w = _driven([0] * 32)
     assert np.allclose(w.samples, -0.22)
 
 
 def test_alternating_bits_square_wave():
-    w = drive([1, 0] * 64, CLEAN)
+    w = _driven([1, 0] * 64)
     spu = round(UI_S / w.dt_s)
     centers = w.samples[spu // 2::spu]
     assert np.allclose(centers[0::2], 0.22)
@@ -40,7 +56,7 @@ def test_alternating_bits_square_wave():
 
 def test_single_one_is_a_single_ui_pulse():
     bits = [0] * 8 + [1] + [0] * 8
-    w = drive(bits, CLEAN)
+    w = _driven(bits)
     spu = round(UI_S / w.dt_s)
     centers = w.samples[spu // 2::spu]
     assert centers[8] == pytest.approx(0.22)
@@ -50,7 +66,7 @@ def test_single_one_is_a_single_ui_pulse():
 
 
 def test_ramps_cross_zero_at_bit_boundaries():
-    w = drive([0, 1, 0, 1], CLEAN)
+    w = _driven([0, 1, 0, 1])
     spu = round(UI_S / w.dt_s)
     assert w.samples[spu] == 0.0
     assert w.samples[2 * spu] == 0.0
@@ -75,13 +91,15 @@ def test_table_render_is_the_trapezoid_bitwise(codes, prev, nxt, rise, swing):
     want = phy._render_trapezoid(levels, phy.SAMPLES_PER_UI, rise,
                                  alphabet[prev], alphabet[nxt])
     rows = phy._table_rows(np.array([prev] + codes + [nxt]))
-    got = phy._render_rows(phy._bit_table(swing, rise), rows)
+    got = np.empty(len(rows) * phy.SAMPLES_PER_UI)
+    idle = phy._Channel(None, UI_S / phy.SAMPLES_PER_UI)  # no filter, no noise
+    phy._filter_rows(idle, phy._bit_table(swing, rise), rows, got)
     assert got.tobytes() == want.tobytes()
     # drive: a bit is its own code, the ends are their own neighbours
     bits = [c for c in codes if c != phy.IDLE] or [1]
     drv = [alphabet[b] for b in bits]
     want = phy._render_trapezoid(drv, phy.SAMPLES_PER_UI, rise, drv[0], drv[-1])
-    got = drive(bits, ChannelConfig(swing=swing, rise_time_ui=rise)).samples
+    got = _driven(bits, ChannelConfig(swing=swing, rise_time_ui=rise)).samples
     assert got.tobytes() == want.tobytes()
 
 
@@ -99,10 +117,11 @@ def test_drive_takes_only_a_1d_bit_sequence(bits, message):
 # -- channel ---------------------------------------------------------------
 
 def test_zero_trace_is_identity():
+    # the driver's output, bit for bit, whatever the delay
     cfg = ChannelConfig(trace_length_cm=0.0, prop_delay_s=100e-12)
-    w = drive([1, 0, 0, 1, 1, 0] * 8, cfg)
-    out = channel_apply(w, cfg)
-    assert np.array_equal(out.samples, w.samples)
+    bits = [1, 0, 0, 1, 1, 0] * 8
+    out = channel_apply(drive(bits, cfg), cfg)
+    assert out.samples.tobytes() == _sent(bits, cfg).tobytes()
 
 
 def test_channel_filter_is_linear():
@@ -118,18 +137,16 @@ def test_channel_filter_is_linear():
        n=st.sampled_from([k * phy._NOISE_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)]),
        seed=st.integers(0, 3))
 def test_channel_noise_in_blocks_equals_one_draw(length, n, seed):
-    # in-place block draws give the filtered samples plus one whole-length
-    # draw, bitwise, and never write to the caller's samples
+    # noise added in place gives the filtered samples plus one
+    # whole-length draw, bitwise
     cfg = ChannelConfig(trace_length_cm=length)
     samples = np.random.default_rng(seed).uniform(-0.22, 0.22, n)
-    before = samples.copy()
     dt_s = UI_S / phy.SAMPLES_PER_UI
-    got = phy._Channel(cfg.pole_hz(), dt_s, 0.02,
-                       np.random.default_rng([seed, 1])).apply(samples)
-    clean = phy._Channel(cfg.pole_hz(), dt_s).apply(samples)
+    got, clean = samples.copy(), samples.copy()
+    phy._Channel(cfg.pole_hz(), dt_s, 0.02, np.random.default_rng([seed, 1])).apply(got)
+    phy._Channel(cfg.pole_hz(), dt_s).apply(clean)
     want = clean + np.random.default_rng([seed, 1]).normal(0.0, 0.02, n)
     assert got.tobytes() == want.tobytes()
-    assert samples.tobytes() == before.tobytes()
 
 
 _BLOCK_UIS = phy._NOISE_BLOCK // phy.SAMPLES_PER_UI
@@ -144,8 +161,8 @@ def test_channel_apply_in_blocks_equals_one_pass(length, noise, n_ui):
     cfg = ChannelConfig(trace_length_cm=length, noise_sigma_v=noise)
     bits = np.random.default_rng(n_ui).integers(0, 2, n_ui)
     driven = drive(bits, cfg)
-    want = phy._Channel(cfg.pole_hz(), driven.dt_s, noise,
-                        np.random.default_rng(9)).apply(driven.samples)
+    want = _sent(bits, cfg)
+    phy._Channel(cfg.pole_hz(), driven.dt_s, noise, np.random.default_rng(9)).apply(want)
     got = channel_apply(driven, cfg, rng=np.random.default_rng(9))
     assert (got.ui_s, got.dt_s) == (driven.ui_s, driven.dt_s)
     assert got.samples.tobytes() == want.tobytes()
@@ -169,31 +186,28 @@ def test_channel_apply_without_a_generator_draws_from_seed_0():
     assert got.samples.tobytes() == want.samples.tobytes()
 
 
-def test_a_driven_waveform_is_its_rows(monkeypatch):
-    # its samples are rendered from its rows on every read and are never
-    # replaced, and channel_apply takes nothing else
+def test_a_driven_waveform_is_its_rows():
+    # one byte per UI and no samples: channel_apply, the one way to them,
+    # takes nothing else, and renders them bit for bit at 0 cm
     cfg = ChannelConfig(trace_length_cm=2.0)
     bits = np.random.default_rng(64).integers(0, 2, _BLOCK_UIS + 5)
     driven = drive(bits, cfg)
-    levels = np.where(bits > 0, cfg.swing / 2, -cfg.swing / 2)
-    whole = phy._render_trapezoid(levels, phy.SAMPLES_PER_UI, cfg.rise_time_ui,
-                                  levels[0], levels[-1])
-    first, second = driven.samples, driven.samples
-    assert first is not second
-    assert first.tobytes() == second.tobytes() == whole.tobytes()
-    with pytest.raises(AttributeError):
-        driven.samples = 2.5 * first
-    with pytest.raises(TypeError, match="^channel_apply takes the waveform drive returns"):
-        channel_apply(phy.Waveform(driven.ui_s, driven.dt_s, first), cfg)
-    reads = []
-    render = phy._DrivenWaveform.samples.fget
-    monkeypatch.setattr(phy._DrivenWaveform, "samples",
-                        property(lambda w: reads.append(w) or render(w)))
-    eye = eye_capture(driven, n_ui=_BLOCK_UIS)
-    assert len(reads) == 1
-    want = eye_capture(phy.Waveform(driven.ui_s, driven.dt_s, whole), n_ui=_BLOCK_UIS)
-    for field, value in vars(want).items():
-        assert np.array_equal(getattr(eye, field), value), field
+    assert driven._rows.dtype == np.uint8 and len(driven._rows) == len(bits)
+    assert not hasattr(driven, "samples")
+    whole = _sent(bits, cfg)
+    with pytest.raises(TypeError, match="^channel_apply takes the waveform drive returns, "
+                                        "got Waveform$"):
+        channel_apply(phy.Waveform(driven.ui_s, driven.dt_s, whole), cfg)
+    assert _driven(bits, cfg).samples.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("wave", [
+    pytest.param(drive([1, 0] * 100, CLEAN), id="driven"),
+    pytest.param(np.zeros(6400), id="array"), pytest.param(None, id="none")])
+def test_eye_capture_takes_only_a_waveform(wave):
+    # a driven waveform used to be rendered whole on each read and folded
+    with pytest.raises(TypeError, match=r"^eye_capture takes a phy\.Waveform, got "):
+        eye_capture(wave)
 
 
 def test_noisy_eye_waveform_is_built_without_a_second_waveform():
@@ -212,6 +226,21 @@ def test_noisy_eye_waveform_is_built_without_a_second_waveform():
     assert peak <= 1.25 * wave.samples.nbytes
 
 
+def test_a_clean_eye_is_gathered_straight_into_its_output():
+    # each block of rows is gathered into the output and stays there: a
+    # noiseless 0 cm 10^5-UI eye allocated 1,042 KB beyond its output
+    # when each block was rendered apart and copied in
+    bits = np.random.default_rng(69).integers(0, 2, 100_000)
+    driven = drive(bits, CLEAN)
+    tracemalloc.start()
+    try:
+        wave = channel_apply(driven, CLEAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - wave.samples.nbytes <= 64 * 1024
+
+
 @pytest.mark.parametrize("length", [0.0, 2.0])
 @pytest.mark.parametrize("noise", [0.0, 0.01])
 def test_empty_inputs_give_empty_results(length, noise):
@@ -221,14 +250,6 @@ def test_empty_inputs_give_empty_results(length, noise):
     assert stream._voltage([]).size == 0
     assert stream.sample_bits([]).size == 0
     assert stream._nbits == 0
-    # an empty block touches neither the filter state nor the noise draws
-    dt_s = UI_S / phy.SAMPLES_PER_UI
-    blocks = np.random.default_rng(1).uniform(-0.22, 0.22, (2, 100))
-    outs = []
-    for parts in ((blocks[0], blocks[1]), ([], blocks[0], [], blocks[1], [])):
-        stage = phy._Channel(cfg.pole_hz(), dt_s, noise, np.random.default_rng(2))
-        outs.append(np.concatenate([stage.apply(np.array(p)) for p in parts]).tobytes())
-    assert outs[0] == outs[1]
 
 
 def test_calibrated_eye_heights_hit_targets():
@@ -269,8 +290,9 @@ def _calibration_eye_height(tau_s):
     bits = rng.integers(0, 2, 480)
     w = drive(bits, ChannelConfig(swing=0.44))
     stage = phy._Channel(1.0 / (2.0 * math.pi * tau_s), w.dt_s)
-    w = phy.Waveform(w.ui_s, w.dt_s, stage.apply(w.samples))
-    return eye_capture(w, n_ui=400).eye_height_v
+    samples = np.empty(len(bits) * phy.SAMPLES_PER_UI)
+    phy._filter_rows(stage, w._table, w._rows, samples)
+    return eye_capture(phy.Waveform(w.ui_s, w.dt_s, samples), n_ui=400).eye_height_v
 
 
 def test_calibrated_time_constants_are_rederived_bitwise():
@@ -403,7 +425,7 @@ def test_noisy_single_bit_decisions_match_gaussian_tail():
 def test_ideal_eye_height_and_width():
     rng = np.random.default_rng(55)
     bits = rng.integers(0, 2, 220)
-    eye = eye_capture(drive(bits, CLEAN), n_ui=150)
+    eye = eye_capture(_driven(bits), n_ui=150)
     assert eye.eye_height_v == pytest.approx(0.44, abs=1e-9)
     spu = phy.SAMPLES_PER_UI
     assert eye.eye_width_ui == pytest.approx(1.0 - CLEAN.rise_time_ui, abs=2 / spu)
@@ -419,14 +441,14 @@ def test_filtered_eye_strictly_smaller_than_swing():
 
 def test_eye_requires_enough_span():
     with pytest.raises(InsufficientSpan):
-        eye_capture(drive([1, 0] * 20, CLEAN), n_ui=150)
+        eye_capture(_driven([1, 0] * 20), n_ui=150)
 
 
 @pytest.mark.parametrize("ui_s", [0.0, float("nan"), -1.25e-9, 1.0])
 def test_drive_and_eye_capture_reject_a_bad_ui(ui_s):
     with pytest.raises(ValueError, match=r"ui_s must be finite, in \[5e-11, 5e-07\]"):
         drive([1, 0] * 100, CLEAN, ui_s=ui_s)
-    driven = drive([1, 0] * 100, CLEAN)
+    driven = _driven([1, 0] * 100)
     wave = phy.Waveform(ui_s, driven.dt_s, driven.samples)
     if ui_s > wave.dt_s:  # a valid fold period, but the waveform is too short
         with pytest.raises(InsufficientSpan):
@@ -441,7 +463,7 @@ def test_eye_capture_rejects_a_bad_span(n_ui):
     # -4 and 1 used to return an all-zero eye, 2 and 3 an eye of height
     # and width 0, and nan fail inside numpy
     with pytest.raises(ValueError, match=r"^n_ui must be an integer, >= 4, got "):
-        eye_capture(drive([1, 0] * 100, CLEAN), n_ui=n_ui)
+        eye_capture(_driven([1, 0] * 100), n_ui=n_ui)
 
 
 @pytest.mark.parametrize("ui_s", [phy.ui_for_clock(300), 1e-9])
@@ -461,7 +483,7 @@ def test_eye_capture_folds_at_the_waveforms_own_ui(ui_s):
 
 def test_eye_counts_matrix_shape():
     rng = np.random.default_rng(57)
-    eye = eye_capture(drive(rng.integers(0, 2, 220), CLEAN), n_ui=150)
+    eye = eye_capture(_driven(rng.integers(0, 2, 220)), n_ui=150)
     assert eye.counts.shape == (2 * phy.SAMPLES_PER_UI, 64)
     assert eye.counts.sum() == 75 * 2 * phy.SAMPLES_PER_UI
 
@@ -633,10 +655,10 @@ def _np_interp_reference(stream, codes, seed, times):
         return None  # the levels ran out before the frontier got there
     n = stream._nbits
     levels = np.take(phy.driver_levels(cfg.swing), codes)
-    raw = phy._render_trapezoid(levels[:n], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
-                                0.0, levels[n])
-    whole = phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
-                         np.random.default_rng([seed, 0xC0])).apply(raw)
+    whole = phy._render_trapezoid(levels[:n], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
+                                  0.0, levels[n])
+    phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
+                 np.random.default_rng([seed, 0xC0])).apply(whole)
     first, window = stream._window()
     kept = whole[len(whole) - len(window):]
     assert window.tobytes() == kept.tobytes()  # the window is the newest samples
@@ -710,10 +732,10 @@ def test_window_compaction_keeps_the_newest_samples_bitwise():
     levels = np.take(phy.driver_levels(cfg.swing), codes)
     stream = StreamingNrz(cfg, seed=5)
     buf = stream._buf
-    raw = phy._render_trapezoid(levels[:-1], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
-                                0.0, levels[-1])
-    whole = phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
-                         np.random.default_rng([5, 0xC0])).apply(raw)
+    whole = phy._render_trapezoid(levels[:-1], phy.SAMPLES_PER_UI, cfg.rise_time_ui,
+                                  0.0, levels[-1])
+    phy._Channel(cfg.pole_hz(), stream.dt_s, cfg.noise_sigma_v,
+                 np.random.default_rng([5, 0xC0])).apply(whole)
     takes = []
     render = stream._render
 
