@@ -151,7 +151,6 @@ class CdrLoop:
         self.phi_s = initial_phase_ui * ui_s
         self._half_ui_s = 0.5 * ui_s
         self._t0 = t_start_s
-        self._sample_index = 0
         self._last_bit = 0
         self._last_index = None  # transmitted bit index of the last data sample
         self.pi_steps_applied = 0
@@ -174,9 +173,9 @@ class CdrLoop:
         if not (isinstance(count, (int, np.integer)) and count >= 1):
             raise ValueError(f"count must be an integer, >= 1, got {count!r}")
         state = self.state
+        first = state.batch_count * BATCH_BITS  # index of this call's first data sample
         count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
         t0, ui_s, phi_s, half = self._t0, self.ui_s, self.phi_s, self._half_ui_s
-        first = self._sample_index
         n_data = count * BATCH_BITS
         t_data = [t0 + (k + 0.5) * ui_s + phi_s for k in range(first, first + n_data)]
         # per batch, edges (half a UI earlier) before data: the stream's
@@ -226,7 +225,6 @@ class CdrLoop:
                 self._streak = 0
                 self._streak_start_s = t_end
         self._last_bit, self._last_index = last_bit, prev
-        self._sample_index = first + n_data
         if step:
             pi_apply(state, step)
             self.phi_s += step * float(PI_STEP_UI) * self.ui_s

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -184,6 +185,8 @@ class Node:
     def write_register(self, name, value):
         if name not in REGISTER_NAMES:
             raise UnknownRegister(name)
+        if not isinstance(value, numbers.Integral):
+            raise AlignmentError(f"{name} must be an integer, got {value!r}")
         starts = self.dma is not None and name == _DMA_SIZE[self.dma.direction]
         if name.endswith("_size"):
             addr = getattr(self.regs, name.replace("_size", "_addr"))
@@ -378,11 +381,12 @@ class LinkEngine:
         try:
             rec = self.loop.process_batch()
         except OutOfRange as exc:
-            self.abort(f"OutOfRange: {exc}")
+            self.aborted = f"OutOfRange: {exc}"
             return
         if any(rec.slips) and self._watch_lock:
             self.log("rx", "loss_of_lock", 1)
-            self.abort("LossOfLock: phase error exceeded 0.5 UI during transfer")
+            self.aborted = "LossOfLock: phase error exceeded 0.5 UI during transfer"
+            return
 
         bits = rec.data_bits
         pipeline = self.pipeline
@@ -391,15 +395,11 @@ class LinkEngine:
                 words = pipeline.push_pair(pair)
             except CodecError as exc:
                 self.log("rx", "decode_error", str(exc))
-                self.abort(f"decode failure during transfer: {exc}")
+                self.aborted = f"decode failure during transfer: {exc}"
                 return
             for word in words:
                 self.rx_fifo.push(self.sim.now_ps, word)
         self._schedule_rx_quantum(rec.t_end_s[-1] + self.cfg.slow_cycle_s)
-
-    def abort(self, reason):
-        if self.aborted is None:
-            self.aborted = reason
 
 
 @dataclass
@@ -574,11 +574,11 @@ class LinkSimConfig:
 
 
 def _repeat(sim, period_ps, fn):
-    """Call ``fn`` now and every ``period_ps`` after.  Unlike a closure that
-    reschedules itself by name, this leaves no reference cycle once the
-    queue is dropped."""
-    fn()
-    sim.schedule(sim.now_ps + period_ps, functools.partial(_repeat, sim, period_ps, fn))
+    """Call ``fn`` now and every ``period_ps`` after until it returns true.
+    Unlike a closure that reschedules itself by name, this leaves no
+    reference cycle once the queue is dropped."""
+    if not fn():
+        sim.schedule(sim.now_ps + period_ps, functools.partial(_repeat, sim, period_ps, fn))
 
 
 def run_protocol(cfg: LinkSimConfig) -> TransferReport:
@@ -597,11 +597,10 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
 
     tx_steps, rx_steps = SCENARIOS[cfg.scenario](cfg, tx, rx, (gpio0, gpio1), payload)
 
-    finished = set()  # nodes whose setup program has run to its end
-    tx.run_program(tx_steps, on_done=lambda: finished.add(tx))
-    rx.run_program(rx_steps, on_done=lambda: finished.add(rx))
+    finished = {}  # each node whose setup program has ended: its cycles then
+    tx.run_program(tx_steps, on_done=lambda: finished.update({tx: tx.program_cycles}))
+    rx.run_program(rx_steps, on_done=lambda: finished.update({rx: rx.program_cycles}))
     timestamps = {}
-    setup_cycles = None  # both nodes' program cycles when teardown starts
 
     def transfer_complete():
         return (len(finished) == 2 and rx.dma.done
@@ -610,17 +609,15 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
 
     def teardown_poll():
         # once the RX program has run, its DMA has written the payload and
-        # a frame has ended, both nodes switch the link off.  The poll has
-        # no exit: ``stop`` ends the run at completion or an abort.
-        nonlocal setup_cycles
-        if (setup_cycles is None and rx in finished and rx.dma.done
-                and engine.pipeline.frames_received >= 1):
-            setup_cycles = tx.program_cycles + rx.program_cycles
-            timestamps["data_done"] = sim.now_s
-            for side in (tx, rx):
-                side.run_program([
-                    ("line", f"{reg}_off", functools.partial(side.write_register, reg, 0))
-                    for reg in ("comm_en", "warm_en")])
+        # a frame has ended, both nodes switch the link off and the poll stops
+        if not (rx in finished and rx.dma.done and engine.pipeline.frames_received >= 1):
+            return False
+        timestamps["data_done"] = sim.now_s
+        for side in (tx, rx):
+            side.run_program([
+                ("line", f"{reg}_off", functools.partial(side.write_register, reg, 0))
+                for reg in ("comm_en", "warm_en")])
+        return True
 
     sim.schedule(0, functools.partial(_repeat, sim, 10 * MCU_PERIOD_PS, teardown_poll))
 
@@ -662,19 +659,19 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
                   if sig in ("gpio0", "gpio1")]
     energy_j = energy.energy_trace([(t, sig, val) for t, _, sig, val in log.rows],
                                    energy.DEFAULT_PROFILE, sim.now_s)
-    if setup_cycles is None:
-        setup_cycles = tx.program_cycles + rx.program_cycles
     return TransferReport(
         config=cfg,
         ok=not diagnostic,
         delivered_bytes=delivered,
         mismatches=mismatches,
-        # logged just before the LossOfLock abort, and the first abort ends the run
+        # logged by the LossOfLock abort, which ends the run in its RX quantum
         loss_of_lock=any(sig == "loss_of_lock" for _, _, sig, _ in log.rows),
         decode_errors=sum(sig == "decode_error" for _, _, sig, _ in log.rows),
         diagnostic=diagnostic,
         shift_used=engine.pipeline.detector.shift,
-        programming_latency_s=setup_cycles * MCU_PERIOD_PS / PS_PER_S,
+        # each setup program's cycles when it ended, or at the end of the run
+        programming_latency_s=sum(finished.get(side, side.program_cycles)
+                                  for side in (tx, rx)) * MCU_PERIOD_PS / PS_PER_S,
         timestamps=timestamps,
         gpio_edges=gpio_edges,
         events=log.rows,

@@ -269,9 +269,10 @@ def test_recover_stream_rejects_a_bad_link_argument_up_front(name, value):
 
 
 @pytest.mark.parametrize("name", ["include_boundary", "keep_trace"])
-@pytest.mark.parametrize("value", ["no", None, 2, 0.5])
+@pytest.mark.parametrize("value", ["no", None, 2, 0.5, 1, 0.0])
 def test_recover_stream_takes_only_true_or_false_flags(name, value):
-    # include_boundary="no" used to run with the boundary detector on
+    # include_boundary="no" used to run with the boundary detector on, and
+    # a 1 or a 0.0, equal to True or False, passed as one
     with pytest.raises(ValueError, match=f"^{name} must be true or false, got "):
         recover_stream([1, 0] * 100, CLEAN, n_bits=BATCH_BITS, **{name: value})
 
@@ -389,7 +390,7 @@ class NumpyBlockLoop(CdrLoop):
     def process_batch(self, count=1):
         state = self.state
         count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
-        idx = self._sample_index + np.arange(count * BATCH_BITS)
+        idx = state.batch_count * BATCH_BITS + np.arange(count * BATCH_BITS)
         t_data = self._t0 + (idx + 0.5) * self.ui_s + self.phi_s
         times = t_data.reshape(count, 1, BATCH_BITS) - self._edge_then_data
         bits = self.stream.sample_bits(times.ravel())
@@ -404,7 +405,6 @@ class NumpyBlockLoop(CdrLoop):
             self.phi_s += step * float(PI_STEP_UI) * self.ui_s
             self.pi_steps_applied += abs(step)
         err_ui, m = self._phase_errors(t_data)
-        self._sample_index += count * BATCH_BITS
 
         prev = np.empty_like(m)
         prev[0] = m[0] - 1 if self._last_index is None else self._last_index

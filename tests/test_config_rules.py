@@ -71,7 +71,7 @@ CASES = {
     (LinkSimConfig, "rx_release_pin"): (
         lambda v: v in ("peer", "own"), *_choices("peer", "own", "Peer", "")),
     (LinkSimConfig, "include_boundary_pd"): (
-        lambda v: v in (True, False), *_choices(True, False, "true", None, 2)),
+        lambda v: v is True or v is False, *_choices(True, False, "true", None, 2, 1)),
     (LinkSimConfig, "channel"): (
         lambda v: isinstance(v, ChannelConfig),
         *_choices(ChannelConfig(), {"swing": 0.44}, None)),

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,6 +113,20 @@ def test_enable_registers_take_only_zero_or_one(name):
     n.write_register(name, 1)
     n.write_register(name, 0)
     assert rows == [("n0", name, 1), ("n0", name, 0)]
+
+
+@pytest.mark.parametrize("name,value", [("tx_data_size", 8.0), ("cdr_n", 4.0),
+                                        ("warm_en", 1.0), ("rx_data_addr", None)])
+def test_registers_take_only_integers(name, value):
+    # int() used to truncate a float such as 8.0 into the register
+    rows = []
+    n = Node("n0", Scheduler(), lambda *row: rows.append(row), LinkSimConfig())
+    with pytest.raises(AlignmentError, match=f"^{name} must be an integer, got "):
+        n.write_register(name, value)
+    assert n.regs == node.ConfigRegisters() and rows == []
+    n.write_register("cdr_n", np.int64(8))  # any integral type passes
+    n.write_register("warm_en", True)
+    assert (n.regs.cdr_n, n.regs.warm_en) == (8, 1)
 
 
 def test_size_write_while_its_dma_moves_is_rejected():
@@ -330,6 +345,21 @@ def test_programming_latency_within_budget():
         assert 0.6e-6 <= report.programming_latency_s <= 0.9e-6
 
 
+def test_the_teardown_poll_stops_once_it_starts_teardown(monkeypatch):
+    # at 300 cycles a line the teardown programs outlast many 200 ns polls
+    polls_ps = []
+    repeat = node._repeat
+
+    def counted(sim, period_ps, fn):
+        polls_ps.append(sim.now_ps)
+        repeat(sim, period_ps, fn)
+    monkeypatch.setattr(node, "_repeat", counted)
+    report = run_protocol(LinkSimConfig(payload_bytes=64, line_cost_cycles=300))
+    assert report.ok
+    # the last poll is the one that found the payload in and started teardown
+    assert polls_ps[-1] / node.PS_PER_S == report.timestamps["data_done"]
+
+
 def test_rx_release_pin_variants():
     # default: the receiver forces the transmitter-owned pin low, which
     # the event log flags as a forced drive
@@ -381,6 +411,25 @@ def test_large_offset_reports_loss_of_lock():
     assert report.loss_of_lock
     assert "LossOfLock" in report.diagnostic
     _assert_outcome_is_the_log(report, cfg)
+
+
+def test_loss_of_lock_ends_its_rx_quantum(monkeypatch):
+    # the quantum that logs loss_of_lock feeds none of its pairs onward
+    seen = []
+    log_row, push_pair = node.EventLog.__call__, control.RxPipeline.push_pair
+
+    def logged(self, name, signal, value):
+        seen.append(signal)
+        log_row(self, name, signal, value)
+
+    def pushed(self, pair):
+        seen.append("push_pair")
+        return push_pair(self, pair)
+    monkeypatch.setattr(node.EventLog, "__call__", logged)
+    monkeypatch.setattr(control.RxPipeline, "push_pair", pushed)
+    report = run_protocol(_PINNED_TRANSFERS["loss_of_lock"][0])
+    assert report.loss_of_lock and "push_pair" in seen
+    assert seen[seen.index("loss_of_lock"):] == ["loss_of_lock"]
 
 
 def test_decode_failure_aborts_the_transfer():
