@@ -160,14 +160,19 @@ class CdrLoop:
         self._streak = 0
         self._streak_start_s = t_start_s
 
-    def process_batch(self, count=1):
+    def process_batch(self, count=1, lookahead=False):
         """Sample ``count`` consecutive 8-bit batches and run the loop;
         ValueError unless ``count`` is an integer >= 1.
 
         The phase only moves at a filter evaluation, so one call never
         goes past the next one (nor past MAX_BLOCK_BATCHES batches); the
-        record says how many batches it covered.  One sampling call per
-        call, then one pass of Python scalars per batch.
+        record says how many batches it covered.  With ``lookahead`` only
+        the first batch is required, and the rest are sampled only while
+        the stream can decide them from the waveform it has already
+        rendered (``phy.StreamingNrz.sample_bits``): the call renders,
+        draws and raises as a call for one batch would, and each batch it
+        covers is the one a later call would give.  One sampling call
+        per call, then one pass of Python scalars per batch.
         """
         # not errors.check: this runs once per RX quantum
         if not (isinstance(count, (int, np.integer)) and count >= 1):
@@ -186,7 +191,10 @@ class CdrLoop:
             times += [t - half for t in batch]
             times += batch
         stream = self.stream
-        bits = stream.sample_bits(times).tolist()
+        bits = stream.sample_bits(times, 2 * BATCH_BITS if lookahead else None).tolist()
+        if lookahead:  # the batches the stream decided
+            n_data = len(bits) // 2
+            del t_data[n_data:]
 
         tx_ui, delay = stream.tx_ui_s, stream.reference_delay_s
         # the transmitted bit each data sample lands on: round() is half

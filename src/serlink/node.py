@@ -290,7 +290,10 @@ class LinkEngine:
     warmed up, runs one CDR batch per quantum (lagging two quanta so the
     waveform frontier always covers its sampling instants), sampled with
     the stream's own jitter, and feeds the recovered pairs through the
-    receive pipeline into the RX FIFO.
+    receive pipeline into the RX FIFO.  When it holds no batch it asks
+    the loop for the rest of the filter period with ``lookahead``: the
+    loop decides ahead each batch the rendered waveform already holds,
+    exactly as a later call would, and the quanta take them one by one.
     """
 
     def __init__(self, sim, cfg: LinkSimConfig, tx: Node, rx: Node, log: EventLog):
@@ -316,6 +319,8 @@ class LinkEngine:
                                        self.stream.push_levels)
         self.pipeline = control.RxPipeline(functools.partial(log, "rx"))
         self.loop = None
+        # the loop's last record and its next batch: one per RX quantum
+        self._held, self._next_batch = None, 0
         self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
         self.first_data_bit_s = None
         self._tx_quanta = 0
@@ -378,18 +383,23 @@ class LinkEngine:
         self.sim.schedule(max(s_to_ps(t), self.sim.now_ps), self._rx_quantum)
 
     def _rx_quantum(self):
-        try:
-            rec = self.loop.process_batch()
-        except OutOfRange as exc:
-            self.aborted = f"OutOfRange: {exc}"
-            return
-        if any(rec.slips) and self._watch_lock:
+        rec, k = self._held, self._next_batch
+        if rec is None or k == len(rec.t_end_s):  # none held: sample ahead
+            try:
+                rec = self._held = self.loop.process_batch(cdr.MAX_BLOCK_BATCHES,
+                                                           lookahead=True)
+            except OutOfRange as exc:
+                self.aborted = f"OutOfRange: {exc}"
+                return
+            k = 0
+        self._next_batch = k + 1
+        if rec.slips[k] and self._watch_lock:
             self.log("rx", "loss_of_lock", 1)
             self.aborted = "LossOfLock: phase error exceeded 0.5 UI during transfer"
             return
 
-        bits = rec.data_bits
-        pipeline = self.pipeline
+        bits = rec.data_bits[k * cdr.BATCH_BITS:(k + 1) * cdr.BATCH_BITS]
+        pipeline, fifo = self.pipeline, self.rx_fifo
         for pair in zip(bits[0::2], bits[1::2]):  # (even, odd) comparator pairs
             try:
                 words = pipeline.push_pair(pair)
@@ -398,8 +408,12 @@ class LinkEngine:
                 self.aborted = f"decode failure during transfer: {exc}"
                 return
             for word in words:
-                self.rx_fifo.push(self.sim.now_ps, word)
-        self._schedule_rx_quantum(rec.t_end_s[-1] + self.cfg.slow_cycle_s)
+                if not fifo.can_push():  # the DMA drains a word per MCU cycle
+                    self.aborted = (f"RxFifoOverflow: a decoded word found the "
+                                    f"{fifo.depth}-entry RX FIFO full")
+                    return
+                fifo.push(self.sim.now_ps, word)
+        self._schedule_rx_quantum(rec.t_end_s[k] + self.cfg.slow_cycle_s)
 
 
 @dataclass

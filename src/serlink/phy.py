@@ -65,6 +65,7 @@ EYE_VOLT_BINS = 64
 STREAM_CHUNK_BITS = 256    # most bits a stream renders at once
 _EYE_BLOCK_TRACES = 2048   # 2-UI traces eye_capture folds per pass
 _NOISE_BLOCK = 1 << 16     # samples _filter_rows renders and filters per block
+_JITTER_BLOCK = 4096       # comparator jitter draws a stream makes at once
 # samples a stream retains: four chunks.  Rendered only as sampling needs
 # it, the window spans one sampling call of one chunk of RX UI (two of TX
 # at the largest frequency offset), one chunk rendered past it and a
@@ -351,26 +352,58 @@ def _sample_positions():
     return np.arange(_STREAM_KEEP, dtype=float)
 
 
-def _checked_times(times, jitter=None, sigma=0.0):
-    """``times`` as a new float array, each moved by a draw from
-    ``jitter.normal(0, sigma)`` if a generator is given, with its earliest
-    and latest value (None if empty); ValueError unless 1-D and finite,
-    and then nothing is drawn."""
+class _DrawsAhead:
+    """``rng.normal(0, sigma)`` draws, made ``_JITTER_BLOCK`` at a time and
+    used in order: ``Generator.normal`` does not depend on call sizes, so
+    they equal the same draws made call by call."""
+
+    def __init__(self, rng, sigma):
+        self._rng, self._sigma = rng, sigma
+        self._draws, self._next = np.empty(0), 0
+
+    def ahead(self, n):
+        """The next ``n`` draws, not yet used."""
+        short = self._next + n - len(self._draws)
+        if short > 0:
+            more = self._rng.normal(0.0, self._sigma, -(-short // _JITTER_BLOCK) * _JITTER_BLOCK)
+            self._draws, self._next = np.concatenate((self._draws[self._next:], more)), 0
+        return self._draws[self._next:self._next + n]
+
+    def use(self, n):
+        """Mark the next ``n`` draws used."""
+        self._next += n
+
+
+def _checked_times(times, jitter=None, batch=None):
+    """``times`` as a new float array, each moved by its draw from
+    ``jitter`` (a ``_DrawsAhead``) if one is given, with the earliest and
+    latest of its first ``batch`` times (all if None), which are
+    required, and the (earliest, latest) pair of each later batch of
+    ``batch`` times, the tail.  ValueError unless ``times`` is 1-D, whole
+    batches and its first batch finite; only the first batch's draws
+    are then used, so the tail's draws come again until the caller uses
+    them.  Empty times give None for the extremes."""
     times = np.array(times, dtype=float)  # a copy, worked in place
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
     if not times.size:
-        return times, None, None
-    # a rejected call draws nothing; count_nonzero beats all() on short arrays
-    if jitter is not None and np.count_nonzero(np.isfinite(times)) == len(times):
-        times += jitter.normal(0.0, sigma, times.shape)
+        return times, None, None, ()
+    head = times[:batch]
+    if jitter is not None:
+        times += jitter.ahead(len(times))
     # one sort finds both extremes (a NaN last) faster than min() and max()
-    ends = times.copy()
+    ends = head.copy()
     ends.sort()
     t_min, t_max = float(ends[0]), float(ends[-1])
     if not (t_min > -math.inf and t_max < math.inf):
         raise ValueError(f"times must be finite, got {t_min} to {t_max}")
-    return times, t_min, t_max
+    if jitter is not None:  # a rejected call uses no draw
+        jitter.use(len(head))
+    if len(head) == len(times):
+        return times, t_min, t_max, ()
+    ends = times[batch:].reshape(-1, batch).copy()  # ValueError unless whole batches
+    ends.sort()
+    return times, t_min, t_max, list(zip(ends[:, 0].tolist(), ends[:, -1].tolist()))
 
 
 class StreamingNrz:
@@ -383,9 +416,10 @@ class StreamingNrz:
     when a sample needs it, so the window follows the sampling whatever
     the delay.  ``sample_bits`` decides at arbitrary times within the
     window, jittered by the stream's own generator, on the delayed,
-    filtered, noisy waveform that ``_voltage`` interpolates there.  One
-    pending code is always held back so boundary ramps see their next
-    level.
+    filtered, noisy waveform that ``_voltage`` interpolates there; given
+    a batch size, it also decides ahead the batches the window already
+    holds.  One pending code is always held back so boundary ramps see
+    their next level.
 
     The window, the newest ``_STREAM_KEEP`` samples, starts at the
     integer index rendered minus kept, so its time is exact however the
@@ -404,6 +438,8 @@ class StreamingNrz:
         self._channel = _Channel(pole, self.dt_s, cfg.noise_sigma_v,
                                  np.random.default_rng([seed, 0xC0]))
         self._jitter = np.random.default_rng([seed, 0xCD])  # the comparators' clock
+        self._rj = (_DrawsAhead(self._jitter, cfg.rj_sigma_s) if cfg.rj_sigma_s > 0
+                    else None)
         # where transmitted bit centers effectively sit at the receiver:
         # propagation delay plus the low-pass transition delay (a
         # first-order step crosses zero ln2 time constants after the edge)
@@ -459,17 +495,25 @@ class StreamingNrz:
                 raise OutOfRange(f"waveform not rendered up to {t_s * 1e9:.3f} ns")
             self._render(min(STREAM_CHUNK_BITS, len(self._pending) - 1))
 
-    def _voltage(self, times, jitter=None):
+    def _voltage(self, times, jitter=None, batch=None):
         """Linear interpolation of the rendered samples, by np.interp, at
-        ``times``, each moved by a ``rj_sigma_s`` draw from ``jitter`` if
-        a generator is given.
+        ``times``, each moved by its draw from ``jitter`` (a ``_DrawsAhead``)
+        if one is given.
 
         ``times`` must be a 1-D sequence of finite values, else ValueError.
         A time before the first sample ever rendered reads that (settled)
         sample, and one at or past the last rendered sample reads that
         one; a time before samples already dropped raises OutOfRange.
+
+        With a ``batch`` size, only the first ``batch`` times are required:
+        the rest, whole batches of ``batch`` times, are the tail.  After
+        the required times are rendered, the tail's batches are read, in
+        order, while every jittered time of one lies in the window as it
+        stands; the voltages end with the last batch read.  So the tail
+        renders nothing, raises nothing and uses the draws of the batches
+        it reads, and those read what a later call for them would.
         """
-        times, t_min, t_max = _checked_times(times, jitter, self.cfg.rj_sigma_s)
+        times, t_min, t_max, tail = _checked_times(times, jitter, batch)
         if not times.size:
             return times
         delay, dt = self.cfg.prop_delay_s, self.dt_s
@@ -481,6 +525,17 @@ class StreamingNrz:
         # time gives the earliest position by the same operations
         if first and (t_min - delay - g) / dt < 0:  # samples have been dropped
             raise OutOfRange("sample time before retained waveform window")
+        if tail:  # batch by batch, the tests above
+            frontier, read = self.frontier_s, 0
+            for low, high in tail:
+                # ensure would render, a sample is dropped, or NaN or inf
+                if (not (high < frontier and low > -math.inf)
+                        or first and (low - delay - g) / dt < 0):
+                    break
+                read += 1
+            times = times[:batch * (1 + read)]
+            if jitter is not None:
+                jitter.use(batch * read)
         if delay:  # t - 0.0 is t
             times -= delay
         times -= g
@@ -488,9 +543,18 @@ class StreamingNrz:
         # before sample 0 np.interp reads it, past the last sample the last
         return np.interp(times, _sample_positions()[:len(window)], window)
 
-    def sample_bits(self, times):
-        """Comparator decisions at ``times``, jittered if the channel sets ``rj_sigma_s``."""
-        jitter = self._jitter if self.cfg.rj_sigma_s > 0 else None
+    def sample_bits(self, times, batch=None):
+        """Comparator decisions at ``times``, jittered if the channel sets
+        ``rj_sigma_s``, from the stream's own generator in call order.
+
+        With a ``batch`` size, only the first ``batch`` times must be
+        decided; the rest, whole batches of ``batch`` times, are decided
+        in order only while every jittered time of one lies in the window
+        already rendered and retained (``_voltage``), and the decisions
+        end with the last batch decided.  A batch decided ahead is
+        decided as a later call for it alone would: the tail renders
+        nothing, raises nothing and draws jitter only for what it decides.
+        """
         # 0 V decides 0, and interpolation roundoff near an exact
         # transition must not turn a 0 V crossing into a 1
-        return (self._voltage(times, jitter) > 1e-9).view(np.int8)
+        return (self._voltage(times, self._rj, batch) > 1e-9).view(np.int8)

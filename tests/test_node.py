@@ -4,9 +4,9 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from serlink import control, datapath, energy, node, phy
+from serlink import cdr, control, datapath, energy, node, phy
 from serlink.codec import FLIT_BITS
 from serlink.errors import AlignmentError, SimulationError, UnknownRegister
 from serlink.node import (MEMORY_BYTES, DmaChannel, Fifo, LinkSimConfig, Node,
@@ -452,6 +452,26 @@ def test_sampling_outside_the_waveform_is_reported_not_raised(channel):
     assert report.diagnostic.startswith("OutOfRange: ")
 
 
+# a 2000 MHz clock decodes a word every 10 ns, and the RX DMA drains one
+# every 20 ns MCU cycle
+_FIFO_OVERFLOW = LinkSimConfig(payload_bytes=64, ui_s=phy.ui_for_clock(2000),
+                               channel=phy.ChannelConfig(trace_length_cm=0.0))
+
+
+@pytest.mark.parametrize("mhz", [1800, 2000, 3000])
+@pytest.mark.parametrize("payload", [64, 1024])
+def test_rx_fifo_overflow_is_reported_not_raised(payload, mhz):
+    # a full RX FIFO used to raise SimulationError out of run_protocol
+    cfg = dataclasses.replace(_FIFO_OVERFLOW, payload_bytes=payload,
+                              ui_s=phy.ui_for_clock(mhz))
+    report = run_protocol(cfg)
+    assert not report.ok and not report.loss_of_lock and report.decode_errors == 0
+    assert report.diagnostic == ("RxFifoOverflow: a decoded word found the "
+                                 "4-entry RX FIFO full")
+    assert 0 < report.delivered_bytes < payload
+    _assert_outcome_is_the_log(report, cfg)
+
+
 @pytest.mark.parametrize("cfg,watchdog,diagnostic", [
     (LinkSimConfig(payload_bytes=64), node.WATCHDOG_FACTOR, ""),
     (LinkSimConfig(payload_bytes=64, scenario="rx_initiated", rx_release_pin="peer"),
@@ -464,9 +484,10 @@ def test_sampling_outside_the_waveform_is_reported_not_raised(channel):
      node.WATCHDOG_FACTOR, "decode failure during transfer: "),
     (LinkSimConfig(payload_bytes=256, channel=phy.ChannelConfig(rj_sigma_s=10e-9)),
      node.WATCHDOG_FACTOR, "OutOfRange: "),
+    (_FIFO_OVERFLOW, node.WATCHDOG_FACTOR, "RxFifoOverflow: "),
     (LinkSimConfig(payload_bytes=4), 0.1, "ProtocolDeadlock: "),
 ], ids=["tx_initiated", "rx_peer_release", "rx_own_release", "loss_of_lock",
-        "decode_failure", "out_of_waveform", "watchdog"])
+        "decode_failure", "out_of_waveform", "rx_fifo_overflow", "watchdog"])
 def test_a_returned_transfer_leaves_no_reference_cycles(monkeypatch, cfg, watchdog,
                                                         diagnostic):
     # reference counting alone frees the simulation (scheduler, nodes and
@@ -504,6 +525,97 @@ def test_transfer_report_is_deterministic():
     assert a.events_csv() == b.events_csv()
     c = run_protocol(LinkSimConfig(payload_bytes=512, seed=6))
     assert c.events_csv() != a.events_csv() or c.to_text() != a.to_text()
+
+
+def _one_batch_per_call(mp):
+    """Make every ``process_batch`` call cover one batch, as the engine's
+    calls did before it sampled ahead."""
+    process_batch = cdr.CdrLoop.process_batch
+    mp.setattr(cdr.CdrLoop, "process_batch",
+               lambda self, count=1, lookahead=False: process_batch(self, 1, lookahead))
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=st.sampled_from(list(node.SCENARIOS)),
+       pin=st.sampled_from(list(node.RELEASE_PINS)),
+       payload=st.integers(1, 64).map(lambda words: 4 * words),
+       freq_offset=st.one_of(st.just(0.0), st.floats(-0.02, 0.02)),
+       delay=st.one_of(st.just(0.0), st.floats(0.0, 3e-6)),
+       rj=st.one_of(st.sampled_from([0.0, 2e-12]), st.floats(0.0, 20e-12),
+                    st.floats(0.0, 10e-9)),
+       noise=st.one_of(st.just(0.0), st.floats(0.0, 0.08)),
+       cdr_n=st.sampled_from(cdr.VALID_DIVIDERS), line_cost=st.integers(0, 50),
+       seed=st.integers(0, 2**16))
+@example(scenario="tx_initiated", pin="peer", payload=256, freq_offset=0.02, delay=0.0,
+         rj=0.0, noise=0.0, cdr_n=4, line_cost=3, seed=1)  # LossOfLock
+@example(scenario="tx_initiated", pin="peer", payload=64, freq_offset=0.0, delay=0.0,
+         rj=0.0, noise=0.08, cdr_n=4, line_cost=3, seed=1)  # decode failure
+@example(scenario="tx_initiated", pin="peer", payload=256, freq_offset=0.0, delay=0.0,
+         rj=10e-9, noise=0.0, cdr_n=4, line_cost=3, seed=1)  # OutOfRange
+@example(scenario="rx_initiated", pin="own", payload=256, freq_offset=0.002,
+         delay=1.2e-6, rj=2e-12, noise=0.005, cdr_n=32, line_cost=0, seed=3)
+def test_sampling_ahead_equals_one_batch_per_call(scenario, pin, payload, freq_offset,
+                                                  delay, rj, noise, cdr_n, line_cost,
+                                                  seed):
+    # the engine decides the rest of a filter period ahead where the
+    # rendered waveform allows; a transfer must read as if it had not
+    cfg = LinkSimConfig(
+        scenario=scenario, rx_release_pin=pin, payload_bytes=payload,
+        freq_offset=freq_offset, cdr_n=cdr_n, line_cost_cycles=line_cost, seed=seed,
+        channel=phy.ChannelConfig(prop_delay_s=delay, rj_sigma_s=rj, noise_sigma_v=noise))
+    outputs = []
+    for per_batch in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if per_batch:
+                _one_batch_per_call(mp)
+            report = run_protocol(cfg)
+        outputs.append((report.to_text(), report.events_csv(), report.diagnostic))
+    event(report.diagnostic.split(":")[0] or "ok")
+    assert outputs[0] == outputs[1]
+
+
+def _work(monkeypatch, cfg):
+    """Run ``cfg`` and count the calls that make up its work."""
+    counts = dict.fromkeys(("sampling_calls", "instants", "process_batch", "renders",
+                            "push_pair", "dispatches"), 0)
+
+    def counted(owner, name, key, instants=False):
+        call = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            result = call(*args, **kwargs)
+            if instants:
+                counts["instants"] += len(result)
+            return result
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(phy.StreamingNrz, "sample_bits", "sampling_calls", instants=True)
+    counted(cdr.CdrLoop, "process_batch", "process_batch")
+    counted(phy.StreamingNrz, "_render", "renders")
+    counted(control.RxPipeline, "push_pair", "push_pair")
+    counted(node.Scheduler, "advance", "dispatches")
+    assert run_protocol(cfg).ok
+    return counts
+
+
+@pytest.mark.parametrize("cfg,want", [
+    # a 2 KB transfer: one batch per call made 2,680 sampling calls
+    (LinkSimConfig(payload_bytes=2048, seed=3),
+     dict(sampling_calls=1072, instants=42880, process_batch=1072, renders=537,
+          push_pair=10720, dispatches=8301)),
+    # the first burst_64 transfer: 230 calls; its last call decided two
+    # batches that the run ended before using
+    (LinkSimConfig(payload_bytes=64, scenario="rx_initiated", freq_offset=0.002,
+                   seed=3000, channel=phy.ChannelConfig(
+                       trace_length_cm=5.0, noise_sigma_v=0.005, rj_sigma_s=2e-12)),
+     dict(sampling_calls=94, instants=3712, process_batch=94, renders=49,
+          push_pair=920, dispatches=776)),
+], ids=["transfer_2k", "burst_64"])
+def test_transfer_work_counts_are_pinned(monkeypatch, cfg, want):
+    # work counts do not move with the host's noise: a count that falls
+    # is less work, and one that rises needs a reason
+    assert _work(monkeypatch, cfg) == want
 
 
 # sha256 of to_text() + events_csv(); any change to event order or time,

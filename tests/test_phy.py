@@ -397,6 +397,91 @@ def test_an_unjittered_sample_call_draws_nothing():
     assert stream._jitter.bit_generator.state == before
 
 
+# -- the tail: batches decided ahead of need ------------------------------------
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_jitter_drawn_ahead_is_the_generators_draws_in_order(seed):
+    # Generator.normal does not depend on call sizes, so draws made a
+    # block at a time and used in uneven runs are the call-by-call draws
+    sigma = 3e-12
+    draws = phy._DrawsAhead(np.random.default_rng([seed, 0xCD]), sigma)
+    used = []
+    for n in (1, 16, 3, phy._JITTER_BLOCK - 5, 300, 2 * phy._JITTER_BLOCK + 7, 64):
+        ahead = draws.ahead(n + 9).copy()  # a look past what is used changes nothing
+        used.append(draws.ahead(n).copy())
+        assert ahead[:n].tobytes() == used[-1].tobytes()
+        draws.use(n)
+    want = np.random.default_rng([seed, 0xCD]).normal(0.0, sigma, sum(map(len, used)))
+    assert np.concatenate(used).tobytes() == want.tobytes()
+
+
+_TAIL_CFG = ChannelConfig(trace_length_cm=2.0, noise_sigma_v=0.01, rj_sigma_s=0.05 * UI_S)
+
+
+def _tail_stream(seed=4):
+    stream = StreamingNrz(_TAIL_CFG, seed=seed)
+    stream.push_levels(np.random.default_rng([seed, 1]).integers(0, 2, 4000).tolist())
+    return stream
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_sampling_with_tails_uses_the_jitter_in_order(seed):
+    # uneven calls, with and without tails, some decided whole and some in
+    # part: each decision reads the waveform at its time plus the next
+    # unused draw of the comparators' generator
+    stream, ref = _tail_stream(seed), _tail_stream(seed)
+    jitter = np.random.default_rng([seed, 0xCD]).normal(0.0, _TAIL_CFG.rj_sigma_s, 20_000)
+    rng = np.random.default_rng([seed, 2])
+    used, start, cut = 0, 20.0, 0
+    for batch, tail in [(16, 0), (5, 3), (16, 4), (1, 0), (16, 40), (7, 2), (300, None),
+                        (16, 8)] * 3:
+        n = batch * (1 + (tail or 0))
+        times = (start + np.arange(n) * 0.5 + rng.uniform(-0.2, 0.2, n)) * UI_S
+        got = stream.sample_bits(times, batch if tail is not None else None)
+        k = len(got)
+        assert k % batch == 0 and batch <= k <= n
+        cut += k < n
+        want = ref._voltage(times[:k] + jitter[used:used + k]) > 1e-9
+        assert got.tobytes() == want.astype(np.int8).tobytes()
+        assert stream._nbits == ref._nbits
+        used += k
+        start += k * 0.5
+    assert cut  # some tails went past the rendered waveform
+
+
+def test_a_decided_tail_is_what_later_plain_calls_decide():
+    stream, twin = _tail_stream(), _tail_stream()
+    times = (400 + np.arange(6 * 16) * 0.5) * UI_S
+    got = stream.sample_bits(times, 16)
+    assert len(got) == len(times)  # every batch already rendered
+    want = [twin.sample_bits(times[lo:lo + 16]) for lo in range(0, len(times), 16)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    assert (stream._nbits, stream._window()[0]) == (twin._nbits, twin._window()[0])
+
+
+@pytest.mark.parametrize("where", ["unrendered", "dropped", "not_finite"])
+def test_a_tail_not_decided_renders_raises_and_draws_nothing(where):
+    # the first tail batch needs a render, reads samples already dropped or
+    # is not finite: neither it nor the rendered batch after it is decided,
+    # and the stream is left as a call without the tail leaves it
+    stream, twin = _tail_stream(), _tail_stream()
+    for s in (stream, twin):
+        s.sample_bits(np.linspace(1500, 1516, 16) * UI_S)  # drops samples
+    first = twin._window()[0] * twin.dt_s
+    assert first > 0 and twin.frontier_s < 1600 * UI_S
+    required = np.linspace(1504, 1508, 16) * UI_S
+    bad = {"unrendered": twin.frontier_s + np.linspace(0, 8, 16) * UI_S,
+           "dropped": first - np.linspace(8, 0, 16) * UI_S,
+           "not_finite": np.where(np.arange(16) == 3, np.nan, required)}[where]
+    got = stream.sample_bits(np.concatenate((required, bad, required)), 16)
+    assert got.tobytes() == twin.sample_bits(required).tobytes()
+    assert stream._nbits == twin._nbits and stream._pending == twin._pending
+    assert stream._window()[1].tobytes() == twin._window()[1].tobytes()
+    later = np.linspace(1510, 1700, 64) * UI_S
+    assert stream.sample_bits(later).tobytes() == twin.sample_bits(later).tobytes()
+    assert stream._rj.ahead(64).tobytes() == twin._rj.ahead(64).tobytes()
+
+
 def test_sample_sign_decisions():
     stream = StreamingNrz(CLEAN)
     stream.push_levels([phy.IDLE] * 40 + [1] * 40 + [0] * 300)
