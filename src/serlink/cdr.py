@@ -192,9 +192,8 @@ class CdrLoop:
             times += batch
         stream = self.stream
         bits = stream.sample_bits(times, 2 * BATCH_BITS if lookahead else None).tolist()
-        if lookahead:  # the batches the stream decided
-            n_data = len(bits) // 2
-            del t_data[n_data:]
+        n_data = len(bits) // 2  # the batches the stream decided
+        del t_data[n_data:]
 
         tx_ui, delay = stream.tx_ui_s, stream.reference_delay_s
         # the transmitted bit each data sample lands on: round() is half

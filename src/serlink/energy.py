@@ -200,9 +200,10 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
     ``events`` are (time_s, signal, value) rows; signals are
     ``tx_analog``/``rx_analog`` (0 or 1) and ``tx_digital``/``rx_digital``
     (state names).  Power is piecewise constant between transitions and
-    each analog turn-on adds the power-gating overhead.  Events before 0,
-    an analog value other than 0 or 1, an unknown digital state, or a
-    ``t_end_s`` not finite or before the last event, raise ValueError.
+    each analog turn-on adds the power-gating overhead.  Events at a time
+    not finite or before 0, an analog value other than 0 or 1, an unknown
+    digital state, or a ``t_end_s`` not finite or before the last event,
+    raise ValueError.
     """
     state = {"tx_analog": 0, "rx_analog": 0,
              "tx_digital": "standby", "rx_digital": "standby"}
@@ -220,6 +221,8 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
     total = 0.0
     t_prev = 0.0
     for t, signal_name, value in sorted(events, key=lambda e: e[0]):
+        if not -math.inf < t < math.inf:  # NaN fails both
+            raise ValueError(f"events must have finite times, got {t}")
         if signal_name not in state:
             continue
         if t < t_prev:

@@ -267,8 +267,9 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     minus largest low sample) at the best phase; width is the contiguous
     phase span around it where the opening stays within 0.1% of the
     best.  ``w.ui_s`` must be finite and at least the sample period
-    (UI_RULE's 50 ps floor serves the event scheduler only), and
-    ``n_ui`` an integer >= ``EYE_MIN_UIS``.  The first ``n_ui // 2``
+    (UI_RULE's 50 ps floor serves the event scheduler only), ``n_ui``
+    an integer >= ``EYE_MIN_UIS`` and ``w.samples`` finite, else
+    ValueError.  The first ``n_ui // 2``
     two-UI traces are folded, so an odd ``n_ui`` folds one UI fewer than
     it names.
 
@@ -298,6 +299,8 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     pe = np.linspace(0.0, 2.0, window + 1)
     vmin = float(samples.min())
     vmax = max(float(samples.max()), vmin + 1e-12)
+    if not -math.inf < vmin <= vmax < math.inf:  # NaN fails every comparison
+        raise ValueError(f"samples must be finite, got {vmin} to {vmax}")
     ve = np.histogram_bin_edges([], EYE_VOLT_BINS, (vmin, vmax))
     pbin = np.searchsorted(pe, np.arange(window) / spu, side="right") - 1
     norm = EYE_VOLT_BINS / (ve[-1] - ve[0])
@@ -375,35 +378,31 @@ class _DrawsAhead:
 
 
 def _checked_times(times, jitter=None, batch=None):
-    """``times`` as a new float array, each moved by its draw from
-    ``jitter`` (a ``_DrawsAhead``) if one is given, with the earliest and
-    latest of its first ``batch`` times (all if None), which are
-    required, and the (earliest, latest) pair of each later batch of
-    ``batch`` times, the tail.  ValueError unless ``times`` is 1-D, whole
-    batches and its first batch finite; only the first batch's draws
-    are then used, so the tail's draws come again until the caller uses
-    them.  Empty times give None for the extremes."""
+    """``times`` as a new float array, each moved by its next draw from
+    ``jitter`` (a ``_DrawsAhead``, only peeked at) if one is given, with
+    the earliest and latest of its first ``batch`` times (all if None),
+    which are required.  ValueError unless ``times`` is 1-D, ``batch`` is
+    None or an integer >= 1 dividing its length, and its first batch is
+    finite.  Empty times give None for the extremes."""
     times = np.array(times, dtype=float)  # a copy, worked in place
     if times.ndim != 1:
         raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
+    # not errors.check: this runs once per RX quantum
+    if batch is not None and not (isinstance(batch, (int, np.integer)) and batch >= 1
+                                  and len(times) % batch == 0):
+        raise ValueError(f"batch must be an integer >= 1 dividing the {len(times)} times,"
+                         f" got {batch!r}")
     if not times.size:
-        return times, None, None, ()
-    head = times[:batch]
+        return times, None, None
     if jitter is not None:
         times += jitter.ahead(len(times))
     # one sort finds both extremes (a NaN last) faster than min() and max()
-    ends = head.copy()
+    ends = times[:batch].copy()
     ends.sort()
     t_min, t_max = float(ends[0]), float(ends[-1])
     if not (t_min > -math.inf and t_max < math.inf):
         raise ValueError(f"times must be finite, got {t_min} to {t_max}")
-    if jitter is not None:  # a rejected call uses no draw
-        jitter.use(len(head))
-    if len(head) == len(times):
-        return times, t_min, t_max, ()
-    ends = times[batch:].reshape(-1, batch).copy()  # ValueError unless whole batches
-    ends.sort()
-    return times, t_min, t_max, list(zip(ends[:, 0].tolist(), ends[:, -1].tolist()))
+    return times, t_min, t_max
 
 
 class StreamingNrz:
@@ -506,14 +505,15 @@ class StreamingNrz:
         one; a time before samples already dropped raises OutOfRange.
 
         With a ``batch`` size, only the first ``batch`` times are required:
-        the rest, whole batches of ``batch`` times, are the tail.  After
-        the required times are rendered, the tail's batches are read, in
-        order, while every jittered time of one lies in the window as it
-        stands; the voltages end with the last batch read.  So the tail
-        renders nothing, raises nothing and uses the draws of the batches
-        it reads, and those read what a later call for them would.
+        the rest, whole batches, are the tail.  Once the required times are
+        rendered, the tail's batches are read in order while every position
+        in one (its index into the window) is a number, >= 0 once samples
+        have been dropped, and below the window's last sample.  So the tail
+        renders nothing, raises nothing and reads only final samples, as a
+        later call for it would.  Only a call that returns uses draws,
+        those of the times it reads.
         """
-        times, t_min, t_max, tail = _checked_times(times, jitter, batch)
+        times, t_min, t_max = _checked_times(times, jitter, batch)
         if not times.size:
             return times
         delay, dt = self.cfg.prop_delay_s, self.dt_s
@@ -525,21 +525,18 @@ class StreamingNrz:
         # time gives the earliest position by the same operations
         if first and (t_min - delay - g) / dt < 0:  # samples have been dropped
             raise OutOfRange("sample time before retained waveform window")
-        if tail:  # batch by batch, the tests above
-            frontier, read = self.frontier_s, 0
-            for low, high in tail:
-                # ensure would render, a sample is dropped, or NaN or inf
-                if (not (high < frontier and low > -math.inf)
-                        or first and (low - delay - g) / dt < 0):
-                    break
-                read += 1
-            times = times[:batch * (1 + read)]
-            if jitter is not None:
-                jitter.use(batch * read)
         if delay:  # t - 0.0 is t
             times -= delay
         times -= g
-        times /= dt
+        times /= dt  # now positions
+        if batch is not None and batch < len(times):  # the tail
+            tail = times[batch:]
+            ok = tail < len(window) - 1  # NaN fails every comparison
+            ok &= tail >= 0 if first else tail > -math.inf
+            k = int(ok.argmin())  # the first position not ok, or 0 if all are
+            times = times[:batch + (len(ok) if ok[k] else k - k % batch)]
+        if jitter is not None:
+            jitter.use(len(times))
         # before sample 0 np.interp reads it, past the last sample the last
         return np.interp(times, _sample_positions()[:len(window)], window)
 
@@ -549,11 +546,11 @@ class StreamingNrz:
 
         With a ``batch`` size, only the first ``batch`` times must be
         decided; the rest, whole batches of ``batch`` times, are decided
-        in order only while every jittered time of one lies in the window
-        already rendered and retained (``_voltage``), and the decisions
+        in order only while the window already rendered and retained
+        holds every sample one reads (``_voltage``), and the decisions
         end with the last batch decided.  A batch decided ahead is
-        decided as a later call for it alone would: the tail renders
-        nothing, raises nothing and draws jitter only for what it decides.
+        decided as a later call for it alone would.  A call that raises
+        uses no draw.
         """
         # 0 V decides 0, and interpolation roundoff near an exact
         # transition must not turn a 0 V crossing into a 1

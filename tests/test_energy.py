@@ -200,6 +200,15 @@ def test_trace_rejects_an_end_before_the_last_event_or_not_finite(t_end_s):
         events, DEFAULT_PROFILE, 2e-6)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+def test_trace_names_an_event_time_not_finite(t):
+    # a NaN or inf time used to be blamed on t_end_s, and -inf reported
+    # as preceding the accounting window
+    events = [(0.0, "rx_analog", 1), (t, "rx_analog", 0)]
+    with pytest.raises(ValueError, match=r"^events must have finite times, got "):
+        energy_trace(events, DEFAULT_PROFILE, 1e-6)
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         PowerProfile(rx_analog_w=-1e-3)

@@ -210,6 +210,15 @@ def test_eye_capture_takes_only_a_waveform(wave):
         eye_capture(wave)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eye_capture_names_samples_not_finite(bad):
+    # these used to raise numpy's "supplied range of [nan, nan] is not finite"
+    wave = _driven([1, 0] * 100)
+    wave.samples[77] = bad
+    with pytest.raises(ValueError, match=r"^samples must be finite, got "):
+        eye_capture(wave)
+
+
 def test_noisy_eye_waveform_is_built_without_a_second_waveform():
     # the driven waveform is rendered a block at a time into the filtered
     # output, so the peak is that output plus a few blocks (it was twice
@@ -354,22 +363,45 @@ def test_times_must_be_a_1d_sequence_of_finite_values(times, rendered, rj_sigma_
             call(times)
 
 
-@pytest.mark.parametrize("bad", [[1e-9, np.nan], [[1e-9, 2e-9]], 1e-9, [np.inf]])
+_SIXTEEN = np.linspace(20, 30, 16) * UI_S  # rendered on the first call
+
+
+def _bad_batch(times, batch):
+    """A sample call with a ``batch`` that does not fit ``times``."""
+    return pytest.param((times, batch, ValueError,
+                         rf"^batch must be an integer >= 1 dividing the {len(times)} times, "
+                         rf"got {batch}$"), id=f"{len(times)}-times-at-{batch}")
+
+
+@pytest.mark.parametrize("bad", [
+    [1e-9, np.nan], [[1e-9, 2e-9]], 1e-9, [np.inf],
+    # the rest are (times, batch, the error, its message)
+    *(_bad_batch(_SIXTEEN, batch) for batch in (0, -4, 2.5, 5)),
+    _bad_batch(np.linspace(20, 30, 21) * UI_S, 16),
+    pytest.param(([20 * UI_S, 500 * UI_S], None, OutOfRange, "^waveform not rendered up to "),
+                 id="past-the-pushed-codes")])
 def test_a_rejected_sample_call_draws_no_jitter(bad):
-    # the jitter used to be drawn before the times were checked, so a
-    # rejected call moved every later decision of the stream
+    # the jitter used to be drawn before the times were checked, and the
+    # draws of a call's required times used before its batch was checked
+    # or those times rendered, so a rejected call moved every later
+    # decision of the stream; a bad batch also raised IndexError,
+    # TypeError or numpy's reshape messages
+    times, batch, error, match = bad if isinstance(bad, tuple) else (
+        bad, None, ValueError, r"^times must be (a 1-D sequence|finite)")
     cfg = ChannelConfig(trace_length_cm=2.0, rj_sigma_s=0.2 * UI_S)
     codes = np.random.default_rng(67).integers(0, 2, 400).tolist()
-    times = np.random.default_rng(68).uniform(20, 300, 100) * UI_S
-    decided = []
+    later = np.random.default_rng(68).uniform(20, 300, 100) * UI_S
+    decided, ahead = [], []
     for reject_first in (True, False):
         stream = StreamingNrz(cfg, seed=4)
         stream.push_levels(codes)
         if reject_first:
-            with pytest.raises(ValueError, match=r"^times must be (a 1-D sequence|finite)"):
-                stream.sample_bits(bad)
-        decided.append(stream.sample_bits(times).tobytes())
+            with pytest.raises(error, match=match):
+                stream.sample_bits(times, batch)
+        decided.append(stream.sample_bits(later).tobytes())
+        ahead.append(stream._rj.ahead(64).tobytes())
     assert decided[0] == decided[1]
+    assert ahead[0] == ahead[1]
 
 
 @pytest.mark.parametrize("rj_sigma_s", [0.0, 0.2 * UI_S])
