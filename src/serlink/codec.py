@@ -21,6 +21,7 @@ as their first 8 wire bits.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 from .errors import DisparityError, InvalidCode, UnsupportedControlSymbol
@@ -269,7 +270,7 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
     and training flits are disparity-neutral and leave it unchanged.
     """
     if kind is FlitKind.DATA:
-        if word is None or not 0 <= word < 1 << 32:
+        if not (isinstance(word, numbers.Integral) and 0 <= word < 1 << 32):
             raise ValueError("data flit requires a 32-bit word")
         lanes = []
         for i in range(LANES):

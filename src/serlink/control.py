@@ -17,6 +17,7 @@ import enum
 
 from . import codec, datapath, phy
 from .codec import Disparity, FlitKind
+from .errors import InvalidCode
 
 
 class TxState(enum.Enum):
@@ -208,4 +209,6 @@ class RxPipeline:
             return ()
         flit = codec.Flit.from_int(word40)
         (kind, word), self.rd = codec.decode_flit(flit, self.rd)
-        return (word,) if kind is FlitKind.DATA else ()
+        if kind is not FlitKind.DATA:  # framing is the detector's alone
+            raise InvalidCode(f"lane 0: raw {kind.value} marker inside a frame")
+        return (word,)

@@ -12,6 +12,7 @@ conventional pJ/bit figure is exposed where results are reported.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -201,9 +202,9 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
     ``tx_analog``/``rx_analog`` (0 or 1) and ``tx_digital``/``rx_digital``
     (state names).  Power is piecewise constant between transitions and
     each analog turn-on adds the power-gating overhead.  Events at a time
-    not finite or before 0, an analog value other than 0 or 1, an unknown
-    digital state, or a ``t_end_s`` not finite or before the last event,
-    raise ValueError.
+    not a finite number or before 0, an analog value other than 0 or 1, an
+    unknown digital state, or a ``t_end_s`` not finite or before the last
+    event, raise ValueError.
     """
     state = {"tx_analog": 0, "rx_analog": 0,
              "tx_digital": "standby", "rx_digital": "standby"}
@@ -218,11 +219,15 @@ def energy_trace(events, profile: PowerProfile, t_end_s):
             p += getattr(profile, _DIGITAL_POWER[(sig, state[sig])])
         return p
 
+    def time(event):  # every key is taken before sorting compares any
+        t = event[0]
+        if not (isinstance(t, numbers.Real) and -math.inf < t < math.inf):  # NaN fails both
+            raise ValueError(f"events must have finite times, got {t!r}")
+        return t
+
     total = 0.0
     t_prev = 0.0
-    for t, signal_name, value in sorted(events, key=lambda e: e[0]):
-        if not -math.inf < t < math.inf:  # NaN fails both
-            raise ValueError(f"events must have finite times, got {t}")
+    for t, signal_name, value in sorted(events, key=time):
         if signal_name not in state:
             continue
         if t < t_prev:

@@ -321,7 +321,6 @@ class LinkEngine:
         self.loop = None
         # the loop's last record and its next batch: one per RX quantum
         self._held, self._next_batch = None, 0
-        self._watch_lock = False  # LossOfLock is armed by the RX comm_en write
         self.first_data_bit_s = None
         self._tx_quanta = 0
         self._prev_tx_state = control.TxState.IDLE
@@ -344,11 +343,8 @@ class LinkEngine:
                 self.log(side, f"{side}_analog", int(bool(value)))
                 self.log(side, f"{side}_digital",
                          _DIGITAL_ON[side] if value else "standby")
-            if side == "rx" and value:
-                if name == "warm_en":
+                if side == "rx" and value:
                     self._activate_rx()
-                else:
-                    self._watch_lock = True
         self.sim.schedule(self.sim.now_ps + self._cdc_ps, apply)
 
     # -- TX data plane ------------------------------------------------------
@@ -393,7 +389,7 @@ class LinkEngine:
                 return
             k = 0
         self._next_batch = k + 1
-        if rec.slips[k] and self._watch_lock:
+        if rec.slips[k] and self.pipeline.comm_en:  # LossOfLock only while listening
             self.log("rx", "loss_of_lock", 1)
             self.aborted = "LossOfLock: phase error exceeded 0.5 UI during transfer"
             return

@@ -377,34 +377,6 @@ class _DrawsAhead:
         self._next += n
 
 
-def _checked_times(times, jitter=None, batch=None):
-    """``times`` as a new float array, each moved by its next draw from
-    ``jitter`` (a ``_DrawsAhead``, only peeked at) if one is given, with
-    the earliest and latest of its first ``batch`` times (all if None),
-    which are required.  ValueError unless ``times`` is 1-D, ``batch`` is
-    None or an integer >= 1 dividing its length, and its first batch is
-    finite.  Empty times give None for the extremes."""
-    times = np.array(times, dtype=float)  # a copy, worked in place
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
-    # not errors.check: this runs once per RX quantum
-    if batch is not None and not (isinstance(batch, (int, np.integer)) and batch >= 1
-                                  and len(times) % batch == 0):
-        raise ValueError(f"batch must be an integer >= 1 dividing the {len(times)} times,"
-                         f" got {batch!r}")
-    if not times.size:
-        return times, None, None
-    if jitter is not None:
-        times += jitter.ahead(len(times))
-    # one sort finds both extremes (a NaN last) faster than min() and max()
-    ends = times[:batch].copy()
-    ends.sort()
-    t_min, t_max = float(ends[0]), float(ends[-1])
-    if not (t_min > -math.inf and t_max < math.inf):
-        raise ValueError(f"times must be finite, got {t_min} to {t_max}")
-    return times, t_min, t_max
-
-
 class StreamingNrz:
     """Chunk-rendered TX waveform for long closed-loop runs.
 
@@ -499,7 +471,8 @@ class StreamingNrz:
         ``times``, each moved by its draw from ``jitter`` (a ``_DrawsAhead``)
         if one is given.
 
-        ``times`` must be a 1-D sequence of finite values, else ValueError.
+        ``times`` must be a 1-D sequence of finite values, and ``batch``
+        None or an integer >= 1 dividing its length, else ValueError.
         A time before the first sample ever rendered reads that (settled)
         sample, and one at or past the last rendered sample reads that
         one; a time before samples already dropped raises OutOfRange.
@@ -513,9 +486,24 @@ class StreamingNrz:
         later call for it would.  Only a call that returns uses draws,
         those of the times it reads.
         """
-        times, t_min, t_max = _checked_times(times, jitter, batch)
+        times = np.array(times, dtype=float)  # a copy, worked in place
+        if times.ndim != 1:
+            raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
+        # not errors.check: this runs once per RX quantum
+        if batch is not None and not (isinstance(batch, (int, np.integer)) and batch >= 1
+                                      and len(times) % batch == 0):
+            raise ValueError(f"batch must be an integer >= 1 dividing the {len(times)} times,"
+                             f" got {batch!r}")
         if not times.size:
             return times
+        if jitter is not None:
+            times += jitter.ahead(len(times))
+        # one sort finds both extremes (a NaN last) faster than min() and max()
+        ends = times[:batch].copy()
+        ends.sort()
+        t_min, t_max = float(ends[0]), float(ends[-1])
+        if not (t_min > -math.inf and t_max < math.inf):
+            raise ValueError(f"times must be finite, got {t_min} to {t_max}")
         delay, dt = self.cfg.prop_delay_s, self.dt_s
         # sample 0 sits at the propagation delay: render at least it
         self.ensure(max(t_max, delay))

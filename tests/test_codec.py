@@ -91,8 +91,9 @@ def test_data_symbol_outside_a_byte_is_rejected(payload):
             encode_symbol(Symbol(payload), rd)
 
 
-@pytest.mark.parametrize("word", [2**32, 2**32 + 5, -1])
+@pytest.mark.parametrize("word", [2**32, 2**32 + 5, -1, 1.5, "7"])
 def test_data_flit_word_outside_32_bits_is_rejected(word):
+    # 1.5 and "7" used to raise a bare TypeError from >> and <=
     with pytest.raises(ValueError, match="32-bit word"):
         encode_flit(FlitKind.DATA, word, Disparity.NEGATIVE)
 

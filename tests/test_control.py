@@ -1,13 +1,15 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from serlink import phy
-from serlink.codec import FLIT_BITS, FlitKind
+from serlink import codec, phy
+from serlink.codec import FLIT_BITS, START_BYTE, Disparity, Flit, FlitKind
 from serlink.control import (TX_FLITS, RxPipeline, SequenceDetector, TxFramer,
                              TxState, tx_fsm_step)
 from serlink.datapath import BitPair
+from serlink.errors import InvalidCode
 
 START_BITS = [1, 1, 0, 1, 1, 1, 1, 1]
 STOP_BITS = [1, 0, 1, 1, 1, 1, 1, 1]
@@ -232,6 +234,22 @@ def test_framing_frames_word_count_invariant():
         pipe, _ = make_pipeline()
         assert push_bits(pipe, wire_for_frame(words)) == words
         assert pipe.frames_received == 1
+
+
+def test_a_marker_valued_lane_inside_a_frame_is_a_decode_failure(monkeypatch):
+    # framing is the detector's: the pipeline used to drop a data flit whose
+    # lane 0 is the raw start marker and deliver [1, 3] with no error
+    encode_flit = codec.encode_flit
+
+    def marked(kind, word=None, rd=Disparity.NEGATIVE):
+        flit, rd = encode_flit(kind, word, rd)
+        return (Flit((START_BYTE,) + flit.lanes[1:]) if word == 2 else flit), rd
+    monkeypatch.setattr(codec, "encode_flit", marked)
+    wire = wire_for_frame([1, 2, 3])
+    monkeypatch.undo()
+    pipe, _ = make_pipeline()
+    with pytest.raises(InvalidCode, match="^lane 0: raw start marker inside a frame$"):
+        push_bits(pipe, wire)
 
 
 def test_pipeline_receiving_follows_markers_and_comm_en():

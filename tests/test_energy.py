@@ -200,10 +200,11 @@ def test_trace_rejects_an_end_before_the_last_event_or_not_finite(t_end_s):
         events, DEFAULT_PROFILE, 2e-6)
 
 
-@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), "1e-6", None])
 def test_trace_names_an_event_time_not_finite(t):
     # a NaN or inf time used to be blamed on t_end_s, and -inf reported
-    # as preceding the accounting window
+    # as preceding the accounting window; '1e-6' and None raised a bare
+    # TypeError from sorted
     events = [(0.0, "rx_analog", 1), (t, "rx_analog", 0)]
     with pytest.raises(ValueError, match=r"^events must have finite times, got "):
         energy_trace(events, DEFAULT_PROFILE, 1e-6)

@@ -432,6 +432,31 @@ def test_loss_of_lock_ends_its_rx_quantum(monkeypatch):
     assert seen[seen.index("loss_of_lock"):] == ["loss_of_lock"]
 
 
+def test_a_slip_after_the_rx_stops_listening_is_not_loss_of_lock(monkeypatch):
+    # LossOfLock used to stay armed once the RX comm_en was written, so a
+    # slip after the RX stopped listening failed a transfer that delivered
+    # every byte
+    engines, listened, marked = [], [], []
+    activate, process_batch = node.LinkEngine._activate_rx, cdr.CdrLoop.process_batch
+
+    def activated(self):
+        engines.append(self)
+        activate(self)
+
+    def slipping(self, *args, **kwargs):
+        rec = process_batch(self, *args, **kwargs)
+        listened.append(engines[-1].pipeline.comm_en)
+        if any(listened) and not listened[-1]:
+            rec.slips = [1] * len(rec.slips)
+            marked.append(rec)
+        return rec
+    monkeypatch.setattr(node.LinkEngine, "_activate_rx", activated)
+    monkeypatch.setattr(cdr.CdrLoop, "process_batch", slipping)
+    report = run_protocol(LinkSimConfig(payload_bytes=64))
+    assert marked
+    assert report.ok and not report.loss_of_lock, report.diagnostic
+
+
 def test_decode_failure_aborts_the_transfer():
     cfg = LinkSimConfig(payload_bytes=64, seed=1,
                         channel=phy.ChannelConfig(noise_sigma_v=0.08))

@@ -407,15 +407,19 @@ def test_a_rejected_sample_call_draws_no_jitter(bad):
 @pytest.mark.parametrize("rj_sigma_s", [0.0, 0.2 * UI_S])
 def test_sample_bits_checks_its_times_once(rj_sigma_s, monkeypatch):
     # a jittered call used to convert, copy and sort its times twice:
-    # once before the jitter draw and again inside voltage
+    # once before the jitter draw and again inside voltage; each call now
+    # peeks at its draws once and uses them once
     calls = []
-    checked = phy._checked_times
-    monkeypatch.setattr(phy, "_checked_times", lambda *a: calls.append(a) or checked(*a))
+    for name in ("ahead", "use"):
+        def counted(self, n, name=name, method=getattr(phy._DrawsAhead, name)):
+            calls.append(name)
+            return method(self, n)
+        monkeypatch.setattr(phy._DrawsAhead, name, counted)
     stream = StreamingNrz(ChannelConfig(rj_sigma_s=rj_sigma_s))
     stream.push_levels([1, 0] * 300)
     for n in (1, 16, 64):
         stream.sample_bits(np.linspace(20, 200, n) * UI_S)
-    assert len(calls) == 3
+    assert calls == (["ahead", "use"] * 3 if rj_sigma_s else [])
 
 
 def test_an_unjittered_sample_call_draws_nothing():
