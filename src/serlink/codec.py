@@ -238,17 +238,36 @@ class FlitKind(enum.Enum):
     TRAINING = "training"
 
 
+# Row ``code`` is that 10-bit code's wire bits, bit 0 first.
+_CODE_BITS = [tuple((code >> k) & 1 for k in range(CODE_BITS))
+              for code in range(1 << CODE_BITS)]
+
+
 @dataclass(frozen=True)
 class Flit:
-    """One 40-bit frame: four 10-bit lane codes, lane 0 transmitted first."""
+    """One 40-bit frame: four 10-bit lane codes, lane 0 transmitted first.
+
+    Each lane is an integer in [0, 0x3FF]; anything else is a ValueError.
+    """
 
     lanes: tuple
 
+    def __post_init__(self):
+        # every flit built runs this, so one unpack and one OR, no loop:
+        # the OR of four ints has no bit above bit 9 only if each is in range
+        try:
+            a, b, c, d = self.lanes
+            bad = (a | b | c | d) >> CODE_BITS
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
+            raise ValueError(f"lanes must be {LANES} integers in [0, 0x3FF], "
+                             f"got {self.lanes!r}")
+
     def bits(self):
-        out = []
-        for code in self.lanes:
-            out.extend((code >> k) & 1 for k in range(CODE_BITS))
-        return out
+        a, b, c, d = self.lanes
+        rows = _CODE_BITS
+        return [*rows[a], *rows[b], *rows[c], *rows[d]]
 
     def to_int(self):
         value = 0
@@ -258,9 +277,15 @@ class Flit:
 
     @classmethod
     def from_int(cls, value):
-        """The received flit whose wire bit ``k`` is bit ``k`` of ``value``."""
-        lanes = tuple((value >> (CODE_BITS * i)) & 0x3FF for i in range(LANES))
-        return cls(lanes)
+        """The received flit whose wire bit ``k`` is bit ``k`` of ``value``,
+        an integer in [0, 2**40)."""
+        try:
+            bad = value >> FLIT_BITS
+        except TypeError:
+            bad = True
+        if bad:
+            raise ValueError(f"value must be an integer in [0, 2**40), got {value!r}")
+        return cls((value & 0x3FF, value >> 10 & 0x3FF, value >> 20 & 0x3FF, value >> 30))
 
 
 def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
@@ -272,12 +297,17 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
     if kind is FlitKind.DATA:
         if not (isinstance(word, numbers.Integral) and 0 <= word < 1 << 32):
             raise ValueError("data flit requires a 32-bit word")
-        lanes = []
-        for i in range(LANES):
-            byte = (word >> (8 * i)) & 0xFF
-            code, rd = encode_symbol(Symbol(byte), rd)
-            lanes.append(code)
-        return Flit(tuple(lanes)), rd
+        # one table row per lane; every byte has a row at both disparities
+        # and every row's disparity is one, so only lane 0 can miss
+        try:
+            c0, rd = _ENCODE[word & 0xFF, False, rd]
+            c1, rd = _ENCODE[word >> 8 & 0xFF, False, rd]
+            c2, rd = _ENCODE[word >> 16 & 0xFF, False, rd]
+            c3, rd = _ENCODE[word >> 24, False, rd]
+        except KeyError:  # rd is no Disparity: encode_symbol raises its error
+            encode_symbol(Symbol(word & 0xFF), rd)
+            raise
+        return Flit((c0, c1, c2, c3)), rd
     if word is not None:
         raise ValueError(f"{kind.value} flit carries no word")
     # header lane 0: the raw marker byte LSB-first, padded with two zeros
@@ -299,16 +329,20 @@ def decode_flit(flit: Flit, rd=Disparity.NEGATIVE):
     Every other flit is data: a training flit is the data word
     0xB5B5B5B5 on the wire, and only framing tells the two apart.
     """
-    if flit.lanes[0] == START_BYTE:
+    lanes = flit.lanes
+    if lanes[0] == START_BYTE:
         return (FlitKind.START, None), rd
-    if flit.lanes[0] == STOP_BYTE:
+    if lanes[0] == STOP_BYTE:
         return (FlitKind.STOP, None), rd
     word = 0
-    for i, code in enumerate(flit.lanes):
-        try:
-            sym, rd = decode_symbol(code, rd)
-        except (InvalidCode, DisparityError) as exc:
-            raise type(exc)(f"lane {i}: {exc}") from None
+    for i, code in enumerate(lanes):
+        found = _DECODE.get((code, rd))
+        if found is None:  # decode_symbol raises the miss's error
+            try:
+                decode_symbol(code, rd)
+            except (InvalidCode, DisparityError) as exc:
+                raise type(exc)(f"lane {i}: {exc}") from None
+        sym, rd = found
         if sym.is_control:
             raise InvalidCode(f"lane {i}: unexpected control symbol 0x{sym.payload:02x}")
         word |= sym.payload << (8 * i)

@@ -119,25 +119,26 @@ class SequenceDetector:
     def push_pair(self, pair):
         """The FlitKind (START or STOP) of the marker this pair completes,
         or None."""
-        found = None
-        window, fresh = self._window, self._fresh
-        # after a marker the next one needs eight fresh bits, so the
-        # marker sought cannot change within a pair
+        even, odd = pair
+        fresh = self._fresh
+        first = (self._window >> 1) | (even << 7)  # the window after each bit
+        self._window = second = (first >> 1) | (odd << 7)
         marker = codec.STOP_BYTE if self.in_data_comm else codec.START_BYTE
-        for k, bit in enumerate(pair):
-            window = (window >> 1) | (bit << 7)
-            fresh += 1
-            if fresh < 8 or window != marker:
-                continue
-            fresh = 0
-            if self.in_data_comm:
-                found = FlitKind.STOP
-            else:
-                found = FlitKind.START
-                self.shift = k == 0  # ended on a pair's first bit: started odd
-            self.in_data_comm = not self.in_data_comm
-        self._window, self._fresh = window, fresh
-        return found
+        # a marker needs eight fresh bits, so after one the pair's other
+        # bit cannot complete the next
+        if fresh >= 7 and first == marker:
+            self._fresh, odd_aligned = 1, True
+        elif fresh >= 6 and second == marker:
+            self._fresh, odd_aligned = 0, False
+        else:
+            self._fresh = fresh + 2
+            return None
+        if self.in_data_comm:
+            self.in_data_comm = False
+            return FlitKind.STOP
+        self.in_data_comm = True
+        self.shift = odd_aligned  # ended on a pair's first bit: started odd
+        return FlitKind.START
 
 
 # Pairs between the end of the start marker and the first payload pair:

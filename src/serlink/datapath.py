@@ -64,18 +64,21 @@ class Deserializer:
     """Rebuilds 40-bit words from DDR pairs; emits one word per 20 pairs."""
 
     def __init__(self):
-        self._bits = []
+        self._word = 0  # the bits so far, bit k at weight 2**k
+        self._n = 0     # how many
 
     def reset(self):
-        self._bits = []
+        self._word = self._n = 0
 
     def push(self, pair):
         """Consume one pair; returns the completed 40-bit word or None."""
-        self._bits.extend(pair)
-        if len(self._bits) == FLIT_BITS:
-            word = sum(b << k for k, b in enumerate(self._bits))
-            self._bits = []
+        even, odd = pair
+        n = self._n
+        word = self._word + (even << n) + (odd << n + 1)  # sum(b << k) of the bits so far
+        if n == FLIT_BITS - 2:
+            self._word = self._n = 0
             return word
+        self._word, self._n = word, n + 2
         return None
 
 

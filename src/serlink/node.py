@@ -302,15 +302,17 @@ class LinkEngine:
         self._rx_regs = rx.regs  # not the RX node: its register hook holds this engine
         self.log = log
         self.aborted = None
+        # read once: each quantum uses them, and each read computes its float
+        self._tx_ui_s, self._slow_cycle_s = cfg.tx_ui_s, cfg.slow_cycle_s
 
-        self._cdc_ps = s_to_ps(CDC_SLOW_CYCLES * cfg.slow_cycle_s)
+        self._cdc_ps = s_to_ps(CDC_SLOW_CYCLES * self._slow_cycle_s)
         tx_fifo = Fifo(latency_ps=self._cdc_ps)
         self.rx_fifo = Fifo(latency_ps=self._cdc_ps + s_to_ps(
-            DECODER_LATENCY_SLOW * cfg.slow_cycle_s))
+            DECODER_LATENCY_SLOW * self._slow_cycle_s))
         tx.dma = DmaChannel("read", tx_fifo)
         rx.dma = DmaChannel("write", self.rx_fifo)
 
-        self.stream = phy.StreamingNrz(cfg.channel, tx_ui_s=cfg.tx_ui_s,
+        self.stream = phy.StreamingNrz(cfg.channel, tx_ui_s=self._tx_ui_s,
                                        seed=cfg.seed)
         # the framer's word source and handshake read the FIFO and the clock,
         # not this engine, so the framer holds no reference back to it
@@ -350,16 +352,17 @@ class LinkEngine:
     # -- TX data plane ------------------------------------------------------
 
     def _tx_quantum(self):
+        step_cycle = self.framer.step_cycle
         for _ in range(cdr.BATCH_BITS // 2):
-            self.framer.step_cycle()
+            step_cycle()
         state = self.framer.state
         if state is not self._prev_tx_state:
             self.log("tx", "tx_state", state.value)
             if state is control.TxState.DATA_COMM and self.first_data_bit_s is None:
-                self.first_data_bit_s = self._tx_quanta * cdr.BATCH_BITS * self.cfg.tx_ui_s
+                self.first_data_bit_s = self._tx_quanta * cdr.BATCH_BITS * self._tx_ui_s
             self._prev_tx_state = state
         self._tx_quanta += 1
-        self.sim.schedule(s_to_ps(self._tx_quanta * cdr.BATCH_BITS * self.cfg.tx_ui_s),
+        self.sim.schedule(s_to_ps(self._tx_quanta * cdr.BATCH_BITS * self._tx_ui_s),
                           self._tx_quantum)
 
     # -- RX data plane ------------------------------------------------------
@@ -370,12 +373,12 @@ class LinkEngine:
             self.stream, ui_s=self.cfg.ui_s, n=self._rx_regs.cdr_n,
             initial_phase_ui=self.cfg.initial_phase_ui,
             include_boundary=self.cfg.include_boundary_pd, t_start_s=anchor_s)
-        self._schedule_rx_quantum(anchor_s + self.cfg.slow_cycle_s)
+        self._schedule_rx_quantum(anchor_s + self._slow_cycle_s)
 
     def _schedule_rx_quantum(self, batch_end_s):
         # run two quanta behind the recovered sampling instants so the
         # transmit side has always pushed the waveform being sampled
-        t = batch_end_s + 2 * self.cfg.slow_cycle_s
+        t = batch_end_s + 2 * self._slow_cycle_s
         self.sim.schedule(max(s_to_ps(t), self.sim.now_ps), self._rx_quantum)
 
     def _rx_quantum(self):
@@ -395,10 +398,10 @@ class LinkEngine:
             return
 
         bits = rec.data_bits[k * cdr.BATCH_BITS:(k + 1) * cdr.BATCH_BITS]
-        pipeline, fifo = self.pipeline, self.rx_fifo
+        push_pair, fifo = self.pipeline.push_pair, self.rx_fifo
         for pair in zip(bits[0::2], bits[1::2]):  # (even, odd) comparator pairs
             try:
-                words = pipeline.push_pair(pair)
+                words = push_pair(pair)
             except CodecError as exc:
                 self.log("rx", "decode_error", str(exc))
                 self.aborted = f"decode failure during transfer: {exc}"
@@ -409,7 +412,7 @@ class LinkEngine:
                                     f"{fifo.depth}-entry RX FIFO full")
                     return
                 fifo.push(self.sim.now_ps, word)
-        self._schedule_rx_quantum(rec.t_end_s[k] + self.cfg.slow_cycle_s)
+        self._schedule_rx_quantum(rec.t_end_s[k] + self._slow_cycle_s)
 
 
 @dataclass
@@ -613,9 +616,9 @@ def run_protocol(cfg: LinkSimConfig) -> TransferReport:
     timestamps = {}
 
     def transfer_complete():
-        return (len(finished) == 2 and rx.dma.done
-                and engine.framer.state is control.TxState.IDLE
-                and not engine.framer.warm_en)
+        # the cheapest test first: the TX warm_en is set all through a transfer
+        return (not engine.framer.warm_en and len(finished) == 2 and rx.dma.done
+                and engine.framer.state is control.TxState.IDLE)
 
     def teardown_poll():
         # once the RX program has run, its DMA has written the payload and

@@ -205,6 +205,98 @@ def test_corrupted_lane_reported_with_index():
         decode_flit(bad, Disparity.NEGATIVE)
 
 
+# -- table-driven flits against the per-bit and per-lane definitions ----------
+
+def _lanes_with(code, lane, others=(0x155, 0x2AA, 0x0F0, 0x30F)):
+    lanes = list(others)
+    lanes[lane] = code
+    return tuple(lanes)
+
+
+def test_flit_bits_match_the_per_bit_definition():
+    for lane in range(codec.LANES):
+        for code in range(1 << codec.CODE_BITS):
+            lanes = _lanes_with(code, lane)
+            want = [(c >> k) & 1 for c in lanes for k in range(codec.CODE_BITS)]
+            assert Flit(lanes).bits() == want, (lane, code)
+
+
+def test_data_flit_encode_matches_the_per_lane_symbol_chain():
+    for start in Disparity:
+        for lane in range(codec.LANES):
+            for byte in range(256):
+                word = (0x5A3C0F96 & ~(0xFF << 8 * lane)) | byte << 8 * lane
+                codes, rd = [], start
+                for i in range(codec.LANES):
+                    code, rd = encode_symbol(Symbol((word >> 8 * i) & 0xFF), rd)
+                    codes.append(code)
+                assert encode_flit(FlitKind.DATA, word, start) == (Flit(tuple(codes)), rd)
+
+
+def _decode_per_lane(flit, rd):
+    """decode_flit as one decode_symbol call per lane: its outcome, or the
+    type and message of the error it raises."""
+    if flit.lanes[0] in (codec.START_BYTE, codec.STOP_BYTE):
+        kind = FlitKind.START if flit.lanes[0] == codec.START_BYTE else FlitKind.STOP
+        return (kind, None), rd
+    word = 0
+    for i, code in enumerate(flit.lanes):
+        try:
+            sym, rd = decode_symbol(code, rd)
+        except (InvalidCode, DisparityError) as exc:
+            return type(exc), f"lane {i}: {exc}"
+        if sym.is_control:
+            return InvalidCode, f"lane {i}: unexpected control symbol 0x{sym.payload:02x}"
+        word |= sym.payload << (8 * i)
+    return (FlitKind.DATA, word), rd
+
+
+def test_decode_flit_matches_the_per_lane_symbol_chain():
+    # every 10-bit code in every lane, after lanes legal at the chained
+    # disparity: data, control, wrong-disparity and illegal codes alike
+    outcomes = set()
+    for start in Disparity:
+        valid, _ = encode_flit(FlitKind.DATA, 0x5A3C0F96, start)
+        for lane in range(codec.LANES):
+            for code in range(1 << codec.CODE_BITS):
+                flit = Flit(_lanes_with(code, lane, valid.lanes))
+                want = _decode_per_lane(flit, start)
+                try:
+                    got = decode_flit(flit, start)
+                except (InvalidCode, DisparityError) as exc:
+                    got = type(exc), str(exc)
+                assert got == want, (start, lane, code)
+                outcomes.add(want[0] if isinstance(want[0], type) else want[0][0])
+    assert outcomes == {InvalidCode, DisparityError, FlitKind.DATA,
+                        FlitKind.START, FlitKind.STOP}
+
+
+def test_flit_int_form_round_trips():
+    rng = np.random.default_rng(33)
+    values = [0, 2**40 - 1] + [int(v) for v in rng.integers(0, 2**40, 2000, dtype=np.int64)]
+    for value in values:
+        flit = Flit.from_int(value)
+        assert flit.to_int() == value
+        assert flit.bits() == [(value >> k) & 1 for k in range(codec.FLIT_BITS)]
+
+
+@pytest.mark.parametrize("lanes", [(0x400, 0, 0, 0), (-1, 0, 0, 0), (1, 2),
+                                   (0, 0, 0, 0x400), (1, 2, 3, 4, 5),
+                                   (1.0, 0, 0, 0), "abcd"])
+def test_flit_lanes_outside_four_10_bit_codes_are_rejected(lanes):
+    # 0x400 read as zeros in bits() but as lane 1's bit 0 in to_int(), -1
+    # gave to_int() -1, and (1, 2) made a 20-bit flit
+    with pytest.raises(ValueError, match=r"^lanes must be 4 integers in \[0, 0x3FF\]"):
+        Flit(lanes)
+
+
+@pytest.mark.parametrize("value", [2**40, -1, 2**41 + 3, 1.5, "7"])
+def test_flit_int_outside_40_bits_is_rejected(value):
+    # 2**40 used to come back as four zero lanes
+    with pytest.raises(ValueError, match=r"^value must be an integer in \[0, 2\*\*40\)"):
+        Flit.from_int(value)
+
+
 def test_wire_running_sum_bounded():
     # chained lane disparity keeps every prefix of the serialized stream
     # within a 6-bit peak-to-peak band (|sum| <= 4 from an RD- start)

@@ -170,3 +170,21 @@ def test_serdes_with_realigner_returns_every_flit_at_either_alignment(flits, lat
             wire.extend(pair)
     wire.extend([0, 0])
     assert _recover(wire, len(flits), shift=late) == flits
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                     min_size=20, max_size=120),
+       resets=st.sets(st.integers(0, 100), max_size=4))
+def test_deserializer_matches_a_list_reference_across_resets(pairs, resets):
+    # the RX pipeline resets the deserializer at every marker, mid-word too
+    des, held = Deserializer(), []
+    for i, pair in enumerate(pairs):
+        if i in resets:
+            des.reset()
+            held = []
+        held.extend(pair)
+        want = None
+        if len(held) == 40:
+            want, held = sum(b << k for k, b in enumerate(held)), []
+        assert des.push(BitPair(*pair)) == want
