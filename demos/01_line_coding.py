@@ -32,8 +32,9 @@ def main():
     print("\n== a data flit ==")
     flit, rd = encode_flit(FlitKind.DATA, 0xCAFE0042, Disparity.NEGATIVE)
     print("word 0xCAFE0042 ->", " ".join(wire_str(c) for c in flit.lanes))
-    (kind, word), _ = decode_flit(flit, Disparity.NEGATIVE)
-    print(f"decodes back to {kind.value} 0x{word:08X}")
+    word40 = flit.to_int()  # the 40-bit word the receiver deserializes
+    word, _ = decode_flit(word40, Disparity.NEGATIVE)
+    print(f"as 40-bit word 0x{word40:010X} decodes back to 0x{word:08X}")
 
     print("\n== running digital sum over random payload ==")
     rng = np.random.default_rng(1)

@@ -194,8 +194,14 @@ def _build_tables():
 _ENCODE, _DECODE = _build_tables()
 
 
+def _check_rd(rd):
+    if not isinstance(rd, Disparity):
+        raise ValueError(f"rd must be a Disparity, got {rd!r}")
+
+
 def encode_symbol(sym: Symbol, rd: Disparity):
     """Encode one symbol, returning (10-bit code, updated disparity)."""
+    _check_rd(rd)
     found = _ENCODE.get((sym.payload, sym.is_control, rd))
     if found is not None:
         return found
@@ -206,6 +212,7 @@ def encode_symbol(sym: Symbol, rd: Disparity):
 
 def decode_symbol(code: int, rd: Disparity):
     """Decode one 10-bit code, returning (Symbol, updated disparity)."""
+    _check_rd(rd)
     found = _DECODE.get((code, rd))
     if found is not None:
         return found
@@ -245,9 +252,9 @@ _CODE_BITS = [tuple((code >> k) & 1 for k in range(CODE_BITS))
 
 @dataclass(frozen=True)
 class Flit:
-    """One 40-bit frame: four 10-bit lane codes, lane 0 transmitted first.
+    """One 40-bit frame to send: four 10-bit lane codes, lane 0 sent first.
 
-    Each lane is an integer in [0, 0x3FF]; anything else is a ValueError.
+    ``lanes`` is a tuple of four integers in [0, 0x3FF], else a ValueError.
     """
 
     lanes: tuple
@@ -260,9 +267,9 @@ class Flit:
             bad = (a | b | c | d) >> CODE_BITS
         except (TypeError, ValueError):
             bad = True
-        if bad:
+        if bad or type(self.lanes) is not tuple:
             raise ValueError(f"lanes must be {LANES} integers in [0, 0x3FF], "
-                             f"got {self.lanes!r}")
+                             f"as a tuple, got {self.lanes!r}")
 
     def bits(self):
         a, b, c, d = self.lanes
@@ -275,17 +282,14 @@ class Flit:
             value |= code << (CODE_BITS * i)
         return value
 
-    @classmethod
-    def from_int(cls, value):
-        """The received flit whose wire bit ``k`` is bit ``k`` of ``value``,
-        an integer in [0, 2**40)."""
-        try:
-            bad = value >> FLIT_BITS
-        except TypeError:
-            bad = True
-        if bad:
-            raise ValueError(f"value must be an integer in [0, 2**40), got {value!r}")
-        return cls((value & 0x3FF, value >> 10 & 0x3FF, value >> 20 & 0x3FF, value >> 30))
+
+# The lanes of each flit kind that carries no word.  Header lane 0 is the
+# raw marker byte LSB-first, padded with two zeros.
+_FIXED_LANES = {
+    FlitKind.START: (START_BYTE,) + (FILLER_CODE,) * 3,
+    FlitKind.STOP: (STOP_BYTE,) + (FILLER_CODE,) * 3,
+    FlitKind.TRAINING: (FILLER_CODE,) * LANES,
+}
 
 
 def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
@@ -294,50 +298,48 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
     Data flits thread the running disparity through the four lanes; header
     and training flits are disparity-neutral and leave it unchanged.
     """
+    _check_rd(rd)
     if kind is FlitKind.DATA:
         if not (isinstance(word, numbers.Integral) and 0 <= word < 1 << 32):
             raise ValueError("data flit requires a 32-bit word")
-        # one table row per lane; every byte has a row at both disparities
-        # and every row's disparity is one, so only lane 0 can miss
-        try:
-            c0, rd = _ENCODE[word & 0xFF, False, rd]
-            c1, rd = _ENCODE[word >> 8 & 0xFF, False, rd]
-            c2, rd = _ENCODE[word >> 16 & 0xFF, False, rd]
-            c3, rd = _ENCODE[word >> 24, False, rd]
-        except KeyError:  # rd is no Disparity: encode_symbol raises its error
-            encode_symbol(Symbol(word & 0xFF), rd)
-            raise
+        # one table row per lane: every byte has a row at both disparities
+        c0, rd = _ENCODE[word & 0xFF, False, rd]
+        c1, rd = _ENCODE[word >> 8 & 0xFF, False, rd]
+        c2, rd = _ENCODE[word >> 16 & 0xFF, False, rd]
+        c3, rd = _ENCODE[word >> 24, False, rd]
         return Flit((c0, c1, c2, c3)), rd
+    try:
+        lanes = _FIXED_LANES[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"kind must be a FlitKind, got {kind!r}") from None
     if word is not None:
         raise ValueError(f"{kind.value} flit carries no word")
-    # header lane 0: the raw marker byte LSB-first, padded with two zeros
-    if kind is FlitKind.START:
-        lanes = (START_BYTE,) + (FILLER_CODE,) * 3
-    elif kind is FlitKind.STOP:
-        lanes = (STOP_BYTE,) + (FILLER_CODE,) * 3
-    else:
-        lanes = (FILLER_CODE,) * LANES
     return Flit(lanes), rd
 
 
-def decode_flit(flit: Flit, rd=Disparity.NEGATIVE):
-    """Classify and decode one received flit.
+def decode_flit(value, rd=Disparity.NEGATIVE):
+    """Decode one received 40-bit word, returning (data word, updated disparity).
 
-    Returns ((FlitKind, word-or-None), updated disparity).  Start/stop
-    frames are recognized by their raw 8-bit header before any 8b/10b
-    decoding is attempted; lane decode errors carry the lane index.
-    Every other flit is data: a training flit is the data word
-    0xB5B5B5B5 on the wire, and only framing tells the two apart.
+    Wire bit ``k`` is bit ``k`` of ``value``, an integer in [0, 2**40).
+    Framing is the sequence detector's: a raw marker in lane 0 is no code,
+    so it fails as InvalidCode like any other miss; errors carry the lane
+    index.  A training flit is the data word 0xB5B5B5B5 on the wire.
     """
-    lanes = flit.lanes
-    if lanes[0] == START_BYTE:
-        return (FlitKind.START, None), rd
-    if lanes[0] == STOP_BYTE:
-        return (FlitKind.STOP, None), rd
+    try:
+        bad = value >> FLIT_BITS
+    except TypeError:
+        bad = True
+    if bad:
+        raise ValueError(f"value must be an integer in [0, 2**40), got {value!r}")
+    _check_rd(rd)
     word = 0
-    for i, code in enumerate(lanes):
+    for i in range(LANES):
+        code = value >> CODE_BITS * i & 0x3FF
         found = _DECODE.get((code, rd))
         if found is None:  # decode_symbol raises the miss's error
+            if i == 0 and code in (START_BYTE, STOP_BYTE):
+                marker = "start" if code == START_BYTE else "stop"
+                raise InvalidCode(f"lane 0: raw {marker} marker inside a frame")
             try:
                 decode_symbol(code, rd)
             except (InvalidCode, DisparityError) as exc:
@@ -346,4 +348,4 @@ def decode_flit(flit: Flit, rd=Disparity.NEGATIVE):
         if sym.is_control:
             raise InvalidCode(f"lane {i}: unexpected control symbol 0x{sym.payload:02x}")
         word |= sym.payload << (8 * i)
-    return (FlitKind.DATA, word), rd
+    return word, rd

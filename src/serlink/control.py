@@ -17,7 +17,6 @@ import enum
 
 from . import codec, datapath, phy
 from .codec import Disparity, FlitKind
-from .errors import InvalidCode
 
 
 class TxState(enum.Enum):
@@ -208,8 +207,5 @@ class RxPipeline:
         word40 = self._deserializer.push(aligned)
         if word40 is None:
             return ()
-        flit = codec.Flit.from_int(word40)
-        (kind, word), self.rd = codec.decode_flit(flit, self.rd)
-        if kind is not FlitKind.DATA:  # framing is the detector's alone
-            raise InvalidCode(f"lane 0: raw {kind.value} marker inside a frame")
+        word, self.rd = codec.decode_flit(word40, self.rd)
         return (word,)

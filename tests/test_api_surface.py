@@ -24,8 +24,6 @@ ALLOWED = {
     # the frequency-offset drift with these two
     "slew_capacity_ui_per_ui",
     "offset_drift_ui_per_ui",
-    # acceptance criterion 3 checks the flit's 40-bit integer form
-    "Flit.to_int",
 }
 
 

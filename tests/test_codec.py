@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -138,8 +140,8 @@ def test_data_flit_roundtrip_random_words():
     for _ in range(500):
         word = int(rng.integers(0, 2**32, dtype=np.uint64))
         flit, rd_enc = encode_flit(FlitKind.DATA, word, rd)
-        (kind, decoded), rd_dec = decode_flit(flit, rd)
-        assert kind is FlitKind.DATA and decoded == word
+        decoded, rd_dec = decode_flit(flit.to_int(), rd)
+        assert decoded == word
         assert rd_enc == rd_dec
         rd = rd_enc
 
@@ -161,16 +163,19 @@ def test_start_and_stop_flit_prefixes():
 
 
 def test_header_flits_decode_by_kind():
+    # framing is the sequence detector's: a header word reaching the decoder
+    # is a raw marker in lane 0, which no code equals
     for kind in (FlitKind.START, FlitKind.STOP):
         flit, _ = encode_flit(kind)
-        (decoded_kind, word), _ = decode_flit(flit, Disparity.NEGATIVE)
-        assert decoded_kind is kind and word is None
+        with pytest.raises(InvalidCode,
+                           match=f"^lane 0: raw {kind.value} marker inside a frame$"):
+            decode_flit(flit.to_int(), Disparity.NEGATIVE)
     # a training flit is four D21.5 lanes, the same wire bits as a data
     # word: only framing tells them apart, so it decodes as that word
     training, _ = encode_flit(FlitKind.TRAINING)
     data, _ = encode_flit(FlitKind.DATA, 0xB5B5B5B5)
     assert training.lanes == data.lanes
-    assert decode_flit(training)[0] == (FlitKind.DATA, 0xB5B5B5B5)
+    assert decode_flit(training.to_int())[0] == 0xB5B5B5B5
 
 
 def test_training_flit_alternates():
@@ -202,7 +207,7 @@ def test_corrupted_lane_reported_with_index():
     lanes[2] = corrupted
     bad = Flit(tuple(lanes))
     with pytest.raises(InvalidCode, match="lane 2"):
-        decode_flit(bad, Disparity.NEGATIVE)
+        decode_flit(bad.to_int(), Disparity.NEGATIVE)
 
 
 # -- table-driven flits against the per-bit and per-lane definitions ----------
@@ -233,14 +238,14 @@ def test_data_flit_encode_matches_the_per_lane_symbol_chain():
                 assert encode_flit(FlitKind.DATA, word, start) == (Flit(tuple(codes)), rd)
 
 
-def _decode_per_lane(flit, rd):
+def _decode_per_lane(lanes, rd):
     """decode_flit as one decode_symbol call per lane: its outcome, or the
     type and message of the error it raises."""
-    if flit.lanes[0] in (codec.START_BYTE, codec.STOP_BYTE):
-        kind = FlitKind.START if flit.lanes[0] == codec.START_BYTE else FlitKind.STOP
-        return (kind, None), rd
+    markers = {codec.START_BYTE: "start", codec.STOP_BYTE: "stop"}
+    if lanes[0] in markers:
+        return InvalidCode, f"lane 0: raw {markers[lanes[0]]} marker inside a frame"
     word = 0
-    for i, code in enumerate(flit.lanes):
+    for i, code in enumerate(lanes):
         try:
             sym, rd = decode_symbol(code, rd)
         except (InvalidCode, DisparityError) as exc:
@@ -248,44 +253,48 @@ def _decode_per_lane(flit, rd):
         if sym.is_control:
             return InvalidCode, f"lane {i}: unexpected control symbol 0x{sym.payload:02x}"
         word |= sym.payload << (8 * i)
-    return (FlitKind.DATA, word), rd
+    return word, rd
 
 
 def test_decode_flit_matches_the_per_lane_symbol_chain():
-    # every 10-bit code in every lane, after lanes legal at the chained
-    # disparity: data, control, wrong-disparity and illegal codes alike
+    # every 10-bit code in every lane of a 40-bit word, after lanes legal at
+    # the chained disparity: data, control, marker, wrong-disparity and
+    # illegal codes alike
     outcomes = set()
     for start in Disparity:
         valid, _ = encode_flit(FlitKind.DATA, 0x5A3C0F96, start)
         for lane in range(codec.LANES):
             for code in range(1 << codec.CODE_BITS):
-                flit = Flit(_lanes_with(code, lane, valid.lanes))
-                want = _decode_per_lane(flit, start)
+                lanes = _lanes_with(code, lane, valid.lanes)
+                want = _decode_per_lane(lanes, start)
                 try:
-                    got = decode_flit(flit, start)
+                    got = decode_flit(Flit(lanes).to_int(), start)
                 except (InvalidCode, DisparityError) as exc:
                     got = type(exc), str(exc)
                 assert got == want, (start, lane, code)
-                outcomes.add(want[0] if isinstance(want[0], type) else want[0][0])
-    assert outcomes == {InvalidCode, DisparityError, FlitKind.DATA,
-                        FlitKind.START, FlitKind.STOP}
+                outcomes.add(want[1] if "marker" in str(want[1]) else
+                              want[0] if isinstance(want[0], type) else "data")
+    assert outcomes == {InvalidCode, DisparityError, "data",
+                        "lane 0: raw start marker inside a frame",
+                        "lane 0: raw stop marker inside a frame"}
 
 
 def test_flit_int_form_round_trips():
     rng = np.random.default_rng(33)
     values = [0, 2**40 - 1] + [int(v) for v in rng.integers(0, 2**40, 2000, dtype=np.int64)]
     for value in values:
-        flit = Flit.from_int(value)
+        flit = Flit(tuple(value >> 10 * i & 0x3FF for i in range(codec.LANES)))
         assert flit.to_int() == value
         assert flit.bits() == [(value >> k) & 1 for k in range(codec.FLIT_BITS)]
 
 
 @pytest.mark.parametrize("lanes", [(0x400, 0, 0, 0), (-1, 0, 0, 0), (1, 2),
                                    (0, 0, 0, 0x400), (1, 2, 3, 4, 5),
-                                   (1.0, 0, 0, 0), "abcd"])
+                                   (1.0, 0, 0, 0), "abcd", [1, 2, 3, 4]])
 def test_flit_lanes_outside_four_10_bit_codes_are_rejected(lanes):
     # 0x400 read as zeros in bits() but as lane 1's bit 0 in to_int(), -1
-    # gave to_int() -1, and (1, 2) made a 20-bit flit
+    # gave to_int() -1, (1, 2) made a 20-bit flit, and a list made a flit
+    # unequal to its tuple form and unhashable
     with pytest.raises(ValueError, match=r"^lanes must be 4 integers in \[0, 0x3FF\]"):
         Flit(lanes)
 
@@ -294,7 +303,32 @@ def test_flit_lanes_outside_four_10_bit_codes_are_rejected(lanes):
 def test_flit_int_outside_40_bits_is_rejected(value):
     # 2**40 used to come back as four zero lanes
     with pytest.raises(ValueError, match=r"^value must be an integer in \[0, 2\*\*40\)"):
-        Flit.from_int(value)
+        decode_flit(value, Disparity.NEGATIVE)
+
+
+@pytest.mark.parametrize("rd", [None, -1, "NEGATIVE"])
+def test_codec_rejects_an_rd_that_is_no_disparity(rd):
+    # encode_flit's data path and encode_symbol blamed the byte, decode_flit
+    # and decode_symbol raised AttributeError, and a header flit came back
+    # with rd unchanged
+    code = encode_symbol(Symbol(5), Disparity.NEGATIVE)[0]
+    calls = [lambda: encode_symbol(Symbol(5), rd),
+             lambda: decode_symbol(code, rd),
+             lambda: encode_flit(FlitKind.DATA, 5, rd),
+             lambda: encode_flit(FlitKind.START, None, rd),
+             lambda: decode_flit(encode_flit(FlitKind.DATA, 5)[0].to_int(), rd)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^rd must be a Disparity, got {rd!r}$"):
+            call()
+
+
+def test_encode_flit_rejects_a_kind_that_is_no_flit_kind():
+    # the first two used to come back as training flits, the third raised
+    # AttributeError; an unhashable kind misses the table by TypeError
+    for args in (("start",), (None,), ("data", 5), (["start"],)):
+        message = f"kind must be a FlitKind, got {args[0]!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            encode_flit(*args)
 
 
 def test_wire_running_sum_bounded():
@@ -341,8 +375,7 @@ def test_any_word_stream_round_trips_with_bounded_running_sum(words, start):
         flits.append(flit)
     got, rd = [], start
     for flit in flits:
-        (kind, word), rd = decode_flit(Flit.from_int(flit.to_int()), rd)
-        assert kind is FlitKind.DATA
+        word, rd = decode_flit(flit.to_int(), rd)
         got.append(word)
     assert got == words
     # 8b/10b keeps |RDS| <= 3; the stream starts at RDS -1 or +1
