@@ -266,29 +266,43 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     TypeError.  Height is the vertical opening (smallest high sample
     minus largest low sample) at the best phase; width is the contiguous
     phase span around it where the opening stays within 0.1% of the
-    best.  ``w.ui_s`` must be finite and at least the sample period
-    (UI_RULE's 50 ps floor serves the event scheduler only), ``n_ui``
-    an integer >= ``EYE_MIN_UIS`` and ``w.samples`` finite, else
-    ValueError.  The first ``n_ui // 2``
-    two-UI traces are folded, so an odd ``n_ui`` folds one UI fewer than
-    it names.
+    best.  ``w.dt_s`` must be finite and > 0, ``w.ui_s`` finite, at
+    least the sample period (UI_RULE's 50 ps floor serves the event
+    scheduler only) and a whole number of them to within rounding,
+    ``w.samples`` a 1-D array of finite real numbers spanning a finite
+    range, and ``n_ui`` an integer >= ``EYE_MIN_UIS``, else ValueError.
+    The first ``n_ui // 2`` two-UI traces are folded, so an odd ``n_ui``
+    folds one UI fewer than it names.
 
-    The folded ``(traces, 2*spu)`` matrix is walked in blocks of
-    ``_EYE_BLOCK_TRACES`` traces, so temporaries stay small.  Column c
+    The voltage range is the waveform's, at least 1e-12 V wide, or
+    wider where that cannot hold 64 finite bins.  The folded
+    ``(traces, 2*spu)`` matrix is walked in blocks of
+    ``_EYE_BLOCK_TRACES`` traces through preallocated scratch.  Column c
     holds every sample of phase c/spu: the openings come from masked
     min and max down the columns, and the counts from one ``bincount``
     per block over (phase bin, volt bin) pairs.  Both bins follow
     numpy's histogram rules (right edges exclusive except the last), so
     the counts and edges equal ``np.histogram2d`` of the folded samples
-    over [0, 2] UI and the whole waveform's voltage range.
+    over [0, 2] UI and that voltage range.
     """
     if not isinstance(w, Waveform):
         raise TypeError(f"eye_capture takes a phy.Waveform, got {type(w).__name__}")
+    check("dt_s", "float", ("> 0", lambda v: v > 0), w.dt_s)
     check("ui_s", "float", (f">= the sample period {w.dt_s:g}", lambda v: v >= w.dt_s),
           w.ui_s)
-    check("n_ui", "int", (f">= {EYE_MIN_UIS}", lambda v: v >= EYE_MIN_UIS), n_ui)
-    spu = int(round(w.ui_s / w.dt_s))
+    ratio = w.ui_s / w.dt_s  # inf if dt_s is subnormal
+    spu = round(ratio) if math.isfinite(ratio) else 0
+    if not math.isclose(ratio, spu, rel_tol=1e-9):  # drive's ui_s / 32 is within rounding
+        raise ValueError(f"ui_s must be a whole number of sample periods dt_s, got "
+                         f"ui_s / dt_s = {ratio!r}")
     samples = w.samples
+    if not (isinstance(samples, np.ndarray) and samples.ndim == 1
+            and samples.dtype.kind in "iuf"):
+        what = (f"shape {samples.shape} of {samples.dtype}" if isinstance(samples, np.ndarray)
+                else type(samples).__name__)
+        raise ValueError(f"samples must be a 1-D array of real numbers, got {what}")
+    samples = np.asarray(samples, dtype=float)  # integers fold as their floats
+    check("n_ui", "int", (f">= {EYE_MIN_UIS}", lambda v: v >= EYE_MIN_UIS), n_ui)
     span_ui = (len(samples) - 1) / spu
     if span_ui < n_ui:
         raise InsufficientSpan(f"waveform spans {span_ui:.1f} UI, need {n_ui}")
@@ -297,28 +311,61 @@ def eye_capture(w: Waveform, n_ui=DEFAULT_EYE_UIS):
     folded = samples[:n_traces * window].reshape(n_traces, window)
 
     pe = np.linspace(0.0, 2.0, window + 1)
-    vmin = float(samples.min())
-    vmax = max(float(samples.max()), vmin + 1e-12)
-    if not -math.inf < vmin <= vmax < math.inf:  # NaN fails every comparison
-        raise ValueError(f"samples must be finite, got {vmin} to {vmax}")
-    ve = np.histogram_bin_edges([], EYE_VOLT_BINS, (vmin, vmax))
+    vmin, top = float(samples.min()), float(samples.max())
+    if not -math.inf < vmin <= top < math.inf:  # NaN fails every comparison
+        raise ValueError(f"samples must be finite, got {vmin} to {top}")
+    if not math.isfinite(top - vmin):
+        raise ValueError(f"samples must span a finite range, got {vmin} to {top}")
+    vmax = max(top, vmin + 1e-12)
+    try:
+        ve = np.histogram_bin_edges([], EYE_VOLT_BINS, (vmin, vmax))
+    except ValueError:
+        # from 128 V up, the 1e-12 V floor holds too few doubles for 64
+        # finite bins: widen it to four doubles of the level a bin, which
+        # rounding cannot merge even where the range crosses a power of 2;
+        # within that of the largest double, widen it down from the top
+        wide = 4 * EYE_VOLT_BINS * math.ulp(max(abs(vmin), abs(vmax)))
+        vmin, vmax = (vmin, vmin + wide) if vmin + wide < math.inf else (top - wide, top)
+        ve = np.histogram_bin_edges([], EYE_VOLT_BINS, (vmin, vmax))
     pbin = np.searchsorted(pe, np.arange(window) / spu, side="right") - 1
     norm = EYE_VOLT_BINS / (ve[-1] - ve[0])
+    # a position in bins misses the sample's place among the rounded
+    # edges by a few doubles of the largest level (times norm) plus its
+    # own rounding; one farther than slack from an integer lies in the
+    # bin it truncates to
+    slack = 16 * math.ulp(max(abs(ve[0]), abs(ve[-1]))) * norm + 1e-9
     hi = np.full(window, np.inf)
     lo = np.full(window, -np.inf)
     counts = np.zeros(window * EYE_VOLT_BINS, dtype=np.intp)
+    first_bin = pbin * EYE_VOLT_BINS  # each column's (phase, volt 0) bin
+    # per-block scratch, filled in place
+    rows = min(n_traces, _EYE_BLOCK_TRACES)
+    pos = np.empty((rows, window))
+    vbin = np.empty((rows, window), np.intp)
+    mask = np.empty((rows, window), bool)
     for start in range(0, n_traces, _EYE_BLOCK_TRACES):
         v = folded[start:start + _EYE_BLOCK_TRACES]
-        high = v > 0  # a trace sitting at 0 V pierces the opening
-        np.minimum(hi, np.where(high, v, np.inf).min(axis=0), out=hi)
-        np.maximum(lo, np.where(high, -np.inf, v).max(axis=0), out=lo)
-        # estimate the volt bin, then correct it by one step against the edges
-        vbin = ((v - ve[0]) * norm).astype(np.intp)
-        np.minimum(vbin, EYE_VOLT_BINS - 1, out=vbin)
-        vbin -= v < ve[vbin]
-        vbin += (v >= ve[vbin + 1]) & (vbin < EYE_VOLT_BINS - 1)
-        vbin += pbin * EYE_VOLT_BINS
-        counts += np.bincount(vbin.ravel(), minlength=len(counts))
+        p, b, m = pos[:len(v)], vbin[:len(v)], mask[:len(v)]
+        np.greater(v, 0, out=m)  # a trace sitting at 0 V pierces the opening
+        np.minimum(hi, np.min(v, axis=0, where=m, initial=np.inf), out=hi)
+        np.logical_not(m, out=m)
+        np.maximum(lo, np.max(v, axis=0, where=m, initial=-np.inf), out=lo)
+        # the volt bin is the integer part of the position, clipped so
+        # that vmin and vmax sit mid-bin; only a position within slack
+        # of an integer is checked against the edges, as np.histogram does
+        np.subtract(v, ve[0], out=p)
+        p *= norm
+        np.clip(p, 0.5, EYE_VOLT_BINS - 0.5, out=p)
+        b[...] = p  # truncates
+        p -= b  # the fractional part
+        np.logical_or(p < slack, p > 1 - slack, out=m)
+        near = np.flatnonzero(m)
+        nv, nb = v.reshape(-1)[near], b.reshape(-1)[near]
+        nb -= nv < ve[nb]
+        nb += (nv >= ve[nb + 1]) & (nb < EYE_VOLT_BINS - 1)
+        b.reshape(-1)[near] = nb
+        b += first_bin
+        counts += np.bincount(b.reshape(-1), minlength=len(counts))
     openings = np.where((hi < np.inf) & (lo > -np.inf), hi - lo, -np.inf)
     best = int(np.argmax(openings))
     height = float(max(openings[best], 0.0))

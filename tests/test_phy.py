@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -693,6 +694,172 @@ def test_eye_capture_equals_column_loop_and_histogram2d(seed, spu, n_ui, extra, 
     assert got.volt_edges.tobytes() == want.volt_edges.tobytes()
     assert (repr(got.eye_height_v), repr(got.eye_width_ui), repr(got.best_phase_ui)) == \
         (repr(want.eye_height_v), repr(want.eye_width_ui), repr(want.best_phase_ui))
+
+
+@pytest.mark.parametrize("swing,floor_holds", [(0.44, True), (128.0, True),
+                                               (256.0, False), (1000.0, False)])
+def test_a_flat_eye_at_any_level_has_64_finite_bins(swing, floor_holds):
+    # from a 128 V level up, the range's 1e-12 V floor holds too few
+    # doubles for 64 bins, and numpy raised "Too many bins for data range"
+    cfg = ChannelConfig(swing=swing, trace_length_cm=0.0)
+    eye = eye_capture(channel_apply(drive([1] * 200, cfg), cfg), 150)
+    level = swing / 2
+    assert (eye.eye_height_v, eye.eye_width_ui) == (0.0, 0.0)
+    ve = eye.volt_edges
+    if floor_holds:  # an eye that worked keeps its edges
+        want = np.histogram_bin_edges([], phy.EYE_VOLT_BINS, (level, level + 1e-12))
+        assert ve.tobytes() == want.tobytes()
+    else:
+        assert ve[0] == level and ve[-1] > level + 1e-12
+    assert np.isfinite(ve).all() and (np.diff(ve) > 0).all()
+    assert eye.counts[:, 0].sum() == eye.counts.sum() == 75 * 2 * phy.SAMPLES_PER_UI
+
+
+@pytest.mark.parametrize("level", [sys.float_info.max, np.nextafter(sys.float_info.max, 0),
+                                   -sys.float_info.max])
+def test_a_flat_eye_at_the_largest_double_has_64_finite_bins(level):
+    # the widened range floor overflowed at the largest double (np.spacing
+    # of it is inf, and so is the sum above it): numpy warned, then raised
+    eye = eye_capture(phy.Waveform(UI_S, UI_S / 32, np.full(6401, level)), 200)
+    ve = eye.volt_edges
+    assert np.isfinite(ve).all() and (np.diff(ve) > 0).all()
+    assert level in (ve[0], ve[-1])
+    assert (eye.eye_height_v, eye.eye_width_ui) == (0.0, 0.0)
+    side = 0 if ve[0] == level else -1  # the last bin holds its right edge
+    assert eye.counts[:, side].sum() == eye.counts.sum() == 6400
+
+
+@pytest.mark.parametrize("change,message", [
+    pytest.param(dict(dt_s=0.0), r"^dt_s must be finite, > 0, got 0\.0$", id="dt_zero"),
+    pytest.param(dict(dt_s=-UI_S / 32), r"^dt_s must be finite, > 0, got -", id="dt_negative"),
+    pytest.param(dict(dt_s=math.nan), r"^dt_s must be finite, > 0, got nan$", id="dt_nan"),
+    pytest.param(dict(dt_s=UI_S / 32.5), r"^ui_s must be a whole number of sample periods "
+                 r"dt_s, got ui_s / dt_s = 32\.5$", id="ui_not_whole"),
+    pytest.param(dict(samples=np.zeros((200, 32))),
+                 r"^samples must be a 1-D array of real numbers, got shape \(200, 32\) of "
+                 r"float64$", id="samples_2d"),
+    pytest.param(dict(samples=[0.0] * 6400),
+                 r"^samples must be a 1-D array of real numbers, got list$", id="samples_list"),
+    pytest.param(dict(samples=np.zeros(6400, complex)),
+                 r"^samples must be a 1-D array of real numbers, got shape \(6400,\) of "
+                 r"complex128$", id="samples_complex")])
+def test_eye_capture_checks_a_hand_built_waveform(change, message):
+    # a zero dt_s raised ZeroDivisionError, a negative one InsufficientSpan
+    # ("waveform spans -200.0 UI") and a NaN one the ui_s rule; a 32.5-
+    # sample UI folded at 32 samples; a 2-D array was measured by its rows
+    # or failed in numpy's reshape, a list raised AttributeError, and
+    # complex samples were cast to real
+    wave = dataclasses.replace(_driven([1, 0] * 100), **change)
+    with pytest.raises(ValueError, match=message):
+        eye_capture(wave)
+
+
+@pytest.mark.parametrize("ui_s", [UI_S, phy.ui_for_clock(300), 1e-9, 3.3e-10])
+@pytest.mark.parametrize("spu", [2, 7, 32, 33])
+def test_a_ui_within_rounding_of_whole_samples_folds_at_them(ui_s, spu):
+    # 1e-9 / (1e-9 / 7) is 7.000000000000001
+    eye = eye_capture(phy.Waveform(ui_s, ui_s / spu, np.zeros(9 * spu)), n_ui=8)
+    assert eye.counts.shape == (2 * spu, phy.EYE_VOLT_BINS)
+    assert eye.counts.sum() == 8 * spu
+
+
+def test_integer_samples_fold_as_their_floats():
+    levels = np.arange(6400) % 7 - 3
+    got = eye_capture(phy.Waveform(UI_S, UI_S / 32, levels))
+    want = eye_capture(phy.Waveform(UI_S, UI_S / 32, levels.astype(float)))
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.volt_edges.tobytes() == want.volt_edges.tobytes()
+    assert (got.eye_height_v, got.eye_width_ui) == (want.eye_height_v, want.eye_width_ui)
+
+
+def test_samples_must_span_a_finite_range():
+    # the span overflowed to inf: numpy warned of the overflow, then
+    # raised "Too many bins for data range"
+    wave = _driven([1, 0] * 100)
+    wave.samples[[3, 9]] = -1e308, 1e308
+    with pytest.raises(ValueError, match=r"^samples must span a finite range, got "):
+        eye_capture(wave)
+
+
+def _ulps_around(values, lo, hi):
+    """``values`` and their neighbours one ulp away, within [lo, hi]."""
+    pool = np.concatenate((values, np.nextafter(values, -np.inf),
+                           np.nextafter(values, np.inf)))
+    return pool[(pool >= lo) & (pool <= hi)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       level=st.one_of(st.floats(-500.0, 500.0),
+                       st.sampled_from([0.0, -0.22, 127.99, 128.0, 255.99, -256.0, 500.0])),
+       width=st.one_of(st.just(0.0), st.integers(1, 300), st.just(1e-12),
+                       st.floats(1e-12, 1e-6), st.floats(1e-6, 1000.0)),
+       shape=st.sampled_from(["mixed", "flat", "extremes"]),
+       spu=st.sampled_from([2, 3, 32]),
+       n_traces=st.one_of(st.integers(2, 40),
+                          st.integers(phy._EYE_BLOCK_TRACES + 1,
+                                      2 * phy._EYE_BLOCK_TRACES + 99)),
+       extra=st.integers(1, 40))
+@example(seed=1, level=128.0, width=0.0, shape="flat", spu=32, n_traces=75, extra=1)
+@example(seed=2, level=500.0, width=1e-12, shape="mixed", spu=3, n_traces=4101, extra=5)
+@example(seed=3, level=-0.22, width=0.44, shape="extremes", spu=32, n_traces=2049, extra=3)
+@example(seed=4, level=255.99, width=7, shape="mixed", spu=2, n_traces=40, extra=9)
+def test_eye_bins_equal_histogram2d_at_any_level_and_range(seed, level, width, shape, spu,
+                                                          n_traces, extra):
+    # an integer width is that many ulps of the level; "extremes" puts
+    # every sample on vmin or vmax, as a noiseless 0 cm eye nearly does
+    rng = np.random.default_rng(seed)
+    vmin = level
+    if shape == "flat":
+        vmax = vmin
+    elif isinstance(width, int):
+        vmax = level + width * np.spacing(abs(level) or 1.0)
+    else:
+        vmax = level + width
+    window = 2 * spu
+    n = n_traces * window + extra
+    dt_s = 1e-11
+    wave = phy.Waveform(spu * dt_s, dt_s, np.full(n, vmin))
+    wave.samples[1] = vmax
+    probe = eye_capture(wave, n_ui=4).volt_edges  # the edges of [vmin, vmax]
+    if shape == "extremes":
+        wave.samples[:] = rng.choice([vmin, vmax], n)
+    elif shape == "mixed":
+        # each edge and its neighbours one ulp away, 0 V, and random values
+        pool = _ulps_around(np.append(probe, 0.0), vmin, vmax)
+        wave.samples[:] = rng.uniform(vmin, vmax, n)
+        pick = rng.random(n) < 0.5
+        wave.samples[pick] = rng.choice(pool, np.count_nonzero(pick))
+    wave.samples[rng.choice(n, 2, replace=False)] = vmin, vmax
+    samples = wave.samples
+    got = eye_capture(wave, n_ui=2 * n_traces)
+    ve = got.volt_edges
+    assert ve.tobytes() == probe.tobytes()
+
+    # the range: [vmin, max(vmax, vmin + 1e-12)], widened only where
+    # that cannot hold 64 finite bins
+    top = max(vmax, vmin + 1e-12)
+    if (np.diff(np.linspace(vmin, top, phy.EYE_VOLT_BINS + 1)) > 0).all():
+        want = np.histogram_bin_edges([], phy.EYE_VOLT_BINS, (vmin, top))
+        assert ve.tobytes() == want.tobytes()
+    else:
+        assert ve[0] == vmin and ve[-1] > top
+        assert np.isfinite(ve).all() and (np.diff(ve) > 0).all()
+
+    folded = samples[:n_traces * window]
+    phases = (np.arange(len(folded)) % window) / spu
+    counts, _, hist_ve = np.histogram2d(phases, folded, bins=[window, phy.EYE_VOLT_BINS],
+                                         range=[[0.0, 2.0], [ve[0], ve[-1]]])
+    assert hist_ve.tobytes() == ve.tobytes()
+    assert got.counts.tobytes() == counts.tobytes()
+
+    openings = np.full(window, -np.inf)
+    for col, v in enumerate(folded.reshape(n_traces, window).T):
+        if (v > 0).any() and (v <= 0).any():
+            openings[col] = v[v > 0].min() - v[v <= 0].max()
+    best = int(np.argmax(openings))
+    assert got.eye_height_v == max(openings[best], 0.0)
+    assert got.best_phase_ui == best / spu
 
 
 # -- streaming renderer ---------------------------------------------------------
