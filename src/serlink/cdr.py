@@ -22,6 +22,7 @@ from .errors import TRUE_OR_FALSE, check
 
 PI_CODES = 32
 PI_STEP_UI = Fraction(1, 16)   # one interpolator step, in UI (1/32 of 2 UI)
+_STEP_UI = float(PI_STEP_UI)   # the step as the loop adds it to its phase
 BATCH_BITS = 8
 VALID_DIVIDERS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -120,13 +121,16 @@ def offset_drift_ui_per_ui(freq_offset):
 # One call samples at most one render chunk of RX UI, so a block fits in
 # the stream's retained window (phy._STREAM_KEEP says why) at any offset.
 MAX_BLOCK_BATCHES = phy.STREAM_CHUNK_BITS // BATCH_BITS
+# batches of phase-free sample instants a loop lays out at once: 4,096
+# data indices, each in an edge and a data slot, 64 KB
+GRID_BATCHES = 512
 
 
 # Lock is declared after LOCK_BATCHES consecutive batches whose last
 # data sample sits within LOCK_TOL_UI (one interpolator step) of a bit
 # center; it dates from the end of the batch before them (or the start).
 LOCK_BATCHES = 64
-LOCK_TOL_UI = float(PI_STEP_UI)
+LOCK_TOL_UI = _STEP_UI
 
 
 class CdrLoop:
@@ -151,6 +155,9 @@ class CdrLoop:
         self.phi_s = initial_phase_ui * ui_s
         self._half_ui_s = 0.5 * ui_s
         self._t0 = t_start_s
+        # t0 + (k + 0.5) * ui for the data indices k of batches
+        # _grid_first on, twice per batch: the edge slot, then the data slot
+        self._grid, self._grid_first = np.empty((0, 2, BATCH_BITS)), 0
         self._last_bit = 0
         self._last_index = None  # transmitted bit index of the last data sample
         self.pi_steps_applied = 0
@@ -159,6 +166,25 @@ class CdrLoop:
         self.lock_time_s = None
         self._streak = 0
         self._streak_start_s = t_start_s
+
+    def _instants(self, count):
+        """The sample instants of the next ``count`` batches, shape
+        ``(count, 2, BATCH_BITS)``: per batch its edges, then its data.
+
+        Data sample ``k`` is ``t0 + (k + 0.5) * ui + phi`` and its edge
+        that minus half a UI, in that order of operations: the grid holds
+        the phase-free sums, so only the phase and the half UI are added
+        per call.  It is laid out again from this call's first batch when
+        the call would run past it."""
+        first = self.state.batch_count
+        row = first - self._grid_first
+        if row + count > len(self._grid):
+            k = np.arange(first * BATCH_BITS, (first + GRID_BATCHES) * BATCH_BITS)
+            grid = (self._t0 + (k + 0.5) * self.ui_s).reshape(GRID_BATCHES, 1, BATCH_BITS)
+            self._grid, self._grid_first, row = np.repeat(grid, 2, axis=1), first, 0
+        times = self._grid[row:row + count] + self.phi_s
+        times[:, 0] -= self._half_ui_s
+        return times
 
     def process_batch(self, count=1, lookahead=False):
         """Sample ``count`` consecutive 8-bit batches and run the loop;
@@ -171,29 +197,25 @@ class CdrLoop:
         the stream can decide them from the waveform it has already
         rendered (``phy.StreamingNrz.sample_bits``): the call renders,
         draws and raises as a call for one batch would, and each batch it
-        covers is the one a later call would give.  One sampling call
-        per call, then one pass of Python scalars per batch.
+        covers is the one a later call would give.  The instants come
+        from the loop's cached phase-free grid plus the phase
+        (``_instants``), in one sampling call; the decided data instants
+        come back as one list, and one pass of Python scalars per batch
+        runs the detector, filter, phase error, slips and lock.
         """
         # not errors.check: this runs once per RX quantum
         if not (isinstance(count, (int, np.integer)) and count >= 1):
             raise ValueError(f"count must be an integer, >= 1, got {count!r}")
         state = self.state
-        first = state.batch_count * BATCH_BITS  # index of this call's first data sample
         count = min(count, state.n - state.batch_count % state.n, MAX_BLOCK_BATCHES)
-        t0, ui_s, phi_s, half = self._t0, self.ui_s, self.phi_s, self._half_ui_s
-        n_data = count * BATCH_BITS
-        t_data = [t0 + (k + 0.5) * ui_s + phi_s for k in range(first, first + n_data)]
-        # per batch, edges (half a UI earlier) before data: the stream's
-        # jitter draws then come in the same order whatever the count
-        times = []
-        for lo in range(0, n_data, BATCH_BITS):
-            batch = t_data[lo:lo + BATCH_BITS]
-            times += [t - half for t in batch]
-            times += batch
+        # per batch, edges before data: the stream's jitter draws then come
+        # in the same order whatever the count
+        times = self._instants(count)
         stream = self.stream
-        bits = stream.sample_bits(times, 2 * BATCH_BITS if lookahead else None).tolist()
+        bits = stream.sample_bits(times.reshape(-1),
+                                  2 * BATCH_BITS if lookahead else None).tolist()
         n_data = len(bits) // 2  # the batches the stream decided
-        del t_data[n_data:]
+        t_data = times[:n_data // BATCH_BITS, 1].reshape(-1).tolist()
 
         tx_ui, delay = stream.tx_ui_s, stream.reference_delay_s
         # the transmitted bit each data sample lands on: round() is half
@@ -234,7 +256,7 @@ class CdrLoop:
         self._last_bit, self._last_index = last_bit, prev
         if step:
             pi_apply(state, step)
-            self.phi_s += step * float(PI_STEP_UI) * self.ui_s
+            self.phi_s += step * _STEP_UI * self.ui_s
             self.pi_steps_applied += abs(step)
         return BatchRecord(data_bits=data_bits, bit_indices=ms, t_end_s=t_ends,
                            err_ui=errs, slips=batch_slips, pi_step=step,

@@ -57,7 +57,7 @@ _UI_BOUNDS = tuple(ui_for_clock(mhz) for mhz in reversed(CLOCK_MHZ))
 UI_RULE = ("in [{:g}, {:g}]".format(*_UI_BOUNDS),
            lambda v: _UI_BOUNDS[0] <= v <= _UI_BOUNDS[1])
 IDLE = 2                   # the 0 V idle level's driver code; a bit is its own code
-_CODES = {code: code for code in (0, 1, IDLE)}  # push_levels's lookup
+_ALPHABET = bytes((0, 1, IDLE))  # every driver code, for push_levels's check
 SAMPLES_PER_UI = 32
 DEFAULT_EYE_UIS = 150
 EYE_MIN_UIS = 4            # two 2-UI traces are the fewest that can show an opening
@@ -472,12 +472,26 @@ class StreamingNrz:
 
     def push_levels(self, codes):
         """Queue driver codes for rendering: 0 or 1 sends that bit and IDLE
-        the 0 V idle level.  Any other value raises ValueError, and then
-        nothing is queued."""
+        the 0 V idle level.  ``codes`` is bytes, a bytearray or a 1-D
+        sequence of integers: Python ints or bools, numpy integer or bool
+        scalars, or a numpy integer or bool array, read by value, never
+        by its raw buffer.  Any other value, a float or a bare integer
+        among them, raises ValueError, and then nothing is queued."""
         try:
-            self._pending += bytes(map(_CODES.__getitem__, codes))
-        except (KeyError, TypeError):  # TypeError: an unhashable value
-            raise ValueError(f"driver codes must be 0, 1 or IDLE ({IDLE})") from None
+            if not isinstance(codes, (bytes, bytearray, list, tuple)):
+                # any other iterable, an array by its values; TypeError
+                # for a bare value
+                codes = list(codes)
+            try:
+                codes = bytes(codes)  # TypeError for a non-integer
+            except TypeError:  # a numpy bool has no __index__
+                codes = bytes([int(c) if isinstance(c, np.bool_) else c for c in codes])
+            off_alphabet = codes.translate(None, _ALPHABET)
+        except (TypeError, ValueError):  # ValueError: outside 0..255
+            off_alphabet = True
+        if off_alphabet:
+            raise ValueError(f"driver codes must be 0, 1 or IDLE ({IDLE})")
+        self._pending += codes
 
     def _window(self):
         """The index of the window's first sample, and its samples."""

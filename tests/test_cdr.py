@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from serlink import phy
-from serlink.cdr import (BATCH_BITS, LOCK_BATCHES, LOCK_TOL_UI,
+from serlink.cdr import (BATCH_BITS, GRID_BATCHES, LOCK_BATCHES, LOCK_TOL_UI,
                          MAX_BLOCK_BATCHES, PI_CODES, PI_STEP_UI,
                          VALID_DIVIDERS, BatchRecord, CdrLoop, CdrState,
                          PdDecision, RecoveryResult, alexander_pd,
                          loop_filter_update, offset_drift_ui_per_ui,
                          pd_batch, pi_apply, recover_stream,
-                         slew_capacity_ui_per_ui)
+                         slew_capacity_ui_per_ui, tx_ui_for)
 from serlink.errors import AlignmentError, OutOfRange
 from serlink.node import LinkSimConfig, Node, Scheduler
 
@@ -495,3 +495,100 @@ def test_scalar_loop_matches_numpy_block_loop(seed, n, include_boundary, phase, 
     assert _driven(CdrLoop, **args) == want
     if tx_chunks == 2:  # 512 bits cannot feed 400 batches
         assert want[-1] is OutOfRange
+
+
+# -- oracle: the comprehension-built sample instants the grid replaced ---------
+
+class ComprehensionLoop(CdrLoop):
+    """CdrLoop sampling at instants built as its process_batch built them
+    before the grid: one comprehension of data instants, then per batch
+    its edges (each data instant minus half a UI) before its data."""
+
+    def _instants(self, count):
+        first = self.state.batch_count * BATCH_BITS
+        t0, ui_s, phi_s, half = self._t0, self.ui_s, self.phi_s, self._half_ui_s
+        t_data = [t0 + (k + 0.5) * ui_s + phi_s
+                  for k in range(first, first + count * BATCH_BITS)]
+        times = []
+        for lo in range(0, len(t_data), BATCH_BITS):
+            batch = t_data[lo:lo + BATCH_BITS]
+            times += [t - half for t in batch]
+            times += batch
+        return np.array(times).reshape(count, 2, BATCH_BITS)
+
+
+def _sampled(loop_type, tx, cfg, ui_s, offset, seed, counts, lookahead, n_batches,
+             **loop_args):
+    """Each call's observations over ``n_batches``, cycling through
+    ``counts``, and every instant the stream was asked to decide, by
+    its hex; the last entry is the exception type that ended the run."""
+    stream = phy.StreamingNrz(cfg, tx_ui_s=tx_ui_for(ui_s, offset), seed=seed)
+    stream.push_levels(tx)
+    instants = []
+    sample_bits = stream.sample_bits
+
+    def recording(times, batch=None):
+        instants.append([t.hex() for t in np.asarray(times, dtype=float).tolist()])
+        return sample_bits(times, batch)
+
+    stream.sample_bits = recording
+    loop = loop_type(stream, ui_s=ui_s, **loop_args)
+    seen, done, k = [], 0, 0
+    while done < n_batches:
+        try:
+            rec = loop.process_batch(counts[k % len(counts)], lookahead)
+        except OutOfRange:
+            return seen + [instants, OutOfRange]
+        seen.append(_observed(loop, rec))
+        done += len(rec.t_end_s)
+        k += 1
+    return seen + [instants]
+
+
+GRID_RUN_BATCHES = 2 * GRID_BATCHES + 76  # past the first fill and two refills
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.sampled_from([1, 4, 32, 128]),
+       phase=st.floats(0.0, 2.0, exclude_max=True), offset=st.floats(-0.005, 0.005),
+       ui_s=st.floats(0.9 * phy.UI_S, 1.1 * phy.UI_S),
+       channel=st.sampled_from(sorted(ORACLE_CHANNELS)),
+       t_start_s=st.sampled_from([97.3e-9, 1234.5678e-9]),
+       counts=st.permutations([1, 3, 32, 40]), lookahead=st.booleans())
+@example(seed=7, n=32, phase=0.3, offset=0.004, ui_s=phy.ui_for_clock(333), channel="noisy",
+         t_start_s=97.3e-9, counts=[1, 3, 32, 40], lookahead=True)
+def test_grid_instants_equal_the_comprehension_built_ones(seed, n, phase, offset, ui_s,
+                                                          channel, t_start_s, counts,
+                                                          lookahead):
+    # bit for bit: every instant handed to the stream, every record field
+    # and every loop observation, across grid refills at mixed counts
+    n_tx = int(GRID_RUN_BATCHES * BATCH_BITS * 1.01 + t_start_s / ui_s) + 600
+    tx = np.random.default_rng(seed).integers(0, 2, n_tx, dtype=np.uint8).tobytes()
+    args = dict(tx=tx, cfg=ORACLE_CHANNELS[channel], ui_s=ui_s, offset=offset, seed=seed,
+                counts=counts, lookahead=lookahead, n_batches=GRID_RUN_BATCHES, n=n,
+                initial_phase_ui=phase, t_start_s=t_start_s)
+    want = _sampled(ComprehensionLoop, **args)
+    assert want[-1] is not OutOfRange
+    assert _sampled(CdrLoop, **args) == want
+
+
+# -- metamorphic: volts scaled by a power of two -------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**16), k=st.integers(1, 3), length_cm=st.sampled_from([2.0, 5.0]),
+       noise_sigma_v=st.sampled_from([0.0, 0.01, 0.05]), rj_sigma_s=st.sampled_from([0.0, 2e-12]),
+       offset=st.floats(-0.005, 0.005), phase=st.floats(0.0, 2.0, exclude_max=True))
+def test_scaling_the_volts_by_a_power_of_two_decides_the_same_bits(
+        seed, k, length_cm, noise_sigma_v, rj_sigma_s, offset, phase):
+    # swing and noise times 2^k scale every rendered and interpolated
+    # voltage exactly, so only an absolute threshold could move a decision
+    tx = np.random.default_rng(seed).integers(0, 2, 4200, dtype=np.int8)
+    runs = []
+    for scale in (1, 2**k):
+        cfg = phy.ChannelConfig(swing=0.44 * scale, trace_length_cm=length_cm,
+                                noise_sigma_v=noise_sigma_v * scale, rj_sigma_s=rj_sigma_s)
+        res = recover_stream(tx, cfg, n_bits=4000, freq_offset=offset, initial_phase_ui=phase,
+                             seed=seed, keep_trace=False)
+        runs.append((res.bits.tobytes(), res.bit_indices.tobytes(), res.slips, res.pi_steps,
+                     _exact(res.lock_time_s)))
+    assert runs[0] == runs[1]

@@ -599,8 +599,8 @@ def test_sampling_ahead_equals_one_batch_per_call(scenario, pin, payload, freq_o
     assert outputs[0] == outputs[1]
 
 
-def _work(monkeypatch, cfg):
-    """Run ``cfg`` and count the calls that make up its work."""
+def _counting(monkeypatch):
+    """Counts, filled as they happen, of the calls that make up a run's work."""
     counts = dict.fromkeys(("sampling_calls", "instants", "process_batch", "renders",
                             "push_pair", "dispatches"), 0)
 
@@ -620,6 +620,12 @@ def _work(monkeypatch, cfg):
     counted(phy.StreamingNrz, "_render", "renders")
     counted(control.RxPipeline, "push_pair", "push_pair")
     counted(node.Scheduler, "advance", "dispatches")
+    return counts
+
+
+def _work(monkeypatch, cfg):
+    """Run ``cfg`` and count the calls that make up its work."""
+    counts = _counting(monkeypatch)
     assert run_protocol(cfg).ok
     return counts
 
@@ -641,6 +647,20 @@ def test_transfer_work_counts_are_pinned(monkeypatch, cfg, want):
     # work counts do not move with the host's noise: a count that falls
     # is less work, and one that rises needs a reason
     assert _work(monkeypatch, cfg) == want
+
+
+def test_recovery_work_counts_are_pinned(monkeypatch):
+    # ber_track's run: 3,125 batches, one call per filter evaluation at
+    # cdr_n 4, each sampling once; the engine, the framer and the RX
+    # pipeline take no part
+    tx = np.random.default_rng([1, 0]).integers(0, 2, 26_250).astype(np.int8)
+    counts = _counting(monkeypatch)
+    res = cdr.recover_stream(tx, phy.ChannelConfig(trace_length_cm=2.0), n_bits=25_000,
+                             freq_offset=0.004, initial_phase_ui=0.25, keep_trace=False,
+                             seed=1)
+    assert res.slips == 0 and res.errors_against(tx) == 0
+    assert counts == dict(sampling_calls=782, instants=50_000, process_batch=782,
+                          renders=98, push_pair=0, dispatches=0)
 
 
 # sha256 of to_text() + events_csv(); any change to event order or time,

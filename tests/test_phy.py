@@ -1,8 +1,11 @@
+import array
 import dataclasses
 import itertools
 import math
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1080,3 +1083,52 @@ def test_off_alphabet_levels_raise_and_render_nothing():
         with pytest.raises(ValueError, match=r"0, 1 or IDLE \(2\)"):
             stream.push_levels(bad)
         assert (stream._nbits, list(stream._pending), stream._window()[1].tobytes()) == state
+
+
+@pytest.mark.parametrize("codes", [
+    [1, 0, 2, 1], (1, 0, 2, 1), b"\x01\x00\x02\x01", bytearray(b"\x01\x00\x02\x01"),
+    [True, False, 2, 1], [np.int64(1), np.uint8(0), np.int32(2), np.True_],
+    np.array([1, 0, 2, 1], dtype=np.int64), np.array([1, 0, 2, 1], dtype=np.uint8),
+    np.array([1, 0, 2, 1], dtype=np.int16), iter([1, 0, 2, 1]),
+    array.array("q", [1, 0, 2, 1])],
+    ids=["list", "tuple", "bytes", "bytearray", "bools", "numpy_scalars", "int64_array",
+         "uint8_array", "int16_array", "iterator", "array_q"])
+def test_push_levels_takes_integer_codes_by_value(codes):
+    # an int64 array pushes its four values, not its 32 bytes
+    stream = StreamingNrz(CLEAN)
+    stream.push_levels(codes)
+    assert bytes(stream._pending) == b"\x01\x00\x02\x01"
+
+
+def test_push_levels_takes_numpy_bools_by_value():
+    stream = StreamingNrz(CLEAN)
+    stream.push_levels(np.array([True, False, True]))
+    stream.push_levels([np.False_, np.True_])
+    assert bytes(stream._pending) == b"\x01\x00\x01\x00\x01"
+
+
+def _push_rejected(bad):
+    stream = StreamingNrz(CLEAN)
+    stream.push_levels([1] * 3)
+    with pytest.raises(ValueError, match=r"0, 1 or IDLE \(2\)"):
+        stream.push_levels(bad)
+    assert bytes(stream._pending) == b"\x01" * 3
+
+
+@pytest.mark.parametrize("bad", [
+    5, 0, True, np.int64(1), np.array(1),  # bytes(5) would be five zero codes
+    [1, 256], [1, -1], np.array([[1, 0], [0, 1]]), "01"],
+    ids=["int", "zero", "bool", "numpy_int", "array_0d", "256", "minus_1", "array_2d", "str"])
+def test_push_levels_rejects_a_bare_value_and_non_codes(bad):
+    _push_rejected(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0], [1, 0.0], (np.float64(1.0),), np.array([1.0, 0.0]), [np.float32(2.0)],
+    [Fraction(1)], [Decimal(1)], [1 + 0j]],
+    ids=["float", "mixed", "numpy_float", "float_array", "float32", "fraction", "decimal",
+         "complex"])
+def test_push_levels_rejects_non_integers_it_used_to_take(bad):
+    # integer-valued non-integers got in through the old dict lookup's
+    # hash equality (1.0 == 1); a driver code is an integer
+    _push_rejected(bad)
