@@ -8,8 +8,8 @@ be imitated by payload.
 
 import numpy as np
 
-from serlink.codec import (Disparity, FlitKind, Symbol, D, K, decode_flit,
-                           encode_flit, encode_symbol)
+from serlink.codec import (LANES, Disparity, FlitKind, Symbol, D, K,
+                           decode_flit, encode_flit, encode_symbol, flit_bits)
 
 
 def wire_str(code, nbits=10):
@@ -30,9 +30,10 @@ def main():
         print(f"{label}: 0x{byte:02x} = first 8 wire bits {wire_str(byte, 8)}")
 
     print("\n== a data flit ==")
-    flit, rd = encode_flit(FlitKind.DATA, 0xCAFE0042, Disparity.NEGATIVE)
-    print("word 0xCAFE0042 ->", " ".join(wire_str(c) for c in flit.lanes))
-    word40 = flit.to_int()  # the 40-bit word the receiver deserializes
+    # the 40-bit word the receiver deserializes, lane 0 in bits 0-9
+    word40, rd = encode_flit(FlitKind.DATA, 0xCAFE0042, Disparity.NEGATIVE)
+    print("word 0xCAFE0042 ->",
+          " ".join(wire_str(word40 >> 10 * i) for i in range(LANES)))
     word, _ = decode_flit(word40, Disparity.NEGATIVE)
     print(f"as 40-bit word 0x{word40:010X} decodes back to 0x{word:08X}")
 
@@ -41,9 +42,9 @@ def main():
     rd = Disparity.NEGATIVE
     bits = []
     for _ in range(2000):
-        flit, rd = encode_flit(FlitKind.DATA,
-                               int(rng.integers(0, 2**32, dtype=np.uint64)), rd)
-        bits.extend(flit.bits())
+        word40, rd = encode_flit(FlitKind.DATA,
+                                 int(rng.integers(0, 2**32, dtype=np.uint64)), rd)
+        bits.extend(flit_bits(word40))
     sums = np.cumsum(np.where(np.array(bits) > 0, 1, -1))
     stream = "".join(map(str, bits))
     runs = max(len(r) for part in (stream.split("0"), stream.split("1"))

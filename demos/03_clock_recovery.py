@@ -48,7 +48,7 @@ def main():
     out = os.path.join(os.path.dirname(__file__), "cdr_traces.csv")
     with open(out, "w") as fh:
         fh.write("\n".join(rows) + "\n")
-    print(f"\nwrote {out}")
+    print(f"\nwrote demos/{os.path.basename(out)}")  # from the repository root
 
 
 if __name__ == "__main__":

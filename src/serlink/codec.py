@@ -5,14 +5,15 @@ Classic IBM 8b/10b coding: each byte is split into a 5-bit and a
 (complemented) sub-blocks selected by the running disparity so the
 serial stream stays DC-balanced.
 
-A flit is four byte lanes encoded into 40 wire bits.  One running
-disparity is threaded through the four lanes (lane 0 first), so the
-serialized stream behaves exactly like a single 8b/10b stream.  Its
-running digital sum (ones minus zeros, counted from the stream's start)
-stays in [-2, 4] from a NEGATIVE start and in [-4, 2] from a POSITIVE
-one: 8b/10b's |RDS| <= 3, seen from a start RDS of -1 or +1.
+A flit is four byte lanes encoded into 40 wire bits, one integer on both
+sides of the link.  One running disparity is threaded through the four
+lanes (lane 0 first), so the serialized stream behaves exactly like a
+single 8b/10b stream.  Its running digital sum (ones minus zeros, counted
+from the stream's start) stays in [-2, 4] from a NEGATIVE start and in
+[-4, 2] from a POSITIVE one: 8b/10b's |RDS| <= 3, seen from a start RDS
+of -1 or +1.
 
-Bit order: codes are stored as integers whose bit ``k`` is the ``k``-th
+Bit order: codes and flits are integers whose bit ``k`` is the ``k``-th
 bit on the wire (sub-block ``abcdei`` first, then ``fghj``, LSB-first).
 With this order, the start/stop frame headers carry the raw marker byte
 as their first 8 wire bits.
@@ -250,53 +251,40 @@ _CODE_BITS = [tuple((code >> k) & 1 for k in range(CODE_BITS))
               for code in range(1 << CODE_BITS)]
 
 
-@dataclass(frozen=True)
-class Flit:
-    """One 40-bit frame to send: four 10-bit lane codes, lane 0 sent first.
-
-    ``lanes`` is a tuple of four integers in [0, 0x3FF], else a ValueError.
-    """
-
-    lanes: tuple
-
-    def __post_init__(self):
-        # every flit built runs this, so one unpack and one OR, no loop:
-        # the OR of four ints has no bit above bit 9 only if each is in range
-        try:
-            a, b, c, d = self.lanes
-            bad = (a | b | c | d) >> CODE_BITS
-        except (TypeError, ValueError):
-            bad = True
-        if bad or type(self.lanes) is not tuple:
-            raise ValueError(f"lanes must be {LANES} integers in [0, 0x3FF], "
-                             f"as a tuple, got {self.lanes!r}")
-
-    def bits(self):
-        a, b, c, d = self.lanes
-        rows = _CODE_BITS
-        return [*rows[a], *rows[b], *rows[c], *rows[d]]
-
-    def to_int(self):
-        value = 0
-        for i, code in enumerate(self.lanes):
-            value |= code << (CODE_BITS * i)
-        return value
+def _check_value(value):
+    try:
+        bad = value >> FLIT_BITS
+    except TypeError:
+        bad = True
+    if bad:
+        raise ValueError(f"value must be an integer in [0, 2**40), got {value!r}")
 
 
-# The lanes of each flit kind that carries no word.  Header lane 0 is the
-# raw marker byte LSB-first, padded with two zeros.
-_FIXED_LANES = {
-    FlitKind.START: (START_BYTE,) + (FILLER_CODE,) * 3,
-    FlitKind.STOP: (STOP_BYTE,) + (FILLER_CODE,) * 3,
-    FlitKind.TRAINING: (FILLER_CODE,) * LANES,
+def flit_bits(value):
+    """The 40 wire bits of a flit word, in send order: bit ``k`` of ``value``."""
+    _check_value(value)
+    rows = _CODE_BITS
+    return [*rows[value & 0x3FF], *rows[value >> 10 & 0x3FF],
+            *rows[value >> 20 & 0x3FF], *rows[value >> 30]]
+
+
+# The word of each flit kind that carries no word.  Every lane is the
+# filler code, except a header's lane 0: the raw marker byte LSB-first,
+# padded with two zeros.
+_FILLER_WORD = sum(FILLER_CODE << CODE_BITS * i for i in range(LANES))
+_FIXED_WORDS = {
+    FlitKind.START: _FILLER_WORD >> CODE_BITS << CODE_BITS | START_BYTE,
+    FlitKind.STOP: _FILLER_WORD >> CODE_BITS << CODE_BITS | STOP_BYTE,
+    FlitKind.TRAINING: _FILLER_WORD,
 }
 
 
 def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
-    """Build one flit, returning (Flit, updated disparity).
+    """Build one flit, returning (40-bit word, updated disparity).
 
-    Data flits thread the running disparity through the four lanes; header
-    and training flits are disparity-neutral and leave it unchanged.
+    The word is the integer ``decode_flit`` takes.  Data flits thread the
+    running disparity through the four lanes; header and training flits are
+    disparity-neutral and leave it unchanged.
     """
     _check_rd(rd)
     if kind is FlitKind.DATA:
@@ -307,14 +295,14 @@ def encode_flit(kind: FlitKind, word=None, rd=Disparity.NEGATIVE):
         c1, rd = _ENCODE[word >> 8 & 0xFF, False, rd]
         c2, rd = _ENCODE[word >> 16 & 0xFF, False, rd]
         c3, rd = _ENCODE[word >> 24, False, rd]
-        return Flit((c0, c1, c2, c3)), rd
+        return c0 | c1 << 10 | c2 << 20 | c3 << 30, rd
     try:
-        lanes = _FIXED_LANES[kind]
+        value = _FIXED_WORDS[kind]
     except (KeyError, TypeError):
         raise ValueError(f"kind must be a FlitKind, got {kind!r}") from None
     if word is not None:
         raise ValueError(f"{kind.value} flit carries no word")
-    return Flit(lanes), rd
+    return value, rd
 
 
 def decode_flit(value, rd=Disparity.NEGATIVE):
@@ -325,12 +313,7 @@ def decode_flit(value, rd=Disparity.NEGATIVE):
     so it fails as InvalidCode like any other miss; errors carry the lane
     index.  A training flit is the data word 0xB5B5B5B5 on the wire.
     """
-    try:
-        bad = value >> FLIT_BITS
-    except TypeError:
-        bad = True
-    if bad:
-        raise ValueError(f"value must be an integer in [0, 2**40), got {value!r}")
+    _check_value(value)
     _check_rd(rd)
     word = 0
     for i in range(LANES):

@@ -82,8 +82,8 @@ class TxFramer:
         if kind is FlitKind.START:
             self.rd = Disparity.NEGATIVE  # disparity chain restarts per frame
         word = self._word_source() if kind is FlitKind.DATA else None
-        flit, self.rd = codec.encode_flit(kind, word, self.rd)
-        bits = flit.bits()
+        value, self.rd = codec.encode_flit(kind, word, self.rd)
+        bits = codec.flit_bits(value)
         self._serializer.load(bits)
         self._wire(bits)
         return True

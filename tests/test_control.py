@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from serlink import codec, phy
-from serlink.codec import FLIT_BITS, START_BYTE, Disparity, Flit, FlitKind
+from serlink.codec import CODE_BITS, FLIT_BITS, START_BYTE, Disparity, FlitKind
 from serlink.control import (TX_FLITS, RxPipeline, SequenceDetector, TxFramer,
                              TxState, tx_fsm_step)
 from serlink.datapath import BitPair
@@ -242,8 +242,8 @@ def test_a_marker_valued_lane_inside_a_frame_is_a_decode_failure(monkeypatch):
     encode_flit = codec.encode_flit
 
     def marked(kind, word=None, rd=Disparity.NEGATIVE):
-        flit, rd = encode_flit(kind, word, rd)
-        return (Flit((START_BYTE,) + flit.lanes[1:]) if word == 2 else flit), rd
+        value, rd = encode_flit(kind, word, rd)
+        return (value >> CODE_BITS << CODE_BITS | START_BYTE if word == 2 else value), rd
     monkeypatch.setattr(codec, "encode_flit", marked)
     wire = wire_for_frame([1, 2, 3])
     monkeypatch.undo()

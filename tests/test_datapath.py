@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serlink.codec import Disparity, FlitKind, encode_flit
+from serlink.codec import Disparity, FlitKind, encode_flit, flit_bits
 from serlink.datapath import (BitPair, Deserializer, Serializer,
                               ShiftRealigner)
 from serlink.errors import Underflow
@@ -12,8 +12,8 @@ from serlink.errors import Underflow
 
 def random_flit_bits(rng):
     word = int(rng.integers(0, 2**32, dtype=np.uint64))
-    flit, _ = encode_flit(FlitKind.DATA, word, Disparity.NEGATIVE)
-    return flit.bits()
+    value, _ = encode_flit(FlitKind.DATA, word, Disparity.NEGATIVE)
+    return flit_bits(value)
 
 
 def test_serializer_emits_flit_in_order():

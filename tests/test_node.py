@@ -764,3 +764,32 @@ def test_timeline_matches_the_duty_cycle_model_at_the_coded_rate(payload, scenar
     assert bits / (t["end"] - t["tx_warm_en"]) == pytest.approx(bw, rel=0.015)
     assert report.energy_j / bits == pytest.approx(model.energy_per_bit_pj * 1e-12,
                                                    rel=0.015)
+
+
+# -- metamorphic: volts scaled by a power of two -------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=st.sampled_from(list(node.SCENARIOS)),
+       payload=st.integers(1, 64).map(lambda words: 4 * words),
+       length_cm=st.sampled_from([0.0, 2.0, 5.0]),
+       noise_sigma_v=st.one_of(st.just(0.0), st.floats(0.0, 0.02)),
+       rj_sigma_s=st.sampled_from([0.0, 2e-12]),
+       freq_offset=st.one_of(st.just(0.0), st.floats(-0.004, 0.004)),
+       k=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(scenario="tx_initiated", payload=256, length_cm=2.0, noise_sigma_v=0.02,
+         rj_sigma_s=2e-12, freq_offset=0.0, k=1, seed=1)
+def test_scaling_the_volts_by_a_power_of_two_leaves_a_transfer_unchanged(
+        scenario, payload, length_cm, noise_sigma_v, rj_sigma_s, freq_offset, k, seed):
+    # swing and noise times 2^k scale every voltage the RX compares
+    # exactly, so the report and every logged event read the same
+    outputs = []
+    for scale in (1, 2**k):
+        channel = phy.ChannelConfig(swing=0.44 * scale, trace_length_cm=length_cm,
+                                    noise_sigma_v=noise_sigma_v * scale,
+                                    rj_sigma_s=rj_sigma_s)
+        report = run_protocol(LinkSimConfig(scenario=scenario, payload_bytes=payload,
+                                            freq_offset=freq_offset, seed=seed,
+                                            channel=channel))
+        outputs.append((report.to_text(), report.events_csv()))
+    event(report.diagnostic.split(":")[0] or "ok")
+    assert outputs[0] == outputs[1]

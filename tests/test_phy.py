@@ -274,6 +274,26 @@ def test_calibrated_eye_heights_hit_targets():
         assert eye.eye_height_v == pytest.approx(target, rel=0.05)
 
 
+@pytest.mark.parametrize("length", [0.0, 2.0, 5.0])
+@settings(max_examples=10, deadline=None)
+@given(noise=st.sampled_from((0.0, 0.01)), k=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_scaling_the_samples_by_a_power_of_two_scales_only_the_volts(length, noise, k,
+                                                                     seed):
+    # 2^k scales every sample, bin edge and opening exactly, so the eye's
+    # counts, width and best phase stay and its volts scale by 2^k
+    cfg = ChannelConfig(trace_length_cm=length, noise_sigma_v=noise)
+    bits = np.random.default_rng(seed).integers(0, 2, 1100)
+    wave = channel_apply(drive(bits, cfg), cfg, rng=np.random.default_rng(seed + 1))
+    eye = eye_capture(wave, n_ui=1000)
+    scaled = eye_capture(dataclasses.replace(wave, samples=wave.samples * 2**k), n_ui=1000)
+    assert np.array_equal(scaled.counts, eye.counts)
+    assert np.array_equal(scaled.phase_edges, eye.phase_edges)
+    assert (scaled.eye_width_ui, scaled.best_phase_ui) == (eye.eye_width_ui,
+                                                           eye.best_phase_ui)
+    assert np.array_equal(scaled.volt_edges, eye.volt_edges * 2**k)
+    assert scaled.eye_height_v == eye.eye_height_v * 2**k
+
+
 def test_eye_height_monotone_in_trace_length_and_noise():
     rng = np.random.default_rng(53)
     bits = rng.integers(0, 2, 220)
